@@ -99,10 +99,6 @@ class AmrGraph:
     tree_edge_indices: frozenset[int]
     metadata: dict[str, str] = field(default_factory=dict, compare=False)
 
-    @property
-    def tree_edges(self) -> tuple[AmrEdge, ...]:
-        return tuple(e for i, e in enumerate(self.edges) if i in self.tree_edge_indices)
-
     def outgoing(self, var: str) -> list[tuple[int, AmrEdge]]:
         return [(i, e) for i, e in enumerate(self.edges) if e.source == var]
 
@@ -129,6 +125,16 @@ def is_variable_token(tok: str) -> bool:
 _DELIMS = set("()/ \t\r\n")
 
 
+def quoted_string_end(text: str, start: int) -> int:
+    """Index just past the string literal whose opening quote is at
+    ``text[start]``, or -1 if it is unterminated. A backslash escapes the
+    character after it."""
+    j, n = start + 1, len(text)
+    while j < n and text[j] != '"':
+        j += 2 if text[j] == "\\" else 1
+    return j + 1 if j < n else -1
+
+
 def _lex(text: str) -> list[tuple[str, str, int]]:
     """Split PENMAN text into (kind, value, offset) tokens.
 
@@ -150,13 +156,11 @@ def _lex(text: str) -> list[tuple[str, str, int]]:
             toks.append(("slash", c, i))
             i += 1
         elif c == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                j += 2 if text[j] == "\\" else 1
-            if j >= n:
+            j = quoted_string_end(text, i)
+            if j < 0:
                 raise PenmanError("unterminated string literal", i)
-            toks.append(("string", text[i : j + 1], i))
-            i = j + 1
+            toks.append(("string", text[i:j], i))
+            i = j
         else:
             j = i
             while j < n and text[j] not in _DELIMS:

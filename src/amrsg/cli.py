@@ -10,8 +10,10 @@ from __future__ import annotations
 import json
 import os
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
+from typing import Callable, NoReturn, TypeVar
 
 import click
 
@@ -30,6 +32,8 @@ from .corpus import (
     corpus_stats,
     filter_ungrounded,
     load_records,
+    load_region_graphs,
+    record_to_json,
     save_records,
 )
 from .evaluate import evaluate_corpus
@@ -41,11 +45,13 @@ from .retrieval import (
     load_index,
     rank,
 )
-from .scenegraph import GRAMMAR_VERSION, SceneGraph, serialize_sg, sg_from_json, sg_to_json
+from .scenegraph import GRAMMAR_VERSION, SceneGraph, serialize_sg, sg_to_json
 
 ADAPTER_ENV_VAR = "AMRSG_ADAPTER"
 
 _STRATEGIES = {s.value: s for s in Strategy}
+
+T = TypeVar("T")
 
 
 @contextmanager
@@ -57,33 +63,36 @@ def _open_out(path: str):
             yield fh
 
 
-def _read_penman_blocks(path: str) -> list[tuple[dict, str]]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
-        click.echo(f"error: cannot read {path}: {err}", err=True)
-        sys.exit(1)
-    return list(iter_penman_blocks(text))
+def _fail(*messages: str) -> NoReturn:
+    """Print each message as ``error: <message>`` and exit 1."""
+    for message in messages:
+        click.echo(f"error: {message}", err=True)
+    sys.exit(1)
 
 
-def _load_eval_corpus(path: str) -> dict[str, SceneGraph]:
-    """Lenient JSONL loader for evaluation: needs region_id + scene_graph."""
-    graphs: dict[str, SceneGraph] = {}
+def _load(load: Callable[[str], T], path: str, what: str = "read") -> T:
+    """``load(path)``, or exit 1 with ``error: cannot <what> <path>: <reason>``."""
     try:
-        fh = open(path, encoding="utf-8")
-    except OSError as err:
-        click.echo(f"error: cannot read {path}: {err}", err=True)
-        sys.exit(1)
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                data = json.loads(line)
-                graphs[str(data["region_id"])] = sg_from_json(data["scene_graph"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as err:
-                click.echo(f"warning: {path}:{lineno}: {err}", err=True)
-    return graphs
+        return load(path)
+    except (OSError, ValueError, KeyError) as err:
+        _fail(f"cannot {what} {path}: {err}")
+
+
+def _read_text(path: str) -> str:
+    return Path(path).read_text(encoding="utf-8")
+
+
+def _read_json(path: str):
+    return json.loads(_read_text(path))
+
+
+def _load_region_graphs(path: str) -> tuple[list[tuple[str, str, SceneGraph]], int]:
+    """Region graphs of a JSONL file plus the number of lines skipped, each
+    reported on stderr as ``warning: <path>:<line>: <reason>``."""
+    graphs, errors = _load(load_region_graphs, path)
+    for lineno, message in errors:
+        click.echo(f"warning: {path}:{lineno}: {message}", err=True)
+    return graphs, len(errors)
 
 
 def _print_version(ctx, param, value):
@@ -113,7 +122,7 @@ def cli():
 @click.option("--out", default="-", help="Output path ('-' for stdout).")
 def cmd_linearize(input_path, strategy, emit, out):
     """Write one linearization per graph in a PENMAN file."""
-    blocks = _read_penman_blocks(input_path)
+    blocks = iter_penman_blocks(_load(_read_text, input_path))
     failures = 0
     with _open_out(out) as fh:
         for i, (meta, text) in enumerate(blocks):
@@ -141,15 +150,12 @@ def cmd_convert(input_path, engine, adapter, timeout, strategy, emit, out):
     With --emit jsonl, each line carries the region id (from ::id metadata,
     falling back to the block index) and the scene graph as JSON.
     """
-    blocks = _read_penman_blocks(input_path)
+    blocks = iter_penman_blocks(_load(_read_text, input_path))
     adapter_proc = None
     if engine == "external":
         command = adapter or os.environ.get(ADAPTER_ENV_VAR)
         if not command:
-            click.echo(
-                f"error: --engine external requires --adapter or ${ADAPTER_ENV_VAR}", err=True
-            )
-            sys.exit(1)
+            _fail(f"--engine external requires --adapter or ${ADAPTER_ENV_VAR}")
         adapter_proc = ExternalAdapter(command, timeout=timeout)
     failures = 0
     try:
@@ -187,19 +193,27 @@ def cmd_convert(input_path, engine, adapter, timeout, strategy, emit, out):
 @click.option("--out", default="-", help="Output path ('-' for stdout).")
 def cmd_eval(generated_path, reference_path, per_region, out):
     """SPICE-style corpus evaluation of generated vs. reference scene graphs."""
-    generated = _load_eval_corpus(generated_path)
-    reference = _load_eval_corpus(reference_path)
+    corpora, errors = [], []
+    for path in (generated_path, reference_path):
+        graphs, _ = _load_region_graphs(path)
+        counts = Counter(region_id for region_id, _, _ in graphs)
+        duplicates = sorted(rid for rid, n in counts.items() if n > 1)
+        if duplicates:
+            errors.append(f"duplicate region ids in {path}: {', '.join(duplicates)}")
+        corpora.append({region_id: sg for region_id, _, sg in graphs})
+    if errors:
+        _fail(*errors)
+    generated, reference = corpora
     only_gen = sorted(set(generated) - set(reference))
     only_ref = sorted(set(reference) - set(generated))
-    if only_gen or only_ref:
-        if only_gen:
-            click.echo(f"error: region ids only in generated: {', '.join(only_gen)}", err=True)
-        if only_ref:
-            click.echo(f"error: region ids only in reference: {', '.join(only_ref)}", err=True)
-        sys.exit(1)
+    if only_gen:
+        errors.append(f"region ids only in generated: {', '.join(only_gen)}")
+    if only_ref:
+        errors.append(f"region ids only in reference: {', '.join(only_ref)}")
+    if errors:
+        _fail(*errors)
     if not generated:
-        click.echo("error: empty corpus", err=True)
-        sys.exit(1)
+        _fail("empty corpus")
     report = evaluate_corpus(
         [(rid, generated[rid], reference[rid]) for rid in sorted(generated)]
     )
@@ -220,51 +234,32 @@ def cmd_eval(generated_path, reference_path, per_region, out):
 @click.option("--k", "ks", default="5,10", help="Comma-separated recall cutoffs.")
 @click.option("--out", default="-", help="Output path ('-' for stdout).")
 def cmd_retrieve(index_path, queries_path, gold_path, ks, out):
-    """Rank images for every query region and report Recall@k / median rank."""
+    """Rank images for every query region and report Recall@k / median rank.
+
+    Malformed query lines are skipped with a warning; the run then exits 2.
+    """
     try:
         cutoffs = [int(k) for k in ks.split(",") if k.strip()]
     except ValueError:
-        click.echo(f"error: bad --k value {ks!r}", err=True)
-        sys.exit(1)
-    try:
-        index = load_index(index_path)
-    except (OSError, ValueError, KeyError) as err:
-        click.echo(f"error: cannot load index {index_path}: {err}", err=True)
-        sys.exit(1)
+        _fail(f"bad --k value {ks!r}")
+    index = _load(load_index, index_path, "load index")
     gold_map = None
     if gold_path:
-        try:
-            gold_map = {str(k): str(v) for k, v in json.loads(Path(gold_path).read_text()).items()}
-        except (OSError, ValueError) as err:
-            click.echo(f"error: cannot load gold mapping {gold_path}: {err}", err=True)
-            sys.exit(1)
-    queries = []
-    try:
-        fh = open(queries_path, encoding="utf-8")
-    except OSError as err:
-        click.echo(f"error: cannot read {queries_path}: {err}", err=True)
-        sys.exit(1)
-    with fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            data = json.loads(line)
-            region_id = str(data["region_id"])
-            gold = gold_map.get(region_id) if gold_map else str(data.get("image_id", ""))
-            queries.append((region_id, sg_from_json(data["scene_graph"]), gold))
+        gold_map = {
+            str(k): str(v) for k, v in _load(_read_json, gold_path, "load gold mapping").items()
+        }
+    queries, skipped = _load_region_graphs(queries_path)
     if not queries:
-        click.echo("error: empty query set", err=True)
-        sys.exit(1)
+        _fail("empty query set")
     results = []
-    for region_id, sg, gold in queries:
+    for region_id, image_id, sg in queries:
+        gold = gold_map.get(region_id) if gold_map else image_id
         if not gold:
-            click.echo(f"error: no gold image id for query {region_id}", err=True)
-            sys.exit(1)
+            _fail(f"no gold image id for query {region_id}")
         try:
             results.append(rank(sg, index, gold, query_id=region_id))
         except UnknownGoldImage as err:
-            click.echo(f"error: query {region_id}: {err}", err=True)
-            sys.exit(1)
+            _fail(f"query {region_id}: {err}")
     metrics = aggregate_metrics(results, cutoffs)
     with _open_out(out) as fh:
         fh.write(
@@ -276,7 +271,7 @@ def cmd_retrieve(index_path, queries_path, gold_path, ks, out):
             )
             + "\n"
         )
-    sys.exit(0)
+    sys.exit(2 if skipped else 0)
 
 
 @cli.command("export")
@@ -286,11 +281,7 @@ def cmd_retrieve(index_path, queries_path, gold_path, ks, out):
 @click.option("--out", default="-", help="Output path ('-' for stdout).")
 def cmd_export(corpus_path, strategy, no_filter, out):
     """Export training pairs (linearized AMR -> target string) as JSONL."""
-    try:
-        result = load_records(corpus_path)
-    except OSError as err:
-        click.echo(f"error: cannot read {corpus_path}: {err}", err=True)
-        sys.exit(1)
+    result = _load(load_records, corpus_path)
     for _, message in result.errors:
         click.echo(f"warning: {message}", err=True)
     pairs, skipped = export_training_pairs(
@@ -308,11 +299,7 @@ def cmd_export(corpus_path, strategy, no_filter, out):
 @click.option("--filtered", is_flag=True, help="Apply the ungrounded filter first.")
 def cmd_stats(corpus_path, filtered):
     """Print corpus statistics as JSON."""
-    try:
-        result = load_records(corpus_path)
-    except OSError as err:
-        click.echo(f"error: cannot read {corpus_path}: {err}", err=True)
-        sys.exit(1)
+    result = _load(load_records, corpus_path)
     records = result.records
     if filtered:
         records = [filter_ungrounded(r) for r in records]
@@ -326,16 +313,9 @@ def cmd_stats(corpus_path, filtered):
 @click.option("--out", default="-", help="Output corpus path ('-' for stdout).")
 def cmd_vg_convert(vg_path, out):
     """Convert Visual Genome region-graph JSON into the corpus JSONL format."""
-    try:
-        vg_images = json.loads(Path(vg_path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as err:
-        click.echo(f"error: cannot read {vg_path}: {err}", err=True)
-        sys.exit(1)
-    records = convert_vg_regions(vg_images)
+    records = convert_vg_regions(_load(_read_json, vg_path))
     if out == "-":
         for record in records:
-            from .corpus import record_to_json
-
             click.echo(json.dumps(record_to_json(record)))
     else:
         save_records(records, out)

@@ -15,18 +15,19 @@ import json
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .scenegraph import (
     EmptyAfterNormalization,
     SceneGraph,
-    SgError,
     normalize,
     sg_from_json,
     sg_to_json,
 )
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -77,19 +78,44 @@ def record_from_json(data: dict) -> RegionRecord:
     )
 
 
-def load_records(path: str | Path) -> LoadResult:
-    """Load a JSONL corpus; malformed lines are counted and skipped."""
-    records: list[RegionRecord] = []
+def _read_jsonl(
+    path: str | Path, parse: Callable[[dict], T]
+) -> tuple[list[T], list[tuple[int, str]]]:
+    """Parse each non-blank line; malformed lines are skipped and returned as
+    (line number, message)."""
+    items: list[T] = []
     errors: list[tuple[int, str]] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                records.append(record_from_json(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, ValueError, TypeError, SgError) as err:
-                errors.append((lineno, f"line {lineno}: {err}"))
-    return LoadResult(records, len(errors), errors)
+                items.append(parse(json.loads(line)))
+            except (KeyError, TypeError, ValueError) as err:  # SgError is a ValueError
+                errors.append((lineno, str(err)))
+    return items, errors
+
+
+def load_records(path: str | Path) -> LoadResult:
+    """Load a JSONL corpus; malformed lines are counted and skipped."""
+    records, errors = _read_jsonl(path, record_from_json)
+    return LoadResult(records, len(errors), [(n, f"line {n}: {msg}") for n, msg in errors])
+
+
+def load_region_graphs(
+    path: str | Path,
+) -> tuple[list[tuple[str, str, SceneGraph]], list[tuple[int, str]]]:
+    """Load ``{region_id, scene_graph}`` lines as (region id, image id or "",
+    scene graph), as ``eval`` and ``retrieve`` read them. Malformed lines are
+    skipped and returned as (line number, message)."""
+    return _read_jsonl(
+        path,
+        lambda d: (
+            str(d["region_id"]),
+            str(d.get("image_id", "")),
+            sg_from_json(d["scene_graph"]),
+        ),
+    )
 
 
 def save_records(records: Iterable[RegionRecord], path: str | Path) -> None:

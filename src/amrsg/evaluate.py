@@ -1,14 +1,17 @@
 """SPICE-style F-score over scene-graph tuples with one-to-one matching.
 
 Precision and recall count matched tuples over generated / reference tuple
-counts; F1 is their harmonic mean. Matching is maximum-cardinality bipartite
-matching (augmenting paths), so a tuple on either side is used at most once.
+counts; F1 is their harmonic mean. Tuples match only when exactly equal, so
+the maximum one-to-one matching is the multiset intersection: the k-th
+occurrence of a tuple on one side pairs with its k-th occurrence on the other,
+and a tuple on either side is used at most once.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .scenegraph import SceneGraph, SgTuple, to_tuples
 
@@ -44,52 +47,32 @@ class CorpusReport:
     region_count: int
 
 
-def _exact_equal(a: SgTuple, b: SgTuple) -> bool:
-    return type(a) is type(b) and a == b
-
-
-def match_tuples(
-    g: Sequence[SgTuple],
-    r: Sequence[SgTuple],
-    compatible: Callable[[SgTuple, SgTuple], bool] = _exact_equal,
-) -> list[tuple[int, int]]:
+def match_tuples(g: Sequence[SgTuple], r: Sequence[SgTuple]) -> list[tuple[int, int]]:
     """Maximum one-to-one matching between generated and reference tuples.
 
-    Kuhn's augmenting-path algorithm, scanning generated tuples in index
-    order and reference candidates in index order, so the returned matching
-    is deterministic. Tuples of different arity are never compatible.
+    Pairs the k-th occurrence of each tuple in ``g`` with its k-th occurrence
+    in ``r`` and returns the pairs in ``g``-index order. Tuples of different
+    kinds are never equal, so they never match.
     """
-    adj = [[j for j, rt in enumerate(r) if compatible(gt, rt)] for gt in g]
-    match_r = [-1] * len(r)  # reference index -> generated index
-
-    def try_assign(i: int, seen: list[bool]) -> bool:
-        for j in adj[i]:
-            if not seen[j]:
-                seen[j] = True
-                if match_r[j] == -1 or try_assign(match_r[j], seen):
-                    match_r[j] = i
-                    return True
-        return False
-
-    for i in range(len(g)):
-        try_assign(i, [False] * len(r))
-    pairs = [(gi, j) for j, gi in enumerate(match_r) if gi != -1]
-    pairs.sort()
+    unused: dict[SgTuple, deque[int]] = {}
+    for j, t in enumerate(r):
+        unused.setdefault(t, deque()).append(j)
+    pairs = []
+    for i, t in enumerate(g):
+        js = unused.get(t)
+        if js:
+            pairs.append((i, js.popleft()))
     return pairs
 
 
-def f_score(
-    g: SceneGraph,
-    r: SceneGraph,
-    compatible: Callable[[SgTuple, SgTuple], bool] = _exact_equal,
-) -> EvalReport:
+def f_score(g: SceneGraph, r: SceneGraph) -> EvalReport:
     """F1 between a generated and a reference scene graph.
 
     Conventions: both empty -> P = R = F1 = 1; exactly one empty -> F1 = 0.
     """
     gt = to_tuples(g)
     rt = to_tuples(r)
-    matches = match_tuples(gt, rt, compatible)
+    matches = match_tuples(gt, rt)
     m = len(matches)
     if not gt and not rt:
         p = rec = f1 = 1.0

@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
-from .amr import AmrEdge, AmrGraph, Constant, serialize_penman
+from .amr import AmrEdge, AmrGraph, Constant, quoted_string_end, serialize_penman
 
 
 class Strategy(str, Enum):
@@ -140,13 +140,11 @@ def tokenize(text: str, strategy: Strategy) -> list[str]:
     while i < n:
         c = text[i]
         if c == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                j += 2 if text[j] == "\\" else 1
-            if j >= n:
+            j = quoted_string_end(text, i)
+            if j < 0:
                 raise MalformedLinearization("unterminated string literal")
-            out.append(text[i : j + 1])
-            i = j + 1
+            out.append(text[i:j])
+            i = j
             continue
         if c == "(":
             depth += 1

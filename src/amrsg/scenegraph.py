@@ -13,7 +13,6 @@ within each section.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from collections import Counter
@@ -213,9 +212,7 @@ def sg_to_json(sg: SceneGraph) -> dict:
 
 
 def sg_from_json(data: dict) -> SceneGraph:
+    if not isinstance(data, dict):
+        raise SgError(f"scene graph is a JSON {type(data).__name__}, not an object")
     objects = [o[0] if isinstance(o, (list, tuple)) else o for o in data.get("objects", [])]
     return SceneGraph(objects, data.get("attributes", []), data.get("relations", []))
-
-
-def sg_to_json_str(sg: SceneGraph) -> str:
-    return json.dumps(sg_to_json(sg))

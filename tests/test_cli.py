@@ -178,6 +178,20 @@ def test_eval_id_misalignment(runner, tmp_path):
     assert result.exit_code == 1
 
 
+@pytest.mark.parametrize("duplicated", ["gen", "ref"])
+def test_eval_duplicate_region_ids(runner, tmp_path, duplicated):
+    dog, cat = SceneGraph(objects=["dog"]), SceneGraph(objects=["cat"])
+    gen = _eval_corpus_file(tmp_path, "gen.jsonl", {"r1": dog, "r2": dog})
+    ref = _eval_corpus_file(tmp_path, "ref.jsonl", {"r1": dog, "r2": cat})
+    path = gen if duplicated == "gen" else ref
+    with open(path, "a") as fh:
+        fh.write(json.dumps({"region_id": "r1", "scene_graph": {"objects": [["cat"]]}}) + "\n")
+    result = _invoke(runner, ["eval", gen, ref])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert f"error: duplicate region ids in {path}: r1\n" in result.stderr
+
+
 def test_retrieve_self_retrieval(runner, tmp_path):
     regions = {
         f"img{i}": [SceneGraph(objects=[f"obj{i}_{j}"]) for j in range(3)] for i in range(6)
@@ -220,6 +234,39 @@ def test_retrieve_unknown_gold(runner, tmp_path):
     )
     result = _invoke(runner, ["retrieve", "--index", str(index_path), "--queries", str(queries_path)])
     assert result.exit_code == 1
+
+
+@pytest.mark.parametrize(
+    "bad_line",
+    [
+        "{not json",
+        json.dumps({"region_id": "q9", "image_id": "img1"}),
+        json.dumps({"region_id": "q9", "image_id": "img1", "scene_graph": []}),
+    ],
+    ids=["bad-json", "missing-scene-graph", "scene-graph-not-object"],
+)
+def test_retrieve_skips_malformed_query_line(runner, tmp_path, bad_line):
+    from amrsg.scenegraph import sg_to_json
+
+    index_path = tmp_path / "index.jsonl"
+    save_index(
+        RetrievalIndex([("img1", [SceneGraph(objects=["a"])]), ("img2", [SceneGraph(objects=["b"])])]),
+        index_path,
+    )
+    good = [
+        json.dumps({"region_id": f"q{i}", "image_id": f"img{i}", "scene_graph": sg_to_json(sg)})
+        for i, sg in ((1, SceneGraph(objects=["a"])), (2, SceneGraph(objects=["a"])))
+    ]
+    queries_path = tmp_path / "queries.jsonl"
+    queries_path.write_text("\n".join([good[0], bad_line, good[1]]) + "\n")
+    args = ["retrieve", "--index", str(index_path), "--queries", str(queries_path), "--k", "1"]
+    result = runner.invoke(cli, args)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith(f"warning: {queries_path}:2: ")
+    # both other queries are ranked: q1's gold image comes first, q2's second
+    assert json.loads(result.stdout) == {"recall_at": {"1": 0.5}, "median_rank": 1}
 
 
 def test_retrieve_empty_queries(runner, tmp_path):

@@ -44,11 +44,12 @@ def test_load_skips_malformed_with_position(tmp_path):
         _line(_record(region_id="r1")) + "\n"
         + "{not json\n"
         + _line(_record(region_id="r3")) + "\n"
+        + '{"image_id": "1", "region_id": "r4", "description": "a dog", "scene_graph": []}\n'
     )
     result = load_records(path)
     assert len(result.records) == 2
-    assert result.skipped == 1
-    assert result.errors[0][0] == 2  # line number
+    assert result.skipped == 2
+    assert [lineno for lineno, _ in result.errors] == [2, 4]
 
 
 def test_load_missing_file():

@@ -8,7 +8,10 @@ from helpers import multiset_intersection_size, random_scene_graph, random_tuple
 
 
 def test_match_identity():
-    assert match_tuples([ObjectTuple("dog")], [ObjectTuple("dog")]) == [(0, 0)]
+    dog = ObjectTuple("dog")
+    assert match_tuples([dog], [dog]) == [(0, 0)]
+    # the k-th occurrence in g pairs with the k-th occurrence in r
+    assert match_tuples([dog, dog], [dog, dog]) == [(0, 0), (1, 1)]
 
 
 def test_match_one_to_one_enforced():
@@ -47,6 +50,10 @@ def test_fscore_identity():
     sg = SceneGraph(objects=["dog"], relations=[("dog", "on", "mat")])
     rep = f_score(sg, sg)
     assert rep.f1 == 1.0 and rep.precision == 1.0 and rep.recall == 1.0
+    # many equal tuples: matching must not recurse once per tuple
+    for n in (1_000, 10_000):
+        sg = SceneGraph(objects=["dog"] * n)
+        assert f_score(sg, sg).f1 == 1.0
 
 
 def test_fscore_half_recall():
