@@ -12,7 +12,6 @@ from .linearize import (
     linearize_bfs,
     linearize_dfs,
     linearize_inorder,
-    tokenize,
 )
 from .retrieval import RetrievalIndex, aggregate_metrics, rank, score_image
 from .scenegraph import (
@@ -59,6 +58,5 @@ __all__ = [
     "serialize_penman",
     "serialize_sg",
     "to_tuples",
-    "tokenize",
     "validate",
 ]

@@ -99,11 +99,18 @@ class AmrGraph:
     tree_edge_indices: frozenset[int]
     metadata: dict[str, str] = field(default_factory=dict, compare=False)
 
-    def outgoing(self, var: str) -> list[tuple[int, AmrEdge]]:
-        return [(i, e) for i, e in enumerate(self.edges) if e.source == var]
-
     def is_tree_edge(self, index: int) -> bool:
         return index in self.tree_edge_indices
+
+
+def children_index(graph: AmrGraph) -> dict[str, list[tuple[int, AmrEdge]]]:
+    """Map each source variable to its outgoing (edge index, edge) pairs in
+    stored order. Callers build it once per walk; it is not kept on the
+    graph, so a loaded corpus does not hold one per graph."""
+    index: dict[str, list[tuple[int, AmrEdge]]] = {}
+    for i, e in enumerate(graph.edges):
+        index.setdefault(e.source, []).append((i, e))
+    return index
 
 
 def is_frame(concept: str) -> bool:
@@ -270,26 +277,43 @@ def parse_penman(text: str, metadata: dict[str, str] | None = None) -> AmrGraph:
     )
 
 
+def penman_pieces(graph: AmrGraph) -> tuple[list[str], list[str]]:
+    """The depth-first PENMAN walk as two parallel lists: text pieces, which
+    joined with single spaces give the canonical PENMAN string, and tokens,
+    the same pieces with the spaces around each node's '/' dropped.
+
+    A piece is a node's ``(var / concept``, a role, a bare variable at a
+    re-entrancy or a constant; closing parentheses attach to the piece
+    before them. Children follow stored edge order.
+    """
+    index = children_index(graph)
+    texts: list[str] = []
+    tokens: list[str] = []
+
+    def emit(var: str) -> None:
+        concept = graph.nodes[var]
+        texts.append(f"({var} / {concept}")
+        tokens.append(f"({var}/{concept}")
+        for i, e in index.get(var, ()):
+            texts.append(e.role)
+            tokens.append(e.role)
+            if i in graph.tree_edge_indices:
+                emit(e.target)
+            else:
+                target = e.target.text if isinstance(e.target, Constant) else e.target
+                texts.append(target)
+                tokens.append(target)
+        texts[-1] += ")"
+        tokens[-1] += ")"
+
+    emit(graph.root)
+    return texts, tokens
+
+
 def serialize_penman(graph: AmrGraph) -> str:
     """Canonical PENMAN text: single spaces around '/', one space before each
     role, children in stored edge order, bare variables at re-entrancies."""
-    by_source: dict[str, list[tuple[int, AmrEdge]]] = {}
-    for i, e in enumerate(graph.edges):
-        by_source.setdefault(e.source, []).append((i, e))
-
-    def emit(var: str) -> str:
-        parts = [f"({var} / {graph.nodes[var]}"]
-        for i, e in by_source.get(var, []):
-            if i in graph.tree_edge_indices:
-                parts.append(f" {e.role} {emit(e.target)}")
-            elif isinstance(e.target, Constant):
-                parts.append(f" {e.role} {e.target.text}")
-            else:
-                parts.append(f" {e.role} {e.target}")
-        parts.append(")")
-        return "".join(parts)
-
-    return emit(graph.root)
+    return " ".join(penman_pieces(graph)[0])
 
 
 def validate(graph: AmrGraph) -> list[Diagnostic]:
@@ -303,6 +327,7 @@ def validate(graph: AmrGraph) -> list[Diagnostic]:
         if isinstance(e.target, str) and e.target not in graph.nodes:
             diags.append(Diagnostic("UndeclaredVariableReference", e.target))
     # reachability over all edges
+    index = children_index(graph)
     seen = set()
     stack = [graph.root] if graph.root in graph.nodes else []
     while stack:
@@ -310,8 +335,8 @@ def validate(graph: AmrGraph) -> list[Diagnostic]:
         if v in seen:
             continue
         seen.add(v)
-        for e in graph.edges:
-            if e.source == v and isinstance(e.target, str) and e.target in graph.nodes:
+        for _, e in index.get(v, ()):
+            if isinstance(e.target, str) and e.target in graph.nodes:
                 stack.append(e.target)
     for v in graph.nodes:
         if v not in seen:

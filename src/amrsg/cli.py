@@ -12,6 +12,7 @@ import os
 import sys
 from collections import Counter
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 from typing import Callable, NoReturn, TypeVar
 
@@ -82,8 +83,13 @@ def _read_text(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _read_json(path: str):
-    return json.loads(_read_text(path))
+def _read_json(path: str, shape: type):
+    """The JSON document in ``path``; ValueError unless its top level is a
+    ``shape`` (``dict`` or ``list``)."""
+    data = json.loads(_read_text(path))
+    if not isinstance(data, shape):
+        raise ValueError(f"top level is a JSON {type(data).__name__}, not a {shape.__name__}")
+    return data
 
 
 def _load_region_graphs(path: str) -> tuple[list[tuple[str, str, SceneGraph]], int]:
@@ -245,9 +251,8 @@ def cmd_retrieve(index_path, queries_path, gold_path, ks, out):
     index = _load(load_index, index_path, "load index")
     gold_map = None
     if gold_path:
-        gold_map = {
-            str(k): str(v) for k, v in _load(_read_json, gold_path, "load gold mapping").items()
-        }
+        gold = _load(partial(_read_json, shape=dict), gold_path, "load gold mapping")
+        gold_map = {str(k): str(v) for k, v in gold.items()}
     queries, skipped = _load_region_graphs(queries_path)
     if not queries:
         _fail("empty query set")
@@ -313,7 +318,7 @@ def cmd_stats(corpus_path, filtered):
 @click.option("--out", default="-", help="Output corpus path ('-' for stdout).")
 def cmd_vg_convert(vg_path, out):
     """Convert Visual Genome region-graph JSON into the corpus JSONL format."""
-    records = convert_vg_regions(_load(_read_json, vg_path))
+    records = convert_vg_regions(_load(partial(_read_json, shape=list), vg_path))
     if out == "-":
         for record in records:
             click.echo(json.dumps(record_to_json(record)))

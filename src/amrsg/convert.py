@@ -15,7 +15,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .amr import AmrGraph, Constant, frame_lemma, is_frame
+from .amr import AmrGraph, Constant, children_index, frame_lemma, is_frame
 from .linearize import LinearizedSequence, Strategy, linearize
 from .scenegraph import (
     AttributeTuple,
@@ -102,6 +102,7 @@ def convert_rules(graph: AmrGraph, config: RuleConfig = DEFAULT_RULES) -> SceneG
         if obj and attr:
             attributes.append(AttributeTuple(obj, attr))
 
+    index = children_index(graph)
     for var, concept in graph.nodes.items():
         if not is_frame(concept):
             continue
@@ -109,7 +110,7 @@ def convert_rules(graph: AmrGraph, config: RuleConfig = DEFAULT_RULES) -> SceneG
             lemma = normalize(frame_lemma(concept))
         except EmptyAfterNormalization:
             continue
-        out = [e for _, e in graph.outgoing(var) if isinstance(e.target, str)]
+        out = [e for _, e in index.get(var, ()) if isinstance(e.target, str)]
         core: list[tuple[str, str]] = []  # (role, child var) in preference order
         for role in config.core_roles:
             core.extend((e.role, e.target) for e in out if e.role == role)

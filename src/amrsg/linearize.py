@@ -8,9 +8,12 @@ BFS       (z0 / stand-01) :ARG1 (z1 / retriever) :ARG2 (z3 / snow) :mod (z2 / go
 in-order  (z2 / gold) :mod (z1 / retriever) :ARG1 (z0 / stand-01) :ARG2 (z3 / snow)
 
 DFS keeps the PENMAN nesting (slash included). BFS and in-order drop the
-original nesting and wrap every node in its own parentheses. Tokenization
-removes the spaces inside node units, so DFS tokens look like
-``(z0/stand-01`` and BFS/in-order tokens like ``(z0/stand-01)``.
+original nesting and wrap every node in its own parentheses. Each strategy
+walks the graph once and emits every unit (node, role, re-entrant variable
+or constant) twice: as a text piece, and as a token that is the same piece
+with the spaces around a node's '/' dropped. So DFS tokens look like
+``(z0/stand-01``, BFS/in-order tokens like ``(z0/stand-01)``, and a quoted
+constant is always one token, spaces and all.
 """
 
 from __future__ import annotations
@@ -19,17 +22,13 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
-from .amr import AmrEdge, AmrGraph, Constant, quoted_string_end, serialize_penman
+from .amr import AmrEdge, AmrGraph, Constant, children_index, penman_pieces
 
 
 class Strategy(str, Enum):
     DFS = "dfs"
     BFS = "bfs"
     IN_ORDER = "inorder"
-
-
-class MalformedLinearization(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -39,17 +38,25 @@ class LinearizedSequence:
     text: str
 
 
-def _node_unit(graph: AmrGraph, target) -> str:
-    """BFS/in-order rendering of an edge target as a standalone unit."""
-    if isinstance(target, Constant):
-        return f"({target.text})"
-    return f"({target} / {graph.nodes[target]})"
+def _emit_node(graph: AmrGraph, var: str, texts: list[str], tokens: list[str]) -> None:
+    """BFS/in-order unit of a declared node: ``(var / concept)``."""
+    concept = graph.nodes[var]
+    texts.append(f"({var} / {concept})")
+    tokens.append(f"({var}/{concept})")
+
+
+def _emit_leaf(e: AmrEdge, texts: list[str], tokens: list[str]) -> None:
+    """BFS/in-order unit of a re-entrant or constant target: ``(var)`` /
+    ``(literal)``."""
+    unit = f"({e.target.text})" if isinstance(e.target, Constant) else f"({e.target})"
+    texts.append(unit)
+    tokens.append(unit)
 
 
 def linearize_dfs(graph: AmrGraph) -> LinearizedSequence:
     """Depth-first linearization: the canonical PENMAN string itself."""
-    text = serialize_penman(graph)
-    return LinearizedSequence(Strategy.DFS, tuple(tokenize(text, Strategy.DFS)), text)
+    texts, tokens = penman_pieces(graph)
+    return LinearizedSequence(Strategy.DFS, tuple(tokens), " ".join(texts))
 
 
 def linearize_bfs(graph: AmrGraph) -> LinearizedSequence:
@@ -59,23 +66,21 @@ def linearize_bfs(graph: AmrGraph) -> LinearizedSequence:
     stored order; only tree-edge targets are enqueued. Re-entrant targets
     emit ``(var)`` without re-declaring the concept.
     """
-    parts = [f"({graph.root} / {graph.nodes[graph.root]})"]
+    index = children_index(graph)
+    texts: list[str] = []
+    tokens: list[str] = []
+    _emit_node(graph, graph.root, texts, tokens)
     queue = deque([graph.root])
     while queue:
-        var = queue.popleft()
-        for i, e in graph.outgoing(var):
+        for i, e in index.get(queue.popleft(), ()):
+            texts.append(e.role)
+            tokens.append(e.role)
             if graph.is_tree_edge(i):
-                parts.append(e.role)
-                parts.append(_node_unit(graph, e.target))
+                _emit_node(graph, e.target, texts, tokens)
                 queue.append(e.target)
-            elif isinstance(e.target, Constant):
-                parts.append(e.role)
-                parts.append(f"({e.target.text})")
             else:
-                parts.append(e.role)
-                parts.append(f"({e.target})")
-    text = " ".join(parts)
-    return LinearizedSequence(Strategy.BFS, tuple(tokenize(text, Strategy.BFS)), text)
+                _emit_leaf(e, texts, tokens)
+    return LinearizedSequence(Strategy.BFS, tuple(tokens), " ".join(texts))
 
 
 def linearize_inorder(graph: AmrGraph) -> LinearizedSequence:
@@ -86,33 +91,33 @@ def linearize_inorder(graph: AmrGraph) -> LinearizedSequence:
     subtree. Re-entrant and constant children are leaves rendered as
     ``(var)`` / ``(literal)``.
     """
+    index = children_index(graph)
+    texts: list[str] = []
+    tokens: list[str] = []
 
-    def emit(var: str) -> list[str]:
-        children: list[tuple[AmrEdge, bool]] = []  # (edge, expand?)
-        for i, e in graph.outgoing(var):
-            children.append((e, graph.is_tree_edge(i)))
-        unit = f"({var} / {graph.nodes[var]})"
+    def emit_child(i: int, e: AmrEdge) -> None:
+        if graph.is_tree_edge(i):
+            emit(e.target)
+        else:
+            _emit_leaf(e, texts, tokens)
+
+    def emit(var: str) -> None:
+        children = index.get(var)
         if not children:
-            return [unit]
-        parts: list[str] = []
-        first_edge, first_expand = children[0]
-        parts.extend(_leaf_or_subtree(first_edge, first_expand))
-        parts.append(first_edge.role)
-        parts.append(unit)
-        for e, expand in children[1:]:
-            parts.append(e.role)
-            parts.extend(_leaf_or_subtree(e, expand))
-        return parts
+            _emit_node(graph, var, texts, tokens)
+            return
+        first_i, first = children[0]
+        emit_child(first_i, first)
+        texts.append(first.role)
+        tokens.append(first.role)
+        _emit_node(graph, var, texts, tokens)
+        for i, e in children[1:]:
+            texts.append(e.role)
+            tokens.append(e.role)
+            emit_child(i, e)
 
-    def _leaf_or_subtree(e: AmrEdge, expand: bool) -> list[str]:
-        if expand:
-            return emit(e.target)
-        if isinstance(e.target, Constant):
-            return [f"({e.target.text})"]
-        return [f"({e.target})"]
-
-    text = " ".join(emit(graph.root))
-    return LinearizedSequence(Strategy.IN_ORDER, tuple(tokenize(text, Strategy.IN_ORDER)), text)
+    emit(graph.root)
+    return LinearizedSequence(Strategy.IN_ORDER, tuple(tokens), " ".join(texts))
 
 
 _LINEARIZERS = {
@@ -124,44 +129,3 @@ _LINEARIZERS = {
 
 def linearize(graph: AmrGraph, strategy: Strategy) -> LinearizedSequence:
     return _LINEARIZERS[strategy](graph)
-
-
-def tokenize(text: str, strategy: Strategy) -> list[str]:
-    """Split a linearized string into model tokens.
-
-    Fuses each node unit by dropping the spaces around '/', so
-    ``(z1 / retriever`` becomes ``(z1/retriever`` (DFS) and
-    ``(z2 / gold)`` becomes ``(z2/gold)``. Roles stay standalone. Quoted
-    constants are kept intact.
-    """
-    depth = 0
-    out: list[str] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == '"':
-            j = quoted_string_end(text, i)
-            if j < 0:
-                raise MalformedLinearization("unterminated string literal")
-            out.append(text[i:j])
-            i = j
-            continue
-        if c == "(":
-            depth += 1
-        elif c == ")":
-            depth -= 1
-            if depth < 0:
-                raise MalformedLinearization("unbalanced parentheses")
-        if c == " ":
-            # fuse spaces around the node-internal slash
-            prev_slash = out and out[-1] == "/"
-            next_slash = i + 1 < n and text[i + 1] == "/"
-            if not (prev_slash or next_slash):
-                out.append(" ")
-            i += 1
-            continue
-        out.append(c)
-        i += 1
-    if depth != 0:
-        raise MalformedLinearization("unbalanced parentheses")
-    return "".join(out).split()

@@ -102,10 +102,12 @@ def save_index(index: RetrievalIndex, path: str | Path) -> None:
 def load_index(path: str | Path) -> RetrievalIndex:
     images = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             data = json.loads(line)
+            if not isinstance(data, dict):
+                raise ValueError(f"line {lineno} is a JSON {type(data).__name__}, not an object")
             images.append(
                 (str(data["image_id"]), [sg_from_json(r) for r in data["regions"]])
             )

@@ -50,6 +50,13 @@ def test_linearize_tokens_emission(runner, tmp_path):
     assert result.stdout.strip() == "(z0/dog)"
 
 
+def test_linearize_tokens_of_atom_with_quote(runner, tmp_path):
+    path = _penman_file(tmp_path, ['(z0 / dog :mod a"b)'])
+    result = _invoke(runner, ["linearize", path, "--emit", "tokens"])
+    assert result.exit_code == 0
+    assert result.stdout == '(z0/dog\t:mod\ta"b)\n'
+
+
 def test_linearize_empty_file(runner, tmp_path):
     path = tmp_path / "empty.penman"
     path.write_text("")
@@ -267,6 +274,32 @@ def test_retrieve_skips_malformed_query_line(runner, tmp_path, bad_line):
     assert result.stderr.startswith(f"warning: {queries_path}:2: ")
     # both other queries are ranked: q1's gold image comes first, q2's second
     assert json.loads(result.stdout) == {"recall_at": {"1": 0.5}, "median_rank": 1}
+
+
+@pytest.mark.parametrize(
+    "content,args",
+    [
+        ("[1]\n", ["retrieve", "--index", "BAD", "--queries", "QUERIES"]),
+        ('["q1", "img1"]', ["retrieve", "--index", "INDEX", "--queries", "QUERIES", "--gold", "BAD"]),
+        ('{"image_id": 7, "regions": []}', ["vg-convert", "BAD"]),
+    ],
+    ids=["index-line-is-list", "gold-is-list", "vg-is-object"],
+)
+def test_wrong_shape_json_is_an_error(runner, tmp_path, content, args):
+    from amrsg.scenegraph import sg_to_json
+
+    paths = {name: tmp_path / name.lower() for name in ("BAD", "INDEX", "QUERIES")}
+    paths["BAD"].write_text(content)
+    save_index(RetrievalIndex([("img1", [SceneGraph(objects=["a"])])]), paths["INDEX"])
+    paths["QUERIES"].write_text(
+        json.dumps({"region_id": "q1", "image_id": "img1", "scene_graph": sg_to_json(SceneGraph())})
+        + "\n"
+    )
+    result = _invoke(runner, [str(paths[a]) if a in paths else a for a in args])
+    assert result.exit_code == 1
+    assert result.stderr.startswith("error: cannot ")
+    assert str(paths["BAD"]) in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_retrieve_empty_queries(runner, tmp_path):

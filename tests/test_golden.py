@@ -3,10 +3,15 @@
 Each case runs one CLI command from inside that directory, so paths in
 diagnostics stay relative, and compares exit code, stdout and stderr byte for
 byte with the files under ``tests/golden/expected/``. Those files hold the
-output of the CLI as it was before tuple matching became multiset pairing.
+output of the CLI as it was before tuple matching became multiset pairing,
+with two deliberate changes since:
 
-The one deliberate difference is the ``matches`` field of ``eval
---per-region``: the pairs may differ, their number may not.
+- the ``matches`` field of ``eval --per-region``: this test lets the pairs
+  differ, but not their number;
+- the ``"Rex \"the\" (dog)"`` line of ``linearize_dfs_tokens.stdout`` and
+  ``linearize_inorder_tokens.stdout`` was updated, and only that line: the
+  quoted constant is now one token, where the old re-scanning tokenizer
+  split it at its spaces.
 """
 
 import json

@@ -3,15 +3,13 @@ from collections import deque
 
 import pytest
 
-from amrsg.amr import parse_penman, serialize_penman
+from amrsg.amr import children_index, parse_penman
 from amrsg.linearize import (
-    MalformedLinearization,
     Strategy,
     linearize,
     linearize_bfs,
     linearize_dfs,
     linearize_inorder,
-    tokenize,
 )
 from helpers import FIG1_PENMAN, WANT_PENMAN, random_graph
 
@@ -90,8 +88,8 @@ def test_inorder_reentrancy(want):
     )
 
 
-def test_tokenize_bfs():
-    assert tokenize(BFS_TEXT, Strategy.BFS) == [
+def test_tokenize_bfs(fig1):
+    assert linearize_bfs(fig1).tokens == (
         "(z0/stand-01)",
         ":ARG1",
         "(z1/retriever)",
@@ -99,15 +97,15 @@ def test_tokenize_bfs():
         "(z3/snow)",
         ":mod",
         "(z2/gold)",
-    ]
+    )
 
 
 def test_tokenize_single_node():
-    assert tokenize("(z0 / dog)", Strategy.BFS) == ["(z0/dog)"]
+    assert linearize_bfs(parse_penman("(z0 / dog)")).tokens == ("(z0/dog)",)
 
 
-def test_tokenize_inorder():
-    assert tokenize(INORDER_TEXT, Strategy.IN_ORDER) == [
+def test_tokenize_inorder(fig1):
+    assert linearize_inorder(fig1).tokens == (
         "(z2/gold)",
         ":mod",
         "(z1/retriever)",
@@ -115,22 +113,7 @@ def test_tokenize_inorder():
         "(z0/stand-01)",
         ":ARG2",
         "(z3/snow)",
-    ]
-
-
-@pytest.mark.parametrize("text", ["(z0 / dog", "z0 / dog)", "((z0 / dog)"])
-def test_tokenize_unbalanced(text):
-    with pytest.raises(MalformedLinearization):
-        tokenize(text, Strategy.DFS)
-
-
-def test_tokens_match_tokenized_text():
-    rng = random.Random(5)
-    for _ in range(100):
-        g = random_graph(rng)
-        for strategy in Strategy:
-            seq = linearize(g, strategy)
-            assert list(seq.tokens) == tokenize(seq.text, strategy)
+    )
 
 
 def test_fidelity_each_concept_exactly_once():
@@ -158,6 +141,7 @@ def test_role_token_count_equals_edge_count():
         for strategy in Strategy:
             tokens = linearize(g, strategy).tokens
             assert sum(1 for t in tokens if t.startswith(":")) == len(g.edges)
+            assert len(tokens) == 2 * len(g.edges) + 1
 
 
 def test_bfs_queue_discipline_matches_reference_simulation():
@@ -168,9 +152,10 @@ def test_bfs_queue_discipline_matches_reference_simulation():
         # reference queue simulation over the spanning tree
         order = [g.root]
         queue = deque([g.root])
+        index = children_index(g)
         while queue:
             var = queue.popleft()
-            for i, e in g.outgoing(var):
+            for i, e in index.get(var, []):
                 if g.is_tree_edge(i):
                     order.append(e.target)
                     queue.append(e.target)
