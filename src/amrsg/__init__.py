@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .amr import AmrEdge, AmrGraph, Constant, parse_penman, serialize_penman, validate
-from .convert import ExternalAdapter, RuleConfig, convert_external, convert_rules
+from .convert import ExternalAdapter, convert_external, convert_rules
 from .evaluate import CorpusReport, EvalReport, evaluate_corpus, f_score, match_tuples
 from .linearize import (
     LinearizedSequence,
@@ -37,7 +37,6 @@ __all__ = [
     "ObjectTuple",
     "RelationTuple",
     "RetrievalIndex",
-    "RuleConfig",
     "SceneGraph",
     "Strategy",
     "aggregate_metrics",

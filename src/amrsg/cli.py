@@ -12,6 +12,7 @@ import os
 import sys
 from collections import Counter
 from contextlib import contextmanager
+from dataclasses import asdict
 from functools import partial
 from pathlib import Path
 from typing import Callable, NoReturn, TypeVar
@@ -22,7 +23,6 @@ from . import __version__
 from .amr import PenmanError, iter_penman_blocks, parse_penman
 from .convert import (
     AdapterError,
-    DEFAULT_RULES,
     ExternalAdapter,
     convert_external,
     convert_rules,
@@ -134,11 +134,16 @@ def cmd_linearize(input_path, strategy, emit, out):
         for i, (meta, text) in enumerate(blocks):
             try:
                 seq = linearize(parse_penman(text, meta), _STRATEGIES[strategy])
-            except PenmanError as err:
+                line = seq.text if emit == "text" else "\t".join(seq.tokens)
+                if "\n" in line or "\r" in line:
+                    raise ValueError("the output line would contain a line break")
+                if emit == "tokens" and any("\t" in token for token in seq.tokens):
+                    raise ValueError("a token contains a tab")
+            except ValueError as err:  # PenmanError is a ValueError
                 click.echo(f"error: graph {i}: {err}", err=True)
                 failures += 1
                 continue
-            fh.write((seq.text if emit == "text" else "\t".join(seq.tokens)) + "\n")
+            fh.write(line + "\n")
     sys.exit(2 if failures else 0)
 
 
@@ -170,7 +175,7 @@ def cmd_convert(input_path, engine, adapter, timeout, strategy, emit, out):
                 try:
                     graph = parse_penman(text, meta)
                     if engine == "rules":
-                        sg = convert_rules(graph, DEFAULT_RULES)
+                        sg = convert_rules(graph)
                     else:
                         sg = convert_external(
                             linearize(graph, _STRATEGIES[strategy]), adapter_proc
@@ -226,7 +231,7 @@ def cmd_eval(generated_path, reference_path, per_region, out):
     with _open_out(out) as fh:
         if per_region:
             for region_id, rep in report.per_region:
-                fh.write(json.dumps({"region_id": region_id, **rep.to_json()}) + "\n")
+                fh.write(json.dumps({"region_id": region_id, **asdict(rep)}) + "\n")
         fh.write(
             json.dumps({"mean_f1": report.mean_f1, "region_count": report.region_count}) + "\n"
         )
@@ -294,7 +299,7 @@ def cmd_export(corpus_path, strategy, no_filter, out):
     )
     with _open_out(out) as fh:
         for pair in pairs:
-            fh.write(json.dumps(pair.to_json()) + "\n")
+            fh.write(json.dumps(asdict(pair)) + "\n")
     click.echo(f"exported {len(pairs)} pairs, skipped {skipped}", err=True)
     sys.exit(0)
 
@@ -309,7 +314,7 @@ def cmd_stats(corpus_path, filtered):
     if filtered:
         records = [filter_ungrounded(r) for r in records]
     stats = corpus_stats(records)
-    click.echo(json.dumps({**stats.to_json(), "skipped_lines": result.skipped}))
+    click.echo(json.dumps({**asdict(stats), "skipped_lines": result.skipped}))
     sys.exit(0)
 
 
@@ -318,7 +323,7 @@ def cmd_stats(corpus_path, filtered):
 @click.option("--out", default="-", help="Output corpus path ('-' for stdout).")
 def cmd_vg_convert(vg_path, out):
     """Convert Visual Genome region-graph JSON into the corpus JSONL format."""
-    records = convert_vg_regions(_load(partial(_read_json, shape=list), vg_path))
+    records = _load(lambda path: convert_vg_regions(_read_json(path, list)), vg_path)
     if out == "-":
         for record in records:
             click.echo(json.dumps(record_to_json(record)))

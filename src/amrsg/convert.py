@@ -12,8 +12,8 @@ import queue
 import shlex
 import subprocess
 import threading
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from .amr import AmrGraph, Constant, children_index, frame_lemma, is_frame
 from .linearize import LinearizedSequence, Strategy, linearize
@@ -30,24 +30,15 @@ from .scenegraph import (
 )
 
 
-@dataclass(frozen=True)
-class RuleConfig:
-    """Knobs for the rule-based baseline.
-
-    attribute_roles: roles whose edges become (object, attribute) pairs.
-    core_roles: preference order for picking relation subject/object.
-    locative_roles: role -> preposition appended to the frame lemma when the
-        relation object arrives on that role. An object reached via :ARG2 on
-        a frame with no :ARG0 child is also treated as locative ("in"),
-        which covers locative-intransitive frames like stand-01.
-    """
-
-    attribute_roles: frozenset[str] = frozenset({":mod"})
-    core_roles: tuple[str, ...] = (":ARG0", ":ARG1", ":ARG2")
-    locative_roles: Mapping[str, str] = field(default_factory=lambda: {":location": "in"})
-
-
-DEFAULT_RULES = RuleConfig()
+# Roles of the rule-based baseline. Attribute-role edges become (object,
+# attribute) pairs; core roles, in preference order, pick a relation's subject
+# and object; a locative role appends its preposition to the frame lemma when
+# the relation object arrives on it. An object reached via :ARG2 on a frame
+# with no :ARG0 child is also treated as locative ("in"), which covers
+# locative-intransitive frames like stand-01.
+ATTRIBUTE_ROLES = frozenset({":mod"})
+CORE_ROLES = (":ARG0", ":ARG1", ":ARG2")
+LOCATIVE_ROLES = {":location": "in"}
 
 
 def _surface(graph: AmrGraph, target) -> str | None:
@@ -62,7 +53,7 @@ def _surface(graph: AmrGraph, target) -> str | None:
         return None
 
 
-def convert_rules(graph: AmrGraph, config: RuleConfig = DEFAULT_RULES) -> SceneGraph:
+def convert_rules(graph: AmrGraph) -> SceneGraph:
     """Deterministic rule-based AMR -> scene graph baseline.
 
     1. every non-frame concept node -> object, except nodes consumed as
@@ -81,7 +72,7 @@ def convert_rules(graph: AmrGraph, config: RuleConfig = DEFAULT_RULES) -> SceneG
     attribute_values = {
         e.target
         for e in graph.edges
-        if e.role in config.attribute_roles
+        if e.role in ATTRIBUTE_ROLES
         and isinstance(e.target, str)
         and not is_frame(graph.nodes[e.target])
     }
@@ -93,7 +84,7 @@ def convert_rules(graph: AmrGraph, config: RuleConfig = DEFAULT_RULES) -> SceneG
                 objects.append(ObjectTuple(name))
 
     for e in graph.edges:
-        if e.role not in config.attribute_roles:
+        if e.role not in ATTRIBUTE_ROLES:
             continue
         if isinstance(e.target, str) and is_frame(graph.nodes[e.target]):
             continue
@@ -112,9 +103,9 @@ def convert_rules(graph: AmrGraph, config: RuleConfig = DEFAULT_RULES) -> SceneG
             continue
         out = [e for _, e in index.get(var, ()) if isinstance(e.target, str)]
         core: list[tuple[str, str]] = []  # (role, child var) in preference order
-        for role in config.core_roles:
+        for role in CORE_ROLES:
             core.extend((e.role, e.target) for e in out if e.role == role)
-        locative = [(e.role, e.target) for e in out if e.role in config.locative_roles]
+        locative = [(e.role, e.target) for e in out if e.role in LOCATIVE_ROLES]
         has_arg0 = any(role == ":ARG0" for role, _ in core)
 
         if not core:
@@ -128,8 +119,8 @@ def convert_rules(graph: AmrGraph, config: RuleConfig = DEFAULT_RULES) -> SceneG
             subj = _surface(graph, subj_var)
             obj = _surface(graph, obj_var)
             if subj and obj:
-                if obj_role in config.locative_roles:
-                    pred = f"{lemma} {config.locative_roles[obj_role]}"
+                if obj_role in LOCATIVE_ROLES:
+                    pred = f"{lemma} {LOCATIVE_ROLES[obj_role]}"
                 elif obj_role == ":ARG2" and not has_arg0:
                     pred = f"{lemma} in"
                 else:
@@ -188,28 +179,43 @@ class ExternalAdapter:
             text=True,
             bufsize=1,
         )
-        t = threading.Thread(target=self._pump, daemon=True)
-        t.start()
+        # A fresh queue per child, so a late line from a killed child never
+        # reaches the one that replaces it.
+        self._lines = queue.Queue()
+        threading.Thread(
+            target=self._pump, args=(self._proc.stdout, self._lines), daemon=True
+        ).start()
 
-    def _pump(self) -> None:
-        assert self._proc is not None and self._proc.stdout is not None
-        for line in self._proc.stdout:
-            self._lines.put(line)
-        self._lines.put(None)  # EOF marker
+    @staticmethod
+    def _pump(stdout, lines: queue.Queue[str | None]) -> None:
+        with stdout:
+            for line in stdout:
+                lines.put(line)
+        lines.put(None)  # EOF marker
 
     def request(self, line: str) -> str:
-        """Send one line, return the raw response line (newline stripped)."""
+        """Send one line, return the raw response line (newline stripped).
+
+        A line with a line break inside is refused: the child would read it as
+        two requests and every later reply would be off by one. On a timeout
+        the child is killed, and the next request starts a fresh one.
+        """
+        line = line.rstrip("\n")
+        if "\n" in line or "\r" in line:
+            raise AdapterError("request contains a line break")
         if self._proc is None:
             self._start()
         assert self._proc is not None and self._proc.stdin is not None
         try:
-            self._proc.stdin.write(line.rstrip("\n") + "\n")
+            self._proc.stdin.write(line + "\n")
             self._proc.stdin.flush()
         except (BrokenPipeError, OSError):
             raise AdapterCrashed(f"adapter {self.command!r} closed its input")
         try:
             response = self._lines.get(timeout=self.timeout)
         except queue.Empty:
+            self._proc.kill()
+            self.close()
             raise AdapterTimeout(f"no response within {self.timeout}s from {self.command!r}")
         if response is None:
             code = self._proc.wait()
@@ -255,14 +261,6 @@ class TrainingPair:
     target: str
     region_id: str
     strategy: str
-
-    def to_json(self) -> dict:
-        return {
-            "input": self.input,
-            "target": self.target,
-            "region_id": self.region_id,
-            "strategy": self.strategy,
-        }
 
 
 def export_training_pairs(

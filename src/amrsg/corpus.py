@@ -181,16 +181,6 @@ class CorpusStats:
     attribute_tuples: int
     relation_tuples: int
 
-    def to_json(self) -> dict:
-        return {
-            "image_count": self.image_count,
-            "region_count": self.region_count,
-            "mean_regions_per_image": self.mean_regions_per_image,
-            "object_tuples": self.object_tuples,
-            "attribute_tuples": self.attribute_tuples,
-            "relation_tuples": self.relation_tuples,
-        }
-
 
 def corpus_stats(records: Sequence[RegionRecord]) -> CorpusStats:
     image_ids = {r.image_id for r in records}
@@ -217,6 +207,13 @@ def _vg_object_name(obj: dict) -> str | None:
         return None
 
 
+def _objects(value, what: str) -> list[dict]:
+    """``value`` if it is a list of JSON objects; ValueError naming ``what``."""
+    if not isinstance(value, list) or not all(isinstance(item, dict) for item in value):
+        raise ValueError(f"{what} is not a list of objects")
+    return value
+
+
 def convert_vg_regions(vg_images: Iterable[dict]) -> list[RegionRecord]:
     """Map the Visual Genome region-graph JSON layout into region records.
 
@@ -224,32 +221,39 @@ def convert_vg_regions(vg_images: Iterable[dict]) -> list[RegionRecord]:
     "phrase", "objects": [{"object_id", "name"/"names", "attributes"?}],
     "relationships": [{"subject_id", "object_id", "predicate"}]}]}.
     Objects without a usable name and relationships with unresolvable
-    endpoints are skipped. All terms are normalized.
+    endpoints are skipped. All terms are normalized. Raises ValueError, naming
+    the image by its index, where an image, region, object or relationship is
+    not a JSON object or a list of them is not a list.
     """
     records: list[RegionRecord] = []
-    for image in vg_images:
+    for n, image in enumerate(vg_images):
+        if not isinstance(image, dict):
+            raise ValueError(f"image {n} is a JSON {type(image).__name__}, not an object")
         image_id = str(image.get("image_id", ""))
-        for region in image.get("regions", []):
+        for region in _objects(image.get("regions", []), f"image {n}: regions"):
             phrase = (region.get("phrase") or "").strip()
             if not phrase or not image_id:
                 continue
             by_id: dict = {}
             objects: list[str] = []
             attributes: list[tuple[str, str]] = []
-            for obj in region.get("objects", []):
+            for obj in _objects(region.get("objects", []), f"image {n}: objects"):
                 name = _vg_object_name(obj)
                 if name is None:
                     continue
                 if "object_id" in obj:
                     by_id[obj["object_id"]] = name
                 objects.append(name)
-                for attr in obj.get("attributes", []):
+                attrs = obj.get("attributes", [])
+                if not isinstance(attrs, list):
+                    raise ValueError(f"image {n}: attributes is not a list")
+                for attr in attrs:
                     try:
                         attributes.append((name, normalize(str(attr))))
                     except EmptyAfterNormalization:
                         continue
             relations: list[tuple[str, str, str]] = []
-            for rel in region.get("relationships", []):
+            for rel in _objects(region.get("relationships", []), f"image {n}: relationships"):
                 subj = by_id.get(rel.get("subject_id"))
                 obj = by_id.get(rel.get("object_id"))
                 pred = rel.get("predicate")

@@ -29,16 +29,6 @@ class EvalReport:
     g_size: int
     r_size: int
 
-    def to_json(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "matches": [list(m) for m in self.matches],
-            "g_size": self.g_size,
-            "r_size": self.r_size,
-        }
-
 
 @dataclass(frozen=True)
 class CorpusReport:

@@ -108,7 +108,10 @@ def load_index(path: str | Path) -> RetrievalIndex:
             data = json.loads(line)
             if not isinstance(data, dict):
                 raise ValueError(f"line {lineno} is a JSON {type(data).__name__}, not an object")
-            images.append(
-                (str(data["image_id"]), [sg_from_json(r) for r in data["regions"]])
-            )
+            regions = data["regions"]
+            if not isinstance(regions, list):
+                raise ValueError(
+                    f"line {lineno}: regions is a JSON {type(regions).__name__}, not a list"
+                )
+            images.append((str(data["image_id"]), [sg_from_json(r) for r in regions]))
     return RetrievalIndex(images)

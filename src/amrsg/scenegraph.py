@@ -14,9 +14,8 @@ within each section.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from collections import Counter
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 # bumped when the wire grammar changes
 GRAMMAR_VERSION = "1"
@@ -51,31 +50,21 @@ def normalize(term: str) -> str:
     return " ".join(words)
 
 
-@dataclass(frozen=True, order=True)
-class ObjectTuple:
+# Each kind hashes, compares and sorts as the plain tuple of its fields; kinds
+# never compare equal to each other because their arities differ.
+class ObjectTuple(NamedTuple):
     name: str
 
-    def fields(self) -> tuple[str, ...]:
-        return (self.name,)
 
-
-@dataclass(frozen=True, order=True)
-class AttributeTuple:
+class AttributeTuple(NamedTuple):
     object: str
     attribute: str
 
-    def fields(self) -> tuple[str, ...]:
-        return (self.object, self.attribute)
 
-
-@dataclass(frozen=True, order=True)
-class RelationTuple:
+class RelationTuple(NamedTuple):
     subject: str
     predicate: str
     object: str
-
-    def fields(self) -> tuple[str, ...]:
-        return (self.subject, self.predicate, self.object)
 
 
 SgTuple = Union[ObjectTuple, AttributeTuple, RelationTuple]
@@ -99,14 +88,11 @@ class SceneGraph:
         attrs = [a if isinstance(a, AttributeTuple) else AttributeTuple(*a) for a in attributes]
         rels = [r if isinstance(r, RelationTuple) else RelationTuple(*r) for r in relations]
         for t in objs + attrs + rels:
-            for f in t.fields():
-                if not f:
-                    raise SgError(f"empty field in tuple {t}")
+            if not all(t):
+                raise SgError(f"empty field in tuple {t}")
         present = {o.name for o in objs}
-        for name in _referenced(attrs, rels):
-            if name not in present:
-                objs.append(ObjectTuple(name))
-                present.add(name)
+        referenced = [a.object for a in attrs] + [n for r in rels for n in (r.subject, r.object)]
+        objs += [ObjectTuple(n) for n in dict.fromkeys(referenced) if n not in present]
         self.objects: tuple[ObjectTuple, ...] = tuple(objs)
         self.attributes: tuple[AttributeTuple, ...] = tuple(attrs)
         self.relations: tuple[RelationTuple, ...] = tuple(rels)
@@ -135,21 +121,9 @@ class SceneGraph:
     def __repr__(self) -> str:
         return (
             f"SceneGraph(objects={[o.name for o in self.objects]}, "
-            f"attributes={[a.fields() for a in self.attributes]}, "
-            f"relations={[r.fields() for r in self.relations]})"
+            f"attributes={[tuple(a) for a in self.attributes]}, "
+            f"relations={[tuple(r) for r in self.relations]})"
         )
-
-
-def _referenced(attrs: list[AttributeTuple], rels: list[RelationTuple]) -> list[str]:
-    seen: list[str] = []
-    for a in attrs:
-        if a.object not in seen:
-            seen.append(a.object)
-    for r in rels:
-        for name in (r.subject, r.object):
-            if name not in seen:
-                seen.append(name)
-    return seen
 
 
 def to_tuples(sg: SceneGraph) -> list[SgTuple]:
@@ -161,7 +135,7 @@ def serialize_sg(sg: SceneGraph) -> str:
     """Render the canonical target string (sections sorted lexicographically)."""
     groups = []
     for t in sorted(sg.objects) + sorted(sg.attributes) + sorted(sg.relations):
-        groups.append("( " + " , ".join(t.fields()) + " )")
+        groups.append("( " + " , ".join(t) + " )")
     return " ".join(groups)
 
 
@@ -205,9 +179,9 @@ def parse_sg_text(text: str) -> SceneGraph:
 def sg_to_json(sg: SceneGraph) -> dict:
     """JSON-ready dict: each section an array of arrays of strings."""
     return {
-        "objects": [list(t.fields()) for t in sg.objects],
-        "attributes": [list(t.fields()) for t in sg.attributes],
-        "relations": [list(t.fields()) for t in sg.relations],
+        "objects": [list(t) for t in sg.objects],
+        "attributes": [list(t) for t in sg.attributes],
+        "relations": [list(t) for t in sg.relations],
     }
 
 

@@ -57,6 +57,20 @@ def test_linearize_tokens_of_atom_with_quote(runner, tmp_path):
     assert result.stdout == '(z0/dog\t:mod\ta"b)\n'
 
 
+@pytest.mark.parametrize(
+    "emit,constant",
+    [("text", '"a\n b"'), ("text", '"a\r b"'), ("tokens", '"a\n b"'), ("tokens", '"a\tb"')],
+    ids=["text-newline", "text-carriage-return", "tokens-newline", "tokens-tab"],
+)
+def test_linearize_refuses_graph_that_would_split_its_line(runner, tmp_path, emit, constant):
+    path = tmp_path / "graphs.penman"
+    path.write_bytes(f"(z0 / dog :name {constant})\n\n(z0 / cat)\n\n(z0 / tree)\n".encode())
+    result = _invoke(runner, ["linearize", str(path), "--emit", emit])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: graph 0: ")
+    assert result.stdout == ("(z0 / cat)\n(z0 / tree)\n" if emit == "text" else "(z0/cat)\n(z0/tree)\n")
+
+
 def test_linearize_empty_file(runner, tmp_path):
     path = tmp_path / "empty.penman"
     path.write_text("")
@@ -111,6 +125,23 @@ def test_convert_external_with_stub(runner, tmp_path):
     )
     assert result.exit_code == 0
     assert result.stdout.strip() == "( dog )"
+
+
+def test_convert_external_refuses_request_with_line_break(runner, tmp_path):
+    stub = tmp_path / "stub.py"
+    stub.write_text(
+        "import re, sys\n"
+        "for line in sys.stdin:\n"
+        "    print(' '.join(f'( {c} )' for c in re.findall(r'/ (\\w+)', line)), flush=True)\n"
+    )
+    path = _penman_file(tmp_path, ['(z0 / dog :name "a\n b")', "(z0 / cat)", "(z0 / tree)"])
+    result = _invoke(
+        runner, ["convert", path, "--engine", "external", "--adapter", f"{sys.executable} {stub}"]
+    )
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: graph 0: ")
+    assert "line break" in result.stderr
+    assert result.stdout == "( cat )\n( tree )\n"
 
 
 def test_convert_adapter_from_env(runner, tmp_path, monkeypatch):
@@ -281,9 +312,21 @@ def test_retrieve_skips_malformed_query_line(runner, tmp_path, bad_line):
     [
         ("[1]\n", ["retrieve", "--index", "BAD", "--queries", "QUERIES"]),
         ('["q1", "img1"]', ["retrieve", "--index", "INDEX", "--queries", "QUERIES", "--gold", "BAD"]),
+        ('{"image_id": 1, "regions": 5}\n', ["retrieve", "--index", "BAD", "--queries", "QUERIES"]),
         ('{"image_id": 7, "regions": []}', ["vg-convert", "BAD"]),
+        ("[1]", ["vg-convert", "BAD"]),
+        ('[{"image_id": 1, "regions": [5]}]', ["vg-convert", "BAD"]),
+        ('[{"image_id": 1, "regions": [{"phrase": "a dog", "objects": [5]}]}]', ["vg-convert", "BAD"]),
     ],
-    ids=["index-line-is-list", "gold-is-list", "vg-is-object"],
+    ids=[
+        "index-line-is-list",
+        "gold-is-list",
+        "index-regions-is-number",
+        "vg-is-object",
+        "vg-image-is-number",
+        "vg-region-is-number",
+        "vg-object-is-number",
+    ],
 )
 def test_wrong_shape_json_is_an_error(runner, tmp_path, content, args):
     from amrsg.scenegraph import sg_to_json

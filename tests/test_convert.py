@@ -8,11 +8,10 @@ import pytest
 from amrsg.amr import Constant, parse_penman
 from amrsg.convert import (
     AdapterCrashed,
+    AdapterError,
     AdapterTimeout,
-    DEFAULT_RULES,
     ExternalAdapter,
     MalformedModelOutput,
-    RuleConfig,
     convert_external,
     convert_rules,
     export_training_pairs,
@@ -47,12 +46,17 @@ def _bf_surface(graph, target):
     return _bf_norm(raw)
 
 
-def brute_force_rules(graph, config=DEFAULT_RULES):
+_BF_ATTRIBUTE_ROLES = {":mod"}
+_BF_CORE_ROLES = [":ARG0", ":ARG1", ":ARG2"]
+_BF_LOCATIVE_ROLES = {":location": "in"}
+
+
+def brute_force_rules(graph):
     """Enumerates every (node, edge) rule firing with naive scans."""
     attr_value_vars = set()
     for e in graph.edges:
         if (
-            e.role in config.attribute_roles
+            e.role in _BF_ATTRIBUTE_ROLES
             and not isinstance(e.target, Constant)
             and not _bf_is_frame(graph.nodes[e.target])
         ):
@@ -67,7 +71,7 @@ def brute_force_rules(graph, config=DEFAULT_RULES):
 
     attributes = []
     for e in graph.edges:
-        if e.role not in config.attribute_roles:
+        if e.role not in _BF_ATTRIBUTE_ROLES:
             continue
         if not isinstance(e.target, Constant) and _bf_is_frame(graph.nodes[e.target]):
             continue
@@ -83,11 +87,11 @@ def brute_force_rules(graph, config=DEFAULT_RULES):
         lemma = _bf_norm(graph.nodes[var][:-3])
         outgoing = [e for e in graph.edges if e.source == var and not isinstance(e.target, Constant)]
         core = []
-        for role in config.core_roles:
+        for role in _BF_CORE_ROLES:
             for e in outgoing:
                 if e.role == role:
                     core.append(e)
-        loc = [e for e in outgoing if e.role in config.locative_roles]
+        loc = [e for e in outgoing if e.role in _BF_LOCATIVE_ROLES]
         if not core:
             continue
         if len(core) >= 2 or loc:
@@ -95,8 +99,8 @@ def brute_force_rules(graph, config=DEFAULT_RULES):
             subj = _bf_surface(graph, core[0].target)
             obj = _bf_surface(graph, obj_edge.target)
             if subj and obj:
-                if obj_edge.role in config.locative_roles:
-                    pred = f"{lemma} {config.locative_roles[obj_edge.role]}"
+                if obj_edge.role in _BF_LOCATIVE_ROLES:
+                    pred = f"{lemma} {_BF_LOCATIVE_ROLES[obj_edge.role]}"
                 elif obj_edge.role == ":ARG2" and all(e.role != ":ARG0" for e in core):
                     pred = f"{lemma} in"
                 else:
@@ -138,12 +142,12 @@ def test_rules_frame_without_core_children_dropped():
 
 def test_rules_location_role():
     sg = convert_rules(parse_penman("(z0 / sit-02 :ARG1 (z1 / cat) :location (z2 / mat))"))
-    assert [r.fields() for r in sg.relations] == [("cat", "sit in", "mat")]
+    assert list(sg.relations) == [("cat", "sit in", "mat")]
 
 
 def test_rules_transitive_frame_plain_predicate():
     sg = convert_rules(parse_penman("(z0 / hold-01 :ARG0 (z1 / person) :ARG1 (z2 / umbrella))"))
-    assert [r.fields() for r in sg.relations] == [("person", "hold", "umbrella")]
+    assert list(sg.relations) == [("person", "hold", "umbrella")]
 
 
 def test_rules_oracle_equivalence():
@@ -175,12 +179,6 @@ def test_rules_determinism():
     for _ in range(20):
         g = random_graph(rng)
         assert convert_rules(g) == convert_rules(g)
-
-
-def test_rule_config_validation():
-    config = RuleConfig(attribute_roles=frozenset({":mod", ":color"}))
-    sg = convert_rules(parse_penman("(z0 / car :color (z1 / red))"), config)
-    assert [a.fields() for a in sg.attributes] == [("car", "red")]
 
 
 # --- external adapter --------------------------------------------------------
@@ -219,14 +217,29 @@ def test_adapter_timeout(tmp_path):
         "sleepy.py",
         """
         import sys, time
-        sys.stdin.readline()
-        time.sleep(30)
+        for line in sys.stdin:
+            if "dog" in line:
+                time.sleep(0.6)
+                print("( reply0 )", flush=True)
+            else:
+                print("( cat )", flush=True)
         """,
     )
-    seq = linearize_dfs(parse_penman("(z0 / dog)"))
     with ExternalAdapter(cmd, timeout=0.4) as adapter:
         with pytest.raises(AdapterTimeout):
-            convert_external(seq, adapter)
+            convert_external(linearize_dfs(parse_penman("(z0 / dog)")), adapter)
+        # the late "( reply0 )" must not answer the next request
+        adapter.timeout = 10
+        cat = linearize_dfs(parse_penman("(z0 / cat)"))
+        assert convert_external(cat, adapter) == SceneGraph(objects=["cat"])
+
+
+def test_adapter_refuses_line_break(echo_dog):
+    with ExternalAdapter(echo_dog, timeout=10) as adapter:
+        for line in ('(z0 / dog :name "a\nb")', '(z0 / dog :name "a\rb")'):
+            with pytest.raises(AdapterError, match="line break"):
+                adapter.request(line)
+        assert adapter.request("(z0 / dog)\n") == "( dog )"
 
 
 def test_adapter_crash(tmp_path):

@@ -154,3 +154,24 @@ def test_json_shape():
     assert data["attributes"] == [["dog", "red"]]
     assert data["relations"] == [["dog", "on", "mat"]]
     assert ["dog"] in data["objects"] and ["mat"] in data["objects"]
+
+
+def test_auto_inserted_objects_in_first_reference_order():
+    sg = SceneGraph(
+        objects=["cat"],
+        attributes=[("dog", "red"), ("cat", "big"), ("dog", "old")],
+        relations=[("mat", "under", "dog"), ("dog", "on", "rug")],
+    )
+    assert [o.name for o in sg.objects] == ["cat", "dog", "mat", "rug"]
+
+
+def test_tuple_kinds_are_their_field_tuples():
+    assert ObjectTuple("dog") == ("dog",)
+    assert RelationTuple("dog", "on", "mat") == ("dog", "on", "mat")
+    assert len({ObjectTuple("dog"), AttributeTuple("dog", "red"), RelationTuple("dog", "on", "mat")}) == 3
+    assert repr(AttributeTuple("dog", "red")) == "AttributeTuple(object='dog', attribute='red')"
+    assert repr(SceneGraph(attributes=[("dog", "red")])) == (
+        "SceneGraph(objects=['dog'], attributes=[('dog', 'red')], relations=[])"
+    )
+    with pytest.raises(TypeError):
+        AttributeTuple("dog", "red", "mat")
