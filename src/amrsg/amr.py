@@ -127,127 +127,22 @@ def is_variable_token(tok: str) -> bool:
     return bool(_VAR_RE.match(tok))
 
 
-# --- lexer -----------------------------------------------------------------
+# --- parser ----------------------------------------------------------------
 
-_DELIMS = set("()/ \t\r\n")
+# Only space, tab, CR and LF separate tokens. A '"' that starts a token opens
+# a string literal, in which a backslash escapes the next character; a '"'
+# inside an atom is part of the atom. A lone '"' is an unterminated literal.
+# The literal's pattern repeats whole runs of plain characters, not single
+# characters, so matching a long literal does not grow the regex engine's stack.
+_TOKEN_RE = re.compile(
+    r'(?P<open>\()|(?P<close>\))|(?P<slash>/)|(?P<string>"[^"\\]*(?:\\[\s\S][^"\\]*)*")'
+    r'|(?P<unterminated>")|(?P<role>:[^()/ \t\r\n]*)|(?P<atom>[^()/ \t\r\n]+)'
+)
 
-
-def quoted_string_end(text: str, start: int) -> int:
-    """Index just past the string literal whose opening quote is at
-    ``text[start]``, or -1 if it is unterminated. A backslash escapes the
-    character after it."""
-    j, n = start + 1, len(text)
-    while j < n and text[j] != '"':
-        j += 2 if text[j] == "\\" else 1
-    return j + 1 if j < n else -1
-
-
-def _lex(text: str) -> list[tuple[str, str, int]]:
-    """Split PENMAN text into (kind, value, offset) tokens.
-
-    Kinds: 'open', 'close', 'slash', 'role', 'atom', 'string'.
-    """
-    toks = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            i += 1
-        elif c == "(":
-            toks.append(("open", c, i))
-            i += 1
-        elif c == ")":
-            toks.append(("close", c, i))
-            i += 1
-        elif c == "/":
-            toks.append(("slash", c, i))
-            i += 1
-        elif c == '"':
-            j = quoted_string_end(text, i)
-            if j < 0:
-                raise PenmanError("unterminated string literal", i)
-            toks.append(("string", text[i:j], i))
-            i = j
-        else:
-            j = i
-            while j < n and text[j] not in _DELIMS:
-                j += 1
-            tok = text[i:j]
-            toks.append(("role" if tok.startswith(":") else "atom", tok, i))
-            i = j
-    return toks
-
-
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, str, int]], length: int):
-        self.tokens = tokens
-        self.pos = 0
-        self.length = length
-        self.nodes: dict[str, str] = {}
-        self.edges: list[AmrEdge] = []
-        self.tree_indices: set[int] = set()
-
-    def _peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def _next(self, expected_kind: str | None = None):
-        tok = self._peek()
-        if tok is None:
-            raise UnbalancedParentheses("unexpected end of input", self.length)
-        if expected_kind is not None and tok[0] != expected_kind:
-            if expected_kind in ("open", "close"):
-                raise UnbalancedParentheses(f"expected '{expected_kind}' token, got {tok[1]!r}", tok[2])
-            raise PenmanError(f"expected {expected_kind}, got {tok[1]!r}", tok[2])
-        self.pos += 1
-        return tok
-
-    def parse_node(self) -> str:
-        self._next("open")
-        kind, var, off = self._next("atom")
-        if not is_variable_token(var):
-            raise PenmanError(f"invalid variable name {var!r}", off)
-        self._next("slash")
-        ckind, concept, coff = self._next()
-        if ckind not in ("atom", "string"):
-            raise PenmanError(f"invalid concept {concept!r}", coff)
-        if var in self.nodes:
-            raise DuplicateVariableDeclaration(f"variable {var!r} declared twice", off)
-        self.nodes[var] = concept
-        while True:
-            tok = self._peek()
-            if tok is None:
-                raise UnbalancedParentheses("missing ')'", self.length)
-            if tok[0] == "close":
-                self.pos += 1
-                return var
-            rkind, role, roff = self._next()
-            if rkind != "role":
-                raise PenmanError(f"expected role label, got {role!r}", roff)
-            if len(role) < 2:
-                raise PenmanError("empty role label", roff)
-            tok = self._peek()
-            if tok is None:
-                raise UnbalancedParentheses("missing edge target", self.length)
-            if tok[0] == "open":
-                idx = len(self.edges)
-                self.edges.append(AmrEdge(var, role, ""))  # patched below
-                child = self.parse_node()
-                self.edges[idx] = AmrEdge(var, role, child)
-                self.tree_indices.add(idx)
-            elif tok[0] in ("atom", "string"):
-                self.pos += 1
-                value = tok[1]
-                if tok[0] == "atom" and is_variable_token(value):
-                    if value not in self.nodes:
-                        # declaration must precede any bare reference
-                        raise UndeclaredVariableReference(
-                            f"reference to undeclared variable {value!r}", tok[2]
-                        )
-                    self.edges.append(AmrEdge(var, role, value))
-                else:
-                    self.edges.append(AmrEdge(var, role, Constant(value)))
-            else:
-                raise PenmanError(f"invalid edge target {tok[1]!r}", tok[2])
+MAX_DEPTH = 200
+"""Deepest node nesting ``parse_penman`` accepts; the root is level 1. It keeps
+the recursive walks over a parsed graph (``penman_pieces``,
+``linearize_inorder``) well inside Python's default recursion limit."""
 
 
 def parse_penman(text: str, metadata: dict[str, str] | None = None) -> AmrGraph:
@@ -255,24 +150,95 @@ def parse_penman(text: str, metadata: dict[str, str] | None = None) -> AmrGraph:
 
     Edge order follows textual attachment order; the edge at each variable's
     declaration point becomes a tree edge. Raises a PenmanError subclass with
-    a byte offset on any malformed input.
+    a byte offset on any malformed input, and a PenmanError for nesting deeper
+    than ``MAX_DEPTH``.
     """
-    tokens = _lex(text)
+    tokens = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN_RE.finditer(text)]
+    for kind, _, off in tokens:
+        if kind == "unterminated":
+            raise PenmanError("unterminated string literal", off)
     if not tokens:
         raise EmptyInput("empty input", 0)
-    parser = _Parser(tokens, len(text))
-    first = tokens[0]
-    if first[0] != "open":
-        raise UnbalancedParentheses(f"expected '(' at start, got {first[1]!r}", first[2])
-    root = parser.parse_node()
-    extra = parser._peek()
-    if extra is not None:
-        raise UnbalancedParentheses(f"trailing content {extra[1]!r}", extra[2])
+    if tokens[0][0] != "open":
+        raise UnbalancedParentheses(f"expected '(' at start, got {tokens[0][1]!r}", tokens[0][2])
+    end = len(text)
+    tokens.append(("end", "", end))
+    nodes: dict[str, str] = {}
+    edges: list[AmrEdge] = []
+    tree_indices: set[int] = set()
+    stack: list[str] = []  # variables of the open nodes, root first
+    role: str | None = ""  # while tokens[i] opens a node: its tree edge's role
+    i = 0
+    while True:
+        kind, value, off = tokens[i]
+        if role is not None:  # "( var / concept"
+            if len(stack) == MAX_DEPTH:
+                raise PenmanError(f"nesting deeper than {MAX_DEPTH} levels", off)
+            vkind, var, voff = tokens[i + 1]
+            if vkind == "end":
+                raise UnbalancedParentheses("unexpected end of input", end)
+            if vkind != "atom":
+                raise PenmanError(f"expected atom, got {var!r}", voff)
+            if not is_variable_token(var):
+                raise PenmanError(f"invalid variable name {var!r}", voff)
+            skind, slash, soff = tokens[i + 2]
+            if skind == "end":
+                raise UnbalancedParentheses("unexpected end of input", end)
+            if skind != "slash":
+                raise PenmanError(f"expected slash, got {slash!r}", soff)
+            ckind, concept, coff = tokens[i + 3]
+            if ckind == "end":
+                raise UnbalancedParentheses("unexpected end of input", end)
+            if ckind not in ("atom", "string"):
+                raise PenmanError(f"invalid concept {concept!r}", coff)
+            if var in nodes:
+                raise DuplicateVariableDeclaration(f"variable {var!r} declared twice", voff)
+            nodes[var] = concept
+            if stack:
+                tree_indices.add(len(edges))
+                edges.append(AmrEdge(stack[-1], role, var))
+            stack.append(var)
+            role = None
+            i += 4
+        elif kind == "close":
+            stack.pop()
+            i += 1
+            if not stack:
+                break
+        elif kind == "end":
+            raise UnbalancedParentheses("missing ')'", end)
+        elif kind != "role":
+            raise PenmanError(f"expected role label, got {value!r}", off)
+        elif len(value) < 2:
+            raise PenmanError("empty role label", off)
+        else:
+            tkind, target, toff = tokens[i + 1]
+            if tkind == "end":
+                raise UnbalancedParentheses("missing edge target", end)
+            if tkind == "open":
+                role = value
+                i += 1
+                continue
+            if tkind == "atom" and is_variable_token(target):
+                if target not in nodes:
+                    # declaration must precede any bare reference
+                    raise UndeclaredVariableReference(
+                        f"reference to undeclared variable {target!r}", toff
+                    )
+                edges.append(AmrEdge(stack[-1], value, target))
+            elif tkind in ("atom", "string"):
+                edges.append(AmrEdge(stack[-1], value, Constant(target)))
+            else:
+                raise PenmanError(f"invalid edge target {target!r}", toff)
+            i += 2
+    kind, value, off = tokens[i]
+    if kind != "end":
+        raise UnbalancedParentheses(f"trailing content {value!r}", off)
     return AmrGraph(
-        root=root,
-        nodes=parser.nodes,
-        edges=tuple(parser.edges),
-        tree_edge_indices=frozenset(parser.tree_indices),
+        root=next(iter(nodes)),
+        nodes=nodes,
+        edges=tuple(edges),
+        tree_edge_indices=frozenset(tree_indices),
         metadata=dict(metadata or {}),
     )
 

@@ -15,7 +15,16 @@ import threading
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .amr import AmrGraph, Constant, children_index, frame_lemma, is_frame
+from .amr import (
+    AmrGraph,
+    Constant,
+    PenmanError,
+    children_index,
+    frame_lemma,
+    is_frame,
+    parse_penman,
+)
+from .corpus import filter_ungrounded
 from .linearize import LinearizedSequence, Strategy, linearize
 from .scenegraph import (
     AttributeTuple,
@@ -197,8 +206,9 @@ class ExternalAdapter:
         """Send one line, return the raw response line (newline stripped).
 
         A line with a line break inside is refused: the child would read it as
-        two requests and every later reply would be off by one. On a timeout
-        the child is killed, and the next request starts a fresh one.
+        two requests and every later reply would be off by one. When the child
+        times out, exits or closes its input, it is reaped, and the next
+        request starts a fresh one.
         """
         line = line.rstrip("\n")
         if "\n" in line or "\r" in line:
@@ -210,6 +220,8 @@ class ExternalAdapter:
             self._proc.stdin.write(line + "\n")
             self._proc.stdin.flush()
         except (BrokenPipeError, OSError):
+            self._proc.kill()
+            self.close()
             raise AdapterCrashed(f"adapter {self.command!r} closed its input")
         try:
             response = self._lines.get(timeout=self.timeout)
@@ -219,6 +231,7 @@ class ExternalAdapter:
             raise AdapterTimeout(f"no response within {self.timeout}s from {self.command!r}")
         if response is None:
             code = self._proc.wait()
+            self.close()
             raise AdapterCrashed(f"adapter {self.command!r} exited with status {code}")
         return response.rstrip("\n")
 
@@ -274,9 +287,6 @@ def export_training_pairs(
     With apply_filter, tuples ungrounded in the description are dropped from
     the target first.
     """
-    from .amr import PenmanError, parse_penman
-    from .corpus import filter_ungrounded
-
     pairs: list[TrainingPair] = []
     skipped = 0
     for record in records:

@@ -197,12 +197,26 @@ def corpus_stats(records: Sequence[RegionRecord]) -> CorpusStats:
 # --- Visual Genome region graphs ------------------------------------------
 
 
-def _vg_object_name(obj: dict) -> str | None:
-    name = obj.get("name") or (obj.get("names") or [None])[0]
+_ID = (str, int)
+
+
+def _checked(value, types: type | tuple[type, ...], what: str):
+    """``value`` if it is null or of ``types``; ValueError naming ``what``."""
+    if value is None or isinstance(value, types):
+        return value
+    expected = {str: "a string", list: "a list", _ID: "a string or an integer"}[types]
+    raise ValueError(f"{what} is a JSON {type(value).__name__}, not {expected}")
+
+
+def _vg_object_name(obj: dict, where: str) -> str | None:
+    name = _checked(obj.get("name"), str, f"{where}: name")
+    names = _checked(obj.get("names"), list, f"{where}: names")
+    if not name and names:
+        name = _checked(names[0], str, f"{where}: names[0]")
     if not name:
         return None
     try:
-        return normalize(str(name))
+        return normalize(name)
     except EmptyAfterNormalization:
         return None
 
@@ -223,50 +237,56 @@ def convert_vg_regions(vg_images: Iterable[dict]) -> list[RegionRecord]:
     Objects without a usable name and relationships with unresolvable
     endpoints are skipped. All terms are normalized. Raises ValueError, naming
     the image by its index, where an image, region, object or relationship is
-    not a JSON object or a list of them is not a list.
+    not a JSON object, a list of them is not a list, ``names`` is not a list,
+    a phrase, name or predicate is not a string, or an id is not a string or
+    an integer.
     """
     records: list[RegionRecord] = []
     for n, image in enumerate(vg_images):
         if not isinstance(image, dict):
             raise ValueError(f"image {n} is a JSON {type(image).__name__}, not an object")
-        image_id = str(image.get("image_id", ""))
-        for region in _objects(image.get("regions", []), f"image {n}: regions"):
-            phrase = (region.get("phrase") or "").strip()
+        where = f"image {n}"
+        image_id = str(_checked(image.get("image_id", ""), _ID, f"{where}: image_id"))
+        for region in _objects(image.get("regions", []), f"{where}: regions"):
+            phrase = (_checked(region.get("phrase"), str, f"{where}: phrase") or "").strip()
             if not phrase or not image_id:
                 continue
+            region_id = region.get("region_id", f"{image_id}_{len(records)}")
+            _checked(region_id, _ID, f"{where}: region_id")
             by_id: dict = {}
             objects: list[str] = []
             attributes: list[tuple[str, str]] = []
-            for obj in _objects(region.get("objects", []), f"image {n}: objects"):
-                name = _vg_object_name(obj)
+            for obj in _objects(region.get("objects", []), f"{where}: objects"):
+                object_id = _checked(obj.get("object_id"), _ID, f"{where}: object_id")
+                name = _vg_object_name(obj, where)
                 if name is None:
                     continue
                 if "object_id" in obj:
-                    by_id[obj["object_id"]] = name
+                    by_id[object_id] = name
                 objects.append(name)
                 attrs = obj.get("attributes", [])
                 if not isinstance(attrs, list):
-                    raise ValueError(f"image {n}: attributes is not a list")
+                    raise ValueError(f"{where}: attributes is not a list")
                 for attr in attrs:
                     try:
                         attributes.append((name, normalize(str(attr))))
                     except EmptyAfterNormalization:
                         continue
             relations: list[tuple[str, str, str]] = []
-            for rel in _objects(region.get("relationships", []), f"image {n}: relationships"):
-                subj = by_id.get(rel.get("subject_id"))
-                obj = by_id.get(rel.get("object_id"))
-                pred = rel.get("predicate")
+            for rel in _objects(region.get("relationships", []), f"{where}: relationships"):
+                subj = by_id.get(_checked(rel.get("subject_id"), _ID, f"{where}: subject_id"))
+                obj = by_id.get(_checked(rel.get("object_id"), _ID, f"{where}: object_id"))
+                pred = _checked(rel.get("predicate"), str, f"{where}: predicate")
                 if subj is None or obj is None or not pred:
                     continue
                 try:
-                    relations.append((subj, normalize(str(pred)), obj))
+                    relations.append((subj, normalize(pred), obj))
                 except EmptyAfterNormalization:
                     continue
             records.append(
                 RegionRecord(
                     image_id=image_id,
-                    region_id=str(region.get("region_id", f"{image_id}_{len(records)}")),
+                    region_id=str(region_id),
                     description=phrase,
                     scene_graph=SceneGraph(objects, attributes, relations),
                 )

@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amrsg.amr import (
+    MAX_DEPTH,
     AmrEdge,
     AmrGraph,
     Constant,
@@ -17,6 +20,7 @@ from amrsg.amr import (
     serialize_penman,
     validate,
 )
+from amrsg.linearize import Strategy, linearize
 from helpers import FIG1_PENMAN, WANT_PENMAN, random_graph
 
 
@@ -112,6 +116,39 @@ def test_parser_totality_on_fuzzed_input():
             parse_penman(text)
         except PenmanError as err:
             assert 0 <= err.offset <= len(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=st.sampled_from(list('()/:" \\\t\r\nz0a-')) | st.characters()))
+def test_arbitrary_text_raises_only_penman_error(text):
+    try:
+        parse_penman(text)
+    except PenmanError as err:
+        assert 0 <= err.offset <= len(text)
+
+
+def chain_penman(depth: int) -> str:
+    """A chain of ``depth`` nested nodes: ``(z0 / n :ARG0 (z1 / n ...))``."""
+    return " :ARG0 ".join(f"(z{i} / n" for i in range(depth)) + ")" * depth
+
+
+def test_chain_at_max_depth_round_trips_and_linearizes():
+    g = parse_penman(chain_penman(MAX_DEPTH))
+    assert len(g.nodes) == MAX_DEPTH
+    assert serialize_penman(g) == chain_penman(MAX_DEPTH)
+    assert parse_penman(serialize_penman(g)) == g
+    for strategy in Strategy:
+        assert len(linearize(g, strategy).tokens) == 2 * MAX_DEPTH - 1
+
+
+@pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 1000, 5000])
+def test_nesting_deeper_than_max_depth_is_an_error(depth):
+    text = chain_penman(depth)
+    with pytest.raises(PenmanError, match=f"nesting deeper than {MAX_DEPTH} levels") as info:
+        parse_penman(text)
+    assert type(info.value) is PenmanError
+    # the offset is that of the "(" opening level MAX_DEPTH + 1
+    assert text[info.value.offset :].startswith(f"(z{MAX_DEPTH} / n")
 
 
 def test_validate_valid_graph():

@@ -144,6 +144,40 @@ def test_convert_external_refuses_request_with_line_break(runner, tmp_path):
     assert result.stdout == "( cat )\n( tree )\n"
 
 
+def test_convert_external_restarts_an_exited_adapter(runner, tmp_path):
+    stub = tmp_path / "stub.py"
+    stub.write_text(
+        "import re, sys\n"
+        "for line in sys.stdin:\n"
+        "    concept = re.search(r'/ (\\w+)', line).group(1)\n"
+        "    if concept == 'bomb':\n"
+        "        sys.exit(3)\n"
+        "    print(f'( {concept} )', flush=True)\n"
+    )
+    path = _penman_file(tmp_path, ["(z0 / dog)", "(z0 / bomb)", "(z0 / cat)", "(z0 / tree)"])
+    result = _invoke(
+        runner, ["convert", path, "--engine", "external", "--adapter", f"{sys.executable} {stub}"]
+    )
+    assert result.exit_code == 2
+    assert result.stdout == "( dog )\n( cat )\n( tree )\n"
+    assert result.stderr.count("\n") == 1
+    assert result.stderr.startswith("error: graph 1: ")
+    assert "exited with status 3" in result.stderr
+
+
+@pytest.mark.parametrize("command", [["linearize"], ["convert"]])
+def test_too_deep_graph_is_an_error_and_later_graphs_survive(runner, tmp_path, command):
+    deep = " :ARG0 ".join(f"(z{i} / n" for i in range(1000)) + ")" * 1000
+    path = _penman_file(tmp_path, [deep, "(z0 / cat)"])
+    result = runner.invoke(cli, command + [path])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("error: graph 0: nesting deeper than ")
+    assert "Traceback" not in result.stderr
+    assert "cat" in result.stdout
+    assert len(result.stdout.splitlines()) == 1
+
+
 def test_convert_adapter_from_env(runner, tmp_path, monkeypatch):
     stub = tmp_path / "stub.py"
     stub.write_text("import sys\nfor line in sys.stdin:\n    print('( cat )', flush=True)\n")
@@ -307,6 +341,14 @@ def test_retrieve_skips_malformed_query_line(runner, tmp_path, bad_line):
     assert json.loads(result.stdout) == {"recall_at": {"1": 0.5}, "median_rank": 1}
 
 
+_DOG = {"object_id": 1, "name": "dog"}
+
+
+def _vg_region(**fields) -> str:
+    """A Visual Genome file: one image with one region ``{"phrase": "a dog", **fields}``."""
+    return json.dumps([{"image_id": 1, "regions": [{"phrase": "a dog", **fields}]}])
+
+
 @pytest.mark.parametrize(
     "content,args",
     [
@@ -317,6 +359,18 @@ def test_retrieve_skips_malformed_query_line(runner, tmp_path, bad_line):
         ("[1]", ["vg-convert", "BAD"]),
         ('[{"image_id": 1, "regions": [5]}]', ["vg-convert", "BAD"]),
         ('[{"image_id": 1, "regions": [{"phrase": "a dog", "objects": [5]}]}]', ["vg-convert", "BAD"]),
+        (_vg_region(phrase=5), ["vg-convert", "BAD"]),
+        (_vg_region(objects=[{"object_id": [1], "name": "dog"}]), ["vg-convert", "BAD"]),
+        (
+            _vg_region(objects=[_DOG], relationships=[{"subject_id": [1], "object_id": 1}]),
+            ["vg-convert", "BAD"],
+        ),
+        (
+            _vg_region(objects=[_DOG], relationships=[{"subject_id": 1, "predicate": 7}]),
+            ["vg-convert", "BAD"],
+        ),
+        (_vg_region(objects=[{"names": "dog"}]), ["vg-convert", "BAD"]),
+        (_vg_region(objects=[{"name": {"x": 1}}]), ["vg-convert", "BAD"]),
     ],
     ids=[
         "index-line-is-list",
@@ -326,6 +380,12 @@ def test_retrieve_skips_malformed_query_line(runner, tmp_path, bad_line):
         "vg-image-is-number",
         "vg-region-is-number",
         "vg-object-is-number",
+        "vg-phrase-is-number",
+        "vg-object-id-is-list",
+        "vg-subject-id-is-list",
+        "vg-predicate-is-number",
+        "vg-names-is-string",
+        "vg-name-is-object",
     ],
 )
 def test_wrong_shape_json_is_an_error(runner, tmp_path, content, args):

@@ -248,14 +248,18 @@ def test_adapter_crash(tmp_path):
         "crash.py",
         """
         import sys
-        sys.stdin.readline()
-        sys.exit(3)
+        for line in sys.stdin:
+            if "bomb" in line:
+                sys.exit(3)
+            print("( cat )", flush=True)
         """,
     )
-    seq = linearize_dfs(parse_penman("(z0 / dog)"))
     with ExternalAdapter(cmd, timeout=10) as adapter:
-        with pytest.raises(AdapterCrashed):
-            convert_external(seq, adapter)
+        with pytest.raises(AdapterCrashed, match="status 3"):
+            convert_external(linearize_dfs(parse_penman("(z0 / bomb)")), adapter)
+        # the exited child is replaced by a fresh one
+        cat = linearize_dfs(parse_penman("(z0 / cat)"))
+        assert convert_external(cat, adapter) == SceneGraph(objects=["cat"])
 
 
 def test_adapter_malformed_output(tmp_path):
