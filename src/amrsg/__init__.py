@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .amr import AmrEdge, AmrGraph, Constant, parse_penman, serialize_penman, validate
+from .amr import AmrEdge, AmrGraph, Constant, parse_penman, serialize_penman
 from .convert import ExternalAdapter, convert_external, convert_rules
 from .evaluate import CorpusReport, EvalReport, evaluate_corpus, f_score, match_tuples
 from .linearize import (
@@ -57,5 +57,4 @@ __all__ = [
     "serialize_penman",
     "serialize_sg",
     "to_tuples",
-    "validate",
 ]

@@ -75,15 +75,6 @@ class AmrEdge:
 
 
 @dataclass(frozen=True)
-class Diagnostic:
-    kind: str
-    subject: str
-
-    def __str__(self) -> str:
-        return f"{self.kind}({self.subject})"
-
-
-@dataclass(frozen=True)
 class AmrGraph:
     """Immutable AMR graph.
 
@@ -98,9 +89,6 @@ class AmrGraph:
     edges: tuple[AmrEdge, ...]
     tree_edge_indices: frozenset[int]
     metadata: dict[str, str] = field(default_factory=dict, compare=False)
-
-    def is_tree_edge(self, index: int) -> bool:
-        return index in self.tree_edge_indices
 
 
 def children_index(graph: AmrGraph) -> dict[str, list[tuple[int, AmrEdge]]]:
@@ -280,49 +268,6 @@ def serialize_penman(graph: AmrGraph) -> str:
     """Canonical PENMAN text: single spaces around '/', one space before each
     role, children in stored edge order, bare variables at re-entrancies."""
     return " ".join(penman_pieces(graph)[0])
-
-
-def validate(graph: AmrGraph) -> list[Diagnostic]:
-    """Return one diagnostic per invariant violation; empty list iff valid."""
-    diags: list[Diagnostic] = []
-    if graph.root not in graph.nodes:
-        diags.append(Diagnostic("MissingRoot", graph.root))
-    for e in graph.edges:
-        if e.source not in graph.nodes:
-            diags.append(Diagnostic("DanglingEdgeSource", e.source))
-        if isinstance(e.target, str) and e.target not in graph.nodes:
-            diags.append(Diagnostic("UndeclaredVariableReference", e.target))
-    # reachability over all edges
-    index = children_index(graph)
-    seen = set()
-    stack = [graph.root] if graph.root in graph.nodes else []
-    while stack:
-        v = stack.pop()
-        if v in seen:
-            continue
-        seen.add(v)
-        for _, e in index.get(v, ()):
-            if isinstance(e.target, str) and e.target in graph.nodes:
-                stack.append(e.target)
-    for v in graph.nodes:
-        if v not in seen:
-            diags.append(Diagnostic("UnreachableNode", v))
-    # spanning-tree shape: each non-root node exactly one incoming tree edge
-    incoming: dict[str, int] = {v: 0 for v in graph.nodes}
-    for i in graph.tree_edge_indices:
-        if i < len(graph.edges):
-            e = graph.edges[i]
-            if isinstance(e.target, str) and e.target in incoming:
-                incoming[e.target] += 1
-    for v, count in incoming.items():
-        if v == graph.root:
-            if count != 0:
-                diags.append(Diagnostic("TreeEdgeIntoRoot", v))
-        elif count > 1:
-            diags.append(Diagnostic("MultipleTreeEdges", v))
-        elif count == 0 and v in seen:
-            diags.append(Diagnostic("MissingTreeEdge", v))
-    return diags
 
 
 # --- PENMAN files ----------------------------------------------------------

@@ -35,7 +35,6 @@ from .corpus import (
     load_records,
     load_region_graphs,
     record_to_json,
-    save_records,
 )
 from .evaluate import evaluate_corpus
 from .linearize import Strategy, linearize
@@ -235,7 +234,6 @@ def cmd_eval(generated_path, reference_path, per_region, out):
         fh.write(
             json.dumps({"mean_f1": report.mean_f1, "region_count": report.region_count}) + "\n"
         )
-    sys.exit(0)
 
 
 @cli.command("retrieve")
@@ -301,7 +299,6 @@ def cmd_export(corpus_path, strategy, no_filter, out):
         for pair in pairs:
             fh.write(json.dumps(asdict(pair)) + "\n")
     click.echo(f"exported {len(pairs)} pairs, skipped {skipped}", err=True)
-    sys.exit(0)
 
 
 @cli.command("stats")
@@ -315,7 +312,6 @@ def cmd_stats(corpus_path, filtered):
         records = [filter_ungrounded(r) for r in records]
     stats = corpus_stats(records)
     click.echo(json.dumps({**asdict(stats), "skipped_lines": result.skipped}))
-    sys.exit(0)
 
 
 @cli.command("vg-convert")
@@ -324,13 +320,10 @@ def cmd_stats(corpus_path, filtered):
 def cmd_vg_convert(vg_path, out):
     """Convert Visual Genome region-graph JSON into the corpus JSONL format."""
     records = _load(lambda path: convert_vg_regions(_read_json(path, list)), vg_path)
-    if out == "-":
+    with _open_out(out) as fh:
         for record in records:
-            click.echo(json.dumps(record_to_json(record)))
-    else:
-        save_records(records, out)
+            fh.write(json.dumps(record_to_json(record)) + "\n")
     click.echo(f"converted {len(records)} regions", err=True)
-    sys.exit(0)
 
 
 def main(argv=None):

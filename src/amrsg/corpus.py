@@ -234,25 +234,28 @@ def convert_vg_regions(vg_images: Iterable[dict]) -> list[RegionRecord]:
     Expected per-image shape: {"image_id", "regions": [{"region_id",
     "phrase", "objects": [{"object_id", "name"/"names", "attributes"?}],
     "relationships": [{"subject_id", "object_id", "predicate"}]}]}.
-    Objects without a usable name and relationships with unresolvable
-    endpoints are skipped. All terms are normalized. Raises ValueError, naming
-    the image by its index, where an image, region, object or relationship is
-    not a JSON object, a list of them is not a list, ``names`` is not a list,
-    a phrase, name or predicate is not a string, or an id is not a string or
-    an integer.
+    A null id or string field counts as absent. Objects without a usable
+    name, empty attributes and relationships with unresolvable endpoints are
+    skipped. All terms are normalized. Raises ValueError, naming the image by
+    its index, where an image, region, object or relationship is not a JSON
+    object, a list of them is not a list, ``names`` or ``attributes`` is not a
+    list, a phrase, name, attribute or predicate is not a string, or an id is
+    not a string or an integer.
     """
     records: list[RegionRecord] = []
     for n, image in enumerate(vg_images):
         if not isinstance(image, dict):
             raise ValueError(f"image {n} is a JSON {type(image).__name__}, not an object")
         where = f"image {n}"
-        image_id = str(_checked(image.get("image_id", ""), _ID, f"{where}: image_id"))
+        image_id = _checked(image.get("image_id"), _ID, f"{where}: image_id")
+        image_id = "" if image_id is None else str(image_id)
         for region in _objects(image.get("regions", []), f"{where}: regions"):
             phrase = (_checked(region.get("phrase"), str, f"{where}: phrase") or "").strip()
             if not phrase or not image_id:
                 continue
-            region_id = region.get("region_id", f"{image_id}_{len(records)}")
-            _checked(region_id, _ID, f"{where}: region_id")
+            region_id = _checked(region.get("region_id"), _ID, f"{where}: region_id")
+            if region_id is None:
+                region_id = f"{image_id}_{len(records)}"
             by_id: dict = {}
             objects: list[str] = []
             attributes: list[tuple[str, str]] = []
@@ -261,15 +264,16 @@ def convert_vg_regions(vg_images: Iterable[dict]) -> list[RegionRecord]:
                 name = _vg_object_name(obj, where)
                 if name is None:
                     continue
-                if "object_id" in obj:
+                if object_id is not None:
                     by_id[object_id] = name
                 objects.append(name)
                 attrs = obj.get("attributes", [])
                 if not isinstance(attrs, list):
                     raise ValueError(f"{where}: attributes is not a list")
                 for attr in attrs:
+                    attr = _checked(attr, str, f"{where}: attribute")
                     try:
-                        attributes.append((name, normalize(str(attr))))
+                        attributes.append((name, normalize(attr or "")))
                     except EmptyAfterNormalization:
                         continue
             relations: list[tuple[str, str, str]] = []

@@ -75,7 +75,7 @@ def linearize_bfs(graph: AmrGraph) -> LinearizedSequence:
         for i, e in index.get(queue.popleft(), ()):
             texts.append(e.role)
             tokens.append(e.role)
-            if graph.is_tree_edge(i):
+            if i in graph.tree_edge_indices:
                 _emit_node(graph, e.target, texts, tokens)
                 queue.append(e.target)
             else:
@@ -96,7 +96,7 @@ def linearize_inorder(graph: AmrGraph) -> LinearizedSequence:
     tokens: list[str] = []
 
     def emit_child(i: int, e: AmrEdge) -> None:
-        if graph.is_tree_edge(i):
+        if i in graph.tree_edge_indices:
             emit(e.target)
         else:
             _emit_leaf(e, texts, tokens)

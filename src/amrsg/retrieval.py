@@ -40,9 +40,6 @@ class RetrievalIndex:
             (image_id, tuple(regions)) for image_id, regions in images
         )
 
-    def __len__(self) -> int:
-        return len(self.images)
-
     def image_ids(self) -> list[str]:
         return [image_id for image_id, _ in self.images]
 
@@ -67,12 +64,12 @@ def rank(
     query_id: str = "",
 ) -> RankedResult:
     """Score every image, sort descending (ties by ascending image id)."""
-    if gold_image_id not in set(index.image_ids()):
-        raise UnknownGoldImage(f"gold image {gold_image_id!r} not in index")
     scored = [(image_id, score_image(query, regions)) for image_id, regions in index.images]
     scored.sort(key=lambda item: (-item[1], item[0]))
-    gold_rank = next(i + 1 for i, (image_id, _) in enumerate(scored) if image_id == gold_image_id)
-    return RankedResult(query_id, tuple(scored), gold_image_id, gold_rank)
+    for gold_rank, (image_id, _) in enumerate(scored, start=1):
+        if image_id == gold_image_id:
+            return RankedResult(query_id, tuple(scored), gold_image_id, gold_rank)
+    raise UnknownGoldImage(f"gold image {gold_image_id!r} not in index")
 
 
 def aggregate_metrics(results: Sequence[RankedResult], ks: Sequence[int] = (5, 10)) -> dict:

@@ -8,12 +8,13 @@ seq2seq target and as the evaluator input is::
 
 i.e. one parenthesized group per tuple, arity 1/2/3 distinguishing the
 kind, sections ordered objects, attributes, relations, lexicographic
-within each section.
+within each section. A field is a non-empty string with no leading or
+trailing whitespace and no '(', ')' or ','; ``SceneGraph`` rejects any other,
+so every scene graph survives ``parse_sg_text(serialize_sg(sg))``.
 """
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 from typing import Iterable, NamedTuple, Sequence, Union
 
@@ -21,7 +22,7 @@ from typing import Iterable, NamedTuple, Sequence, Union
 GRAMMAR_VERSION = "1"
 
 _ARTICLES = {"a", "an", "the"}
-_WS_RE = re.compile(r"\s+")
+_DELIMS_TO_SPACES = str.maketrans("(),", "   ")
 
 
 class SgError(ValueError):
@@ -41,8 +42,9 @@ class UnbalancedParentheses(SgError):
 
 
 def normalize(term: str) -> str:
-    """Lowercase, collapse whitespace, strip leading articles."""
-    words = _WS_RE.sub(" ", term.strip().lower()).split()
+    """Lowercase, turn '(', ')' and ',' into spaces, collapse whitespace,
+    strip leading articles."""
+    words = term.lower().translate(_DELIMS_TO_SPACES).split()
     while words and words[0] in _ARTICLES:
         words.pop(0)
     if not words:
@@ -75,7 +77,8 @@ class SceneGraph:
 
     Objects referenced by attributes or relations but absent from the object
     multiset are auto-inserted once at construction. Equality is multiset
-    equality per section; insertion order is otherwise irrelevant.
+    equality per section; insertion order is otherwise irrelevant. Raises
+    SgError for a field that breaks the wire grammar's field rule.
     """
 
     def __init__(
@@ -84,21 +87,24 @@ class SceneGraph:
         attributes: Iterable[Sequence[str] | AttributeTuple] = (),
         relations: Iterable[Sequence[str] | RelationTuple] = (),
     ):
-        objs = [o if isinstance(o, ObjectTuple) else ObjectTuple(str(o)) for o in objects]
+        objs = [o if isinstance(o, ObjectTuple) else ObjectTuple(o) for o in objects]
         attrs = [a if isinstance(a, AttributeTuple) else AttributeTuple(*a) for a in attributes]
         rels = [r if isinstance(r, RelationTuple) else RelationTuple(*r) for r in relations]
         for t in objs + attrs + rels:
-            if not all(t):
-                raise SgError(f"empty field in tuple {t}")
+            for f in t:
+                # plain `in` tests: cheaper than a set or regex call per field
+                bad = not isinstance(f, str) or not f or f != f.strip()
+                if bad or "(" in f or ")" in f or "," in f:
+                    raise SgError(
+                        f"field {f!r} of {tuple(t)}: a field is a non-empty string with no"
+                        " surrounding whitespace and no '(', ')' or ','"
+                    )
         present = {o.name for o in objs}
         referenced = [a.object for a in attrs] + [n for r in rels for n in (r.subject, r.object)]
         objs += [ObjectTuple(n) for n in dict.fromkeys(referenced) if n not in present]
         self.objects: tuple[ObjectTuple, ...] = tuple(objs)
         self.attributes: tuple[AttributeTuple, ...] = tuple(attrs)
         self.relations: tuple[RelationTuple, ...] = tuple(rels)
-
-    def is_empty(self) -> bool:
-        return not (self.objects or self.attributes or self.relations)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SceneGraph):
@@ -107,15 +113,6 @@ class SceneGraph:
             Counter(self.objects) == Counter(other.objects)
             and Counter(self.attributes) == Counter(other.attributes)
             and Counter(self.relations) == Counter(other.relations)
-        )
-
-    def __hash__(self):
-        return hash(
-            (
-                frozenset(Counter(self.objects).items()),
-                frozenset(Counter(self.attributes).items()),
-                frozenset(Counter(self.relations).items()),
-            )
         )
 
     def __repr__(self) -> str:

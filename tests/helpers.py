@@ -6,8 +6,9 @@ from __future__ import annotations
 import random
 import re
 from collections import Counter
+from dataclasses import dataclass
 
-from amrsg.amr import AmrEdge, AmrGraph, Constant
+from amrsg.amr import AmrEdge, AmrGraph, Constant, children_index
 from amrsg.scenegraph import AttributeTuple, ObjectTuple, RelationTuple, SceneGraph
 
 CONCEPTS = ["dog", "cat", "snow", "tree", "person", "umbrella", "gold", "retriever", "car", "house"]
@@ -64,6 +65,58 @@ def random_graph(
 # --- independent oracles -----------------------------------------------------
 
 
+@dataclass(frozen=True)
+class Diagnostic:
+    kind: str
+    subject: str
+
+    def __str__(self) -> str:
+        return f"{self.kind}({self.subject})"
+
+
+def validate(graph: AmrGraph) -> list[Diagnostic]:
+    """Return one diagnostic per invariant violation; empty list iff valid."""
+    diags: list[Diagnostic] = []
+    if graph.root not in graph.nodes:
+        diags.append(Diagnostic("MissingRoot", graph.root))
+    for e in graph.edges:
+        if e.source not in graph.nodes:
+            diags.append(Diagnostic("DanglingEdgeSource", e.source))
+        if isinstance(e.target, str) and e.target not in graph.nodes:
+            diags.append(Diagnostic("UndeclaredVariableReference", e.target))
+    # reachability over all edges
+    index = children_index(graph)
+    seen = set()
+    stack = [graph.root] if graph.root in graph.nodes else []
+    while stack:
+        v = stack.pop()
+        if v in seen:
+            continue
+        seen.add(v)
+        for _, e in index.get(v, ()):
+            if isinstance(e.target, str) and e.target in graph.nodes:
+                stack.append(e.target)
+    for v in graph.nodes:
+        if v not in seen:
+            diags.append(Diagnostic("UnreachableNode", v))
+    # spanning-tree shape: each non-root node exactly one incoming tree edge
+    incoming: dict[str, int] = {v: 0 for v in graph.nodes}
+    for i in graph.tree_edge_indices:
+        if i < len(graph.edges):
+            e = graph.edges[i]
+            if isinstance(e.target, str) and e.target in incoming:
+                incoming[e.target] += 1
+    for v, count in incoming.items():
+        if v == graph.root:
+            if count != 0:
+                diags.append(Diagnostic("TreeEdgeIntoRoot", v))
+        elif count > 1:
+            diags.append(Diagnostic("MultipleTreeEdges", v))
+        elif count == 0 and v in seen:
+            diags.append(Diagnostic("MissingTreeEdge", v))
+    return diags
+
+
 def multiset_intersection_size(g_tuples, r_tuples) -> int:
     """Matching-size oracle, valid under exact-equality compatibility."""
     gc, rc = Counter(g_tuples), Counter(r_tuples)
@@ -72,7 +125,7 @@ def multiset_intersection_size(g_tuples, r_tuples) -> int:
 
 def normalize_oracle(term: str) -> str:
     """Second normalizer implementation (regex based)."""
-    s = re.sub(r"\s+", " ", term.lower()).strip()
+    s = re.sub(r"[\s(),]+", " ", term.lower()).strip()
     s = re.sub(r"^(?:(?:a|an|the) )*(?:a|an|the)?$|^(?:(?:a|an|the) )+", "", s)
     return s
 

@@ -18,10 +18,9 @@ from amrsg.amr import (
     load_penman_file,
     parse_penman,
     serialize_penman,
-    validate,
 )
 from amrsg.linearize import Strategy, linearize
-from helpers import FIG1_PENMAN, WANT_PENMAN, random_graph
+from helpers import FIG1_PENMAN, WANT_PENMAN, random_graph, validate
 
 
 def test_parse_retriever_graph():

@@ -100,6 +100,13 @@ def test_convert_rules(runner, tmp_path):
     )
 
 
+def test_convert_keeps_wire_delimiters_out_of_fields(runner, tmp_path):
+    path = _penman_file(tmp_path, ['(z0 / dog :mod "big, red")', '(z0 / dog :mod "x )")'])
+    result = _invoke(runner, ["convert", path])
+    assert result.exit_code == 0
+    assert result.stdout == "( dog ) ( dog , big red )\n( dog ) ( dog , x )\n"
+
+
 def test_convert_external_requires_adapter(runner, tmp_path, monkeypatch):
     monkeypatch.delenv("AMRSG_ADAPTER", raising=False)
     path = _penman_file(tmp_path, [FIG1_PENMAN])
@@ -371,6 +378,7 @@ def _vg_region(**fields) -> str:
         ),
         (_vg_region(objects=[{"names": "dog"}]), ["vg-convert", "BAD"]),
         (_vg_region(objects=[{"name": {"x": 1}}]), ["vg-convert", "BAD"]),
+        (_vg_region(objects=[{"name": "dog", "attributes": [{"x": 1}, ["big"]]}]), ["vg-convert", "BAD"]),
     ],
     ids=[
         "index-line-is-list",
@@ -386,6 +394,7 @@ def _vg_region(**fields) -> str:
         "vg-predicate-is-number",
         "vg-names-is-string",
         "vg-name-is-object",
+        "vg-attribute-is-object",
     ],
 )
 def test_wrong_shape_json_is_an_error(runner, tmp_path, content, args):

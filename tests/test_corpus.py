@@ -52,6 +52,20 @@ def test_load_skips_malformed_with_position(tmp_path):
     assert [lineno for lineno, _ in result.errors] == [2, 4]
 
 
+def test_load_skips_field_outside_the_wire_grammar(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    bad = {"objects": [["dog"]], "attributes": [["dog", "big, red"]]}
+    path.write_text(
+        _line(_record(region_id="r1")) + "\n"
+        + json.dumps({"image_id": "1", "region_id": "r2", "description": "a dog", "scene_graph": bad})
+        + "\n"
+    )
+    result = load_records(path)
+    assert [r.region_id for r in result.records] == ["r1"]
+    assert [lineno for lineno, _ in result.errors] == [2]
+    assert "'big, red'" in result.errors[0][1]
+
+
 def test_load_missing_file():
     with pytest.raises(FileNotFoundError):
         load_records("/nonexistent/corpus.jsonl")
@@ -245,3 +259,39 @@ def test_vg_convert_skips_unresolvable():
     records = convert_vg_regions(vg)
     assert len(records) == 1
     assert records[0].scene_graph.relations == ()
+
+
+def test_vg_convert_null_object_id_resolves_nothing():
+    vg = [
+        {
+            "image_id": 1,
+            "regions": [
+                {
+                    "phrase": "a dog and a cat",
+                    "objects": [{"object_id": None, "name": "dog"}, {"object_id": 2, "name": "cat"}],
+                    "relationships": [{"object_id": 2, "predicate": "on"}],
+                }
+            ],
+        }
+    ]
+    (record,) = convert_vg_regions(vg)
+    assert record.scene_graph == SceneGraph(objects=["dog", "cat"])
+
+
+def test_vg_convert_null_fields_count_as_absent():
+    vg = [
+        {"image_id": None, "regions": [{"phrase": "x"}]},
+        {
+            "image_id": 0,
+            "regions": [
+                {
+                    "region_id": None,
+                    "phrase": "a big dog",
+                    "objects": [{"object_id": 1, "name": "dog", "attributes": [None, "Big"]}],
+                }
+            ],
+        },
+    ]
+    (record,) = convert_vg_regions(vg)
+    assert (record.image_id, record.region_id) == ("0", "0_0")
+    assert record.scene_graph == SceneGraph(objects=["dog"], attributes=[("dog", "big")])

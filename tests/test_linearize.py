@@ -156,7 +156,7 @@ def test_bfs_queue_discipline_matches_reference_simulation():
         while queue:
             var = queue.popleft()
             for i, e in index.get(var, []):
-                if g.is_tree_edge(i):
+                if i in g.tree_edge_indices:
                     order.append(e.target)
                     queue.append(e.target)
         positions = [text.index(f"({v} / ") for v in order]

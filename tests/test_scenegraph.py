@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amrsg.scenegraph import (
     AttributeTuple,
@@ -9,6 +11,7 @@ from amrsg.scenegraph import (
     ObjectTuple,
     RelationTuple,
     SceneGraph,
+    SgError,
     UnbalancedParentheses,
     normalize,
     parse_sg_text,
@@ -29,6 +32,8 @@ from helpers import normalize_oracle, random_scene_graph
         ("AN  Umbrella", "umbrella"),
         ("dog", "dog"),
         ("The Old Oak tree", "old oak tree"),
+        ("Big, red (car)", "big red car"),
+        ("the,dog)", "dog"),
     ],
 )
 def test_normalize(raw, expected):
@@ -36,7 +41,7 @@ def test_normalize(raw, expected):
     assert normalize(raw) == normalize_oracle(raw)
 
 
-@pytest.mark.parametrize("raw", ["", "   ", "the", "a  an the"])
+@pytest.mark.parametrize("raw", ["", "   ", "the", "a  an the", "( , )", "(the)"])
 def test_normalize_empty(raw):
     with pytest.raises(EmptyAfterNormalization):
         normalize(raw)
@@ -175,3 +180,67 @@ def test_tuple_kinds_are_their_field_tuples():
     )
     with pytest.raises(TypeError):
         AttributeTuple("dog", "red", "mat")
+
+
+@pytest.mark.parametrize(
+    "field", ["", " dog", "dog ", "\t", "a, b", "dog (big)", "x )", "(", 5, None]
+)
+def test_field_outside_the_wire_grammar_is_an_error(field):
+    with pytest.raises(SgError):
+        SceneGraph(objects=[field])
+    with pytest.raises(SgError):
+        SceneGraph(attributes=[("dog", field)])
+    with pytest.raises(SgError):
+        SceneGraph(relations=[(field, "on", "mat")])
+
+
+def _in_field_rule(field) -> bool:
+    return isinstance(field, str) and bool(field) and field == field.strip() and not set(field) & set("(),")
+
+
+# Any text, with the characters the wire grammar gives a meaning to made common.
+_ANY_FIELD = st.text(alphabet=st.characters() | st.sampled_from(" \t\n\u00a0ab(),"), max_size=6)
+# The same text made to follow the field rule.
+_RULE_FIELD = _ANY_FIELD.map(lambda f: f.translate({ord(c): None for c in "(),"}).strip()).filter(bool)
+
+
+def _sections(field):
+    """(objects, attributes, relations) with every field drawn from ``field``."""
+    return st.tuples(
+        st.lists(field, max_size=3),
+        st.lists(st.tuples(field, field), max_size=3),
+        st.lists(st.tuples(field, field, field), max_size=3),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sections(_ANY_FIELD | st.none() | st.integers()))
+def test_scene_graph_accepts_exactly_the_field_rule(sections):
+    objects, attributes, relations = sections
+    fields = objects + [f for t in attributes + relations for f in t]
+    try:
+        SceneGraph(*sections)
+    except SgError:
+        assert not all(_in_field_rule(f) for f in fields)
+    else:
+        assert all(_in_field_rule(f) for f in fields)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sections(_RULE_FIELD) | _sections(_ANY_FIELD))
+def test_every_accepted_scene_graph_round_trips(sections):
+    try:
+        sg = SceneGraph(*sections)
+    except SgError:
+        return
+    assert parse_sg_text(serialize_sg(sg)) == sg
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=st.sampled_from(" \t\nab(),") | st.characters(), max_size=40))
+def test_arbitrary_text_raises_only_sg_error(text):
+    try:
+        sg = parse_sg_text(text)
+    except SgError:
+        return
+    assert parse_sg_text(serialize_sg(sg)) == sg
