@@ -11,7 +11,6 @@ import json
 import os
 import sys
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import asdict
 from functools import partial
 from pathlib import Path
@@ -32,6 +31,7 @@ from .corpus import (
     convert_vg_regions,
     corpus_stats,
     filter_ungrounded,
+    json_id,
     load_records,
     load_region_graphs,
     record_to_json,
@@ -54,15 +54,6 @@ _STRATEGIES = {s.value: s for s in Strategy}
 T = TypeVar("T")
 
 
-@contextmanager
-def _open_out(path: str):
-    if path == "-":
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            yield fh
-
-
 def _fail(*messages: str) -> NoReturn:
     """Print each message as ``error: <message>`` and exit 1."""
     for message in messages:
@@ -78,6 +69,11 @@ def _load(load: Callable[[str], T], path: str, what: str = "read") -> T:
         _fail(f"cannot {what} {path}: {err}")
 
 
+def _open_out(path: str):
+    """``path`` ('-' is stdout) open for writing, or exit 1 as ``_load`` does."""
+    return _load(partial(click.open_file, mode="w", encoding="utf-8"), path, "write")
+
+
 def _read_text(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
@@ -91,6 +87,11 @@ def _read_json(path: str, shape: type):
     return data
 
 
+def _read_gold(path: str) -> dict[str, str]:
+    gold = _read_json(path, dict)
+    return {region_id: json_id(gold, region_id) for region_id in gold}
+
+
 def _load_region_graphs(path: str) -> tuple[list[tuple[str, str, SceneGraph]], int]:
     """Region graphs of a JSONL file plus the number of lines skipped, each
     reported on stderr as ``warning: <path>:<line>: <reason>``."""
@@ -100,20 +101,11 @@ def _load_region_graphs(path: str) -> tuple[list[tuple[str, str, SceneGraph]], i
     return graphs, len(errors)
 
 
-def _print_version(ctx, param, value):
-    if not value or ctx.resilient_parsing:
-        return
-    click.echo(f"amrsg {__version__} (scene-graph grammar v{GRAMMAR_VERSION})")
-    ctx.exit(0)
-
-
 @click.group()
-@click.option(
+@click.version_option(
+    __version__,
     "--version",
-    is_flag=True,
-    callback=_print_version,
-    expose_value=False,
-    is_eager=True,
+    message=f"amrsg %(version)s (scene-graph grammar v{GRAMMAR_VERSION})",
     help="Print toolkit and format-grammar versions.",
 )
 def cli():
@@ -252,10 +244,7 @@ def cmd_retrieve(index_path, queries_path, gold_path, ks, out):
     except ValueError:
         _fail(f"bad --k value {ks!r}")
     index = _load(load_index, index_path, "load index")
-    gold_map = None
-    if gold_path:
-        gold = _load(partial(_read_json, shape=dict), gold_path, "load gold mapping")
-        gold_map = {str(k): str(v) for k, v in gold.items()}
+    gold_map = _load(_read_gold, gold_path, "load gold mapping") if gold_path else None
     queries, skipped = _load_region_graphs(queries_path)
     if not queries:
         _fail("empty query set")

@@ -177,7 +177,7 @@ class ExternalAdapter:
         self.command = shlex.split(command) if isinstance(command, str) else list(command)
         self.timeout = timeout
         self._proc: subprocess.Popen | None = None
-        self._lines: queue.Queue[str | None] = queue.Queue()
+        self._lines: queue.Queue[bytes | None] = queue.Queue()
 
     def _start(self) -> None:
         self._proc = subprocess.Popen(
@@ -185,8 +185,6 @@ class ExternalAdapter:
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL,
-            text=True,
-            bufsize=1,
         )
         # A fresh queue per child, so a late line from a killed child never
         # reaches the one that replaces it.
@@ -196,7 +194,7 @@ class ExternalAdapter:
         ).start()
 
     @staticmethod
-    def _pump(stdout, lines: queue.Queue[str | None]) -> None:
+    def _pump(stdout, lines: queue.Queue[bytes | None]) -> None:
         with stdout:
             for line in stdout:
                 lines.put(line)
@@ -206,9 +204,10 @@ class ExternalAdapter:
         """Send one line, return the raw response line (newline stripped).
 
         A line with a line break inside is refused: the child would read it as
-        two requests and every later reply would be off by one. When the child
-        times out, exits or closes its input, it is reaped, and the next
-        request starts a fresh one.
+        two requests and every later reply would be off by one. Lines are UTF-8; a
+        reply that is not, or that has a carriage return other than in a CRLF end,
+        is a MalformedModelOutput, and the child is kept. A child that times out,
+        exits or closes its input is reaped, and the next request starts a fresh one.
         """
         line = line.rstrip("\n")
         if "\n" in line or "\r" in line:
@@ -217,7 +216,7 @@ class ExternalAdapter:
             self._start()
         assert self._proc is not None and self._proc.stdin is not None
         try:
-            self._proc.stdin.write(line + "\n")
+            self._proc.stdin.write((line + "\n").encode("utf-8"))
             self._proc.stdin.flush()
         except (BrokenPipeError, OSError):
             self._proc.kill()
@@ -233,7 +232,12 @@ class ExternalAdapter:
             code = self._proc.wait()
             self.close()
             raise AdapterCrashed(f"adapter {self.command!r} exited with status {code}")
-        return response.rstrip("\n")
+        response = response.rstrip(b"\n").removesuffix(b"\r")
+        text = response.decode("utf-8", "replace")
+        # a reply that does not survive the round trip was not valid UTF-8
+        if "\r" in text or text.encode("utf-8") != response:
+            raise MalformedModelOutput("model output is not one UTF-8 line", raw=text)
+        return text
 
     def close(self) -> None:
         if self._proc is not None:

@@ -58,31 +58,36 @@ def record_to_json(record: RegionRecord) -> dict:
     return data
 
 
+def json_id(data: dict, key: str) -> str:
+    """``data[key]``, a non-empty JSON string or an integer, as a string; KeyError
+    if ``key`` is absent, ValueError naming it for any other value, null included."""
+    value = data[key]
+    if isinstance(value, str) and value or isinstance(value, int) and not isinstance(value, bool):
+        return str(value)
+    raise ValueError(f"{key} is {json.dumps(value)}, not a non-empty string or an integer")
+
+
 def record_from_json(data: dict) -> RegionRecord:
     for key in ("image_id", "region_id", "description", "scene_graph"):
         if key not in data:
             raise KeyError(f"missing key {key!r}")
-    image_id = str(data["image_id"])
-    region_id = str(data["region_id"])
     description = data["description"]
-    if not image_id or not region_id:
-        raise ValueError("empty id")
     if not isinstance(description, str) or not description.strip():
         raise ValueError("empty description")
     return RegionRecord(
-        image_id=image_id,
-        region_id=region_id,
+        image_id=json_id(data, "image_id"),
+        region_id=json_id(data, "region_id"),
         description=description,
         scene_graph=sg_from_json(data["scene_graph"]),
         amr=data.get("amr"),
     )
 
 
-def _read_jsonl(
+def read_jsonl(
     path: str | Path, parse: Callable[[dict], T]
 ) -> tuple[list[T], list[tuple[int, str]]]:
-    """Parse each non-blank line; malformed lines are skipped and returned as
-    (line number, message)."""
+    """``parse`` of each non-blank line's JSON object; a line that is not one, or
+    that ``parse`` rejects, is skipped and returned as (line number, message)."""
     items: list[T] = []
     errors: list[tuple[int, str]] = []
     with open(path, encoding="utf-8") as fh:
@@ -90,7 +95,10 @@ def _read_jsonl(
             if not line.strip():
                 continue
             try:
-                items.append(parse(json.loads(line)))
+                data = json.loads(line)
+                if not isinstance(data, dict):
+                    raise ValueError(f"a JSON {type(data).__name__}, not an object")
+                items.append(parse(data))
             except (KeyError, TypeError, ValueError) as err:  # SgError is a ValueError
                 errors.append((lineno, str(err)))
     return items, errors
@@ -98,24 +106,22 @@ def _read_jsonl(
 
 def load_records(path: str | Path) -> LoadResult:
     """Load a JSONL corpus; malformed lines are counted and skipped."""
-    records, errors = _read_jsonl(path, record_from_json)
+    records, errors = read_jsonl(path, record_from_json)
     return LoadResult(records, len(errors), [(n, f"line {n}: {msg}") for n, msg in errors])
+
+
+def _region_graph_from_json(data: dict) -> tuple[str, str, SceneGraph]:
+    image_id = "" if data.get("image_id") in (None, "") else json_id(data, "image_id")
+    return json_id(data, "region_id"), image_id, sg_from_json(data["scene_graph"])
 
 
 def load_region_graphs(
     path: str | Path,
 ) -> tuple[list[tuple[str, str, SceneGraph]], list[tuple[int, str]]]:
-    """Load ``{region_id, scene_graph}`` lines as (region id, image id or "",
-    scene graph), as ``eval`` and ``retrieve`` read them. Malformed lines are
-    skipped and returned as (line number, message)."""
-    return _read_jsonl(
-        path,
-        lambda d: (
-            str(d["region_id"]),
-            str(d.get("image_id", "")),
-            sg_from_json(d["scene_graph"]),
-        ),
-    )
+    """Load ``{region_id, image_id?, scene_graph}`` lines as (region id, image id
+    or "" if it is absent, null or "", scene graph), as ``eval`` and ``retrieve``
+    read them; malformed lines are skipped and returned as (line number, message)."""
+    return read_jsonl(path, _region_graph_from_json)
 
 
 def save_records(records: Iterable[RegionRecord], path: str | Path) -> None:

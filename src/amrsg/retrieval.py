@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+from .corpus import json_id, read_jsonl
 from .evaluate import f_score
 from .scenegraph import SceneGraph, sg_from_json, sg_to_json
 
@@ -96,19 +97,14 @@ def save_index(index: RetrievalIndex, path: str | Path) -> None:
             )
 
 
+def _image_from_json(data: dict) -> tuple[str, list[SceneGraph]]:
+    return json_id(data, "image_id"), [sg_from_json(r) for r in data["regions"]]
+
+
 def load_index(path: str | Path) -> RetrievalIndex:
-    images = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            data = json.loads(line)
-            if not isinstance(data, dict):
-                raise ValueError(f"line {lineno} is a JSON {type(data).__name__}, not an object")
-            regions = data["regions"]
-            if not isinstance(regions, list):
-                raise ValueError(
-                    f"line {lineno}: regions is a JSON {type(regions).__name__}, not a list"
-                )
-            images.append((str(data["image_id"]), [sg_from_json(r) for r in regions]))
+    """Inverse of save_index; ValueError naming the line of the first bad line."""
+    images, errors = read_jsonl(path, _image_from_json)
+    if errors:
+        lineno, message = errors[0]
+        raise ValueError(f"line {lineno}: {message}")
     return RetrievalIndex(images)

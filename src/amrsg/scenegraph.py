@@ -182,8 +182,21 @@ def sg_to_json(sg: SceneGraph) -> dict:
     }
 
 
+_SECTIONS = {"objects": ObjectTuple, "attributes": AttributeTuple, "relations": RelationTuple}
+
+
 def sg_from_json(data: dict) -> SceneGraph:
+    """Inverse of sg_to_json; SgError for a section of any other shape."""
     if not isinstance(data, dict):
         raise SgError(f"scene graph is a JSON {type(data).__name__}, not an object")
-    objects = [o[0] if isinstance(o, (list, tuple)) else o for o in data.get("objects", [])]
-    return SceneGraph(objects, data.get("attributes", []), data.get("relations", []))
+    sections = []
+    for key, kind in _SECTIONS.items():
+        items, arity = data.get(key, []), len(kind._fields)
+        # one pass, then compare counts; tuple.__new__ is NamedTuple._make without its overhead
+        section = isinstance(items, list) and [
+            tuple.__new__(kind, t) for t in items if isinstance(t, list) and len(t) == arity
+        ]
+        if section is False or len(section) != len(items):
+            raise SgError(f"{key} is not a list of {arity}-field arrays")
+        sections.append(section)
+    return SceneGraph(*sections)

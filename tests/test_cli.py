@@ -1,6 +1,7 @@
 import json
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -356,12 +357,20 @@ def _vg_region(**fields) -> str:
     return json.dumps([{"image_id": 1, "regions": [{"phrase": "a dog", **fields}]}])
 
 
+def _index(region: dict | None = None, **fields) -> str:
+    """A one-line index: image ``img1`` with one region graph, then ``fields``."""
+    return json.dumps({"image_id": "img1", "regions": [region or {}], **fields}) + "\n"
+
+
+_BAD_INDEX = ["retrieve", "--index", "BAD", "--queries", "QUERIES"]
+
+
 @pytest.mark.parametrize(
     "content,args",
     [
-        ("[1]\n", ["retrieve", "--index", "BAD", "--queries", "QUERIES"]),
+        ("[1]\n", _BAD_INDEX),
         ('["q1", "img1"]', ["retrieve", "--index", "INDEX", "--queries", "QUERIES", "--gold", "BAD"]),
-        ('{"image_id": 1, "regions": 5}\n', ["retrieve", "--index", "BAD", "--queries", "QUERIES"]),
+        ('{"image_id": 1, "regions": 5}\n', _BAD_INDEX),
         ('{"image_id": 7, "regions": []}', ["vg-convert", "BAD"]),
         ("[1]", ["vg-convert", "BAD"]),
         ('[{"image_id": 1, "regions": [5]}]', ["vg-convert", "BAD"]),
@@ -379,6 +388,19 @@ def _vg_region(**fields) -> str:
         (_vg_region(objects=[{"names": "dog"}]), ["vg-convert", "BAD"]),
         (_vg_region(objects=[{"name": {"x": 1}}]), ["vg-convert", "BAD"]),
         (_vg_region(objects=[{"name": "dog", "attributes": [{"x": 1}, ["big"]]}]), ["vg-convert", "BAD"]),
+        (_index({"attributes": [["dog", "big", "x"]]}), _BAD_INDEX),
+        (_index({"attributes": 5}), _BAD_INDEX),
+        (_index({"relations": [5]}), _BAD_INDEX),
+        (_index({"objects": [[]]}), _BAD_INDEX),
+        (_index({"objects": [["dog", "cat"]]}), _BAD_INDEX),
+        (_index({"objects": "dog"}), _BAD_INDEX),
+        (_index({"objects": ["dog"]}), _BAD_INDEX),
+        (_index(image_id=None), _BAD_INDEX),
+        (_index(image_id=""), _BAD_INDEX),
+        (_index(image_id=1.5), _BAD_INDEX),
+        (_index(image_id=True), _BAD_INDEX),
+        ('{"q1": null}', ["retrieve", "--index", "INDEX", "--queries", "QUERIES", "--gold", "BAD"]),
+        ('{"q1": 7.0}', ["retrieve", "--index", "INDEX", "--queries", "QUERIES", "--gold", "BAD"]),
     ],
     ids=[
         "index-line-is-list",
@@ -395,6 +417,19 @@ def _vg_region(**fields) -> str:
         "vg-names-is-string",
         "vg-name-is-object",
         "vg-attribute-is-object",
+        "index-attribute-has-3-fields",
+        "index-attributes-is-number",
+        "index-relation-is-number",
+        "index-object-has-0-fields",
+        "index-object-has-2-fields",
+        "index-objects-is-string",
+        "index-object-is-bare-string",
+        "index-image-id-is-null",
+        "index-image-id-is-empty",
+        "index-image-id-is-float",
+        "index-image-id-is-boolean",
+        "gold-image-id-is-null",
+        "gold-image-id-is-float",
     ],
 )
 def test_wrong_shape_json_is_an_error(runner, tmp_path, content, args):
@@ -411,6 +446,27 @@ def test_wrong_shape_json_is_an_error(runner, tmp_path, content, args):
     assert result.exit_code == 1
     assert result.stderr.startswith("error: cannot ")
     assert str(paths["BAD"]) in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("bad_id", [None, "", 1.5, True, [1]], ids=["null", "empty", "float", "boolean", "array"])
+@pytest.mark.parametrize(
+    "key,args",
+    [
+        ("region_id", ["eval", "BAD", "BAD"]),
+        ("region_id", ["retrieve", "--index", "INDEX", "--queries", "BAD"]),
+        ("image_id", ["retrieve", "--index", "INDEX", "--queries", "BAD"]),
+    ],
+    ids=["eval-region-id", "query-region-id", "query-image-id"],
+)
+def test_bad_id_is_a_diagnostic(runner, tmp_path, key, args, bad_id):
+    paths = {"BAD": tmp_path / "bad.jsonl", "INDEX": tmp_path / "index.jsonl"}
+    line = {"region_id": "q1", "image_id": "img1", "scene_graph": {"objects": [["a"]]}, key: bad_id}
+    paths["BAD"].write_text(json.dumps(line) + "\n")
+    save_index(RetrievalIndex([("img1", [SceneGraph(objects=["a"])])]), paths["INDEX"])
+    result = _invoke(runner, [str(paths.get(a, a)) for a in args])
+    assert result.exit_code in (1, 2)
+    assert result.stderr.startswith(("warning: ", "error: "))
     assert "Traceback" not in result.stderr
 
 
@@ -499,3 +555,27 @@ def test_vg_convert(runner, tmp_path):
     line = json.loads(out_path.read_text().strip())
     assert line["image_id"] == "7"
     assert ["bus", "red"] in line["scene_graph"]["attributes"]
+
+
+_GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["linearize", "graphs.penman"],
+        ["convert", "graphs.penman"],
+        ["eval", "generated.jsonl", "corpus.jsonl"],
+        ["retrieve", "--index", "index.jsonl", "--queries", "queries.jsonl"],
+        ["export", "corpus.jsonl"],
+        ["vg-convert", "vg.json"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_unwritable_out_is_an_error(runner, tmp_path, monkeypatch, args):
+    monkeypatch.chdir(_GOLDEN)
+    out = tmp_path / "missing" / "out.txt"
+    result = _invoke(runner, [*args, "--out", str(out)])
+    assert result.exit_code == 1
+    assert result.stderr.splitlines()[-1].startswith(f"error: cannot write {out}: ")
+    assert "Traceback" not in result.stderr

@@ -279,6 +279,28 @@ def test_adapter_malformed_output(tmp_path):
         assert info.value.raw == "( a , b , c , d )"
 
 
+@pytest.mark.parametrize("bad_reply", [b"( caf\xe9 )", b"( a )\r( b )"], ids=["not-utf8", "lone-cr"])
+def test_adapter_malformed_reply_keeps_child_and_alignment(tmp_path, bad_reply):
+    cmd = _write_stub(
+        tmp_path,
+        "bad_bytes.py",
+        """
+        import sys
+        bad = bytes.fromhex(sys.argv[1])
+        for n, line in enumerate(sys.stdin.buffer):
+            reply = bad if n == 0 else b"( reply%d )" % n
+            sys.stdout.buffer.write(reply + (b"\\r\\n" if n == 2 else b"\\n"))
+            sys.stdout.buffer.flush()
+        """,
+    )
+    with ExternalAdapter(cmd + [bad_reply.hex()], timeout=10) as adapter:
+        with pytest.raises(MalformedModelOutput):
+            adapter.request("(z0 / dog)")
+        # the same child answers on, one reply per request; a CRLF ending is accepted
+        assert adapter.request("(z0 / cat)") == "( reply1 )"
+        assert adapter.request("(z0 / cat)") == "( reply2 )"
+
+
 def test_adapter_rejects_bad_timeout():
     with pytest.raises(ValueError):
         ExternalAdapter(["true"], timeout=0)

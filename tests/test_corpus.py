@@ -45,11 +45,18 @@ def test_load_skips_malformed_with_position(tmp_path):
         + "{not json\n"
         + _line(_record(region_id="r3")) + "\n"
         + '{"image_id": "1", "region_id": "r4", "description": "a dog", "scene_graph": []}\n'
+        + "[1]\n"
+        + '{"image_id": null, "region_id": "r6", "description": "a dog", "scene_graph": {}}\n'
+        + '{"image_id": "1", "region_id": "", "description": "a dog", "scene_graph": {}}\n'
+        + '{"image_id": 1.5, "region_id": "r8", "description": "a dog", "scene_graph": {}}\n'
+        + '{"image_id": 9, "region_id": "r9", "description": "a dog", "scene_graph": {}}\n'
     )
     result = load_records(path)
-    assert len(result.records) == 2
-    assert result.skipped == 2
-    assert [lineno for lineno, _ in result.errors] == [2, 4]
+    assert [(r.image_id, r.region_id) for r in result.records] == [("1", "r1"), ("1", "r3"), ("9", "r9")]
+    assert result.skipped == 6
+    assert [lineno for lineno, _ in result.errors] == [2, 4, 5, 6, 7, 8]
+    assert "image_id is null" in result.errors[3][1]
+    assert "region_id is \"\"" in result.errors[4][1]
 
 
 def test_load_skips_field_outside_the_wire_grammar(tmp_path):

@@ -4,14 +4,17 @@ Each case runs one CLI command from inside that directory, so paths in
 diagnostics stay relative, and compares exit code, stdout and stderr byte for
 byte with the files under ``tests/golden/expected/``. Those files hold the
 output of the CLI as it was before tuple matching became multiset pairing,
-with two deliberate changes since:
+with three deliberate changes since:
 
 - the ``matches`` field of ``eval --per-region``: this test lets the pairs
   differ, but not their number;
 - the ``"Rex \"the\" (dog)"`` line of ``linearize_dfs_tokens.stdout`` and
   ``linearize_inorder_tokens.stdout`` was updated, and only that line: the
   quoted constant is now one token, where the old re-scanning tokenizer
-  split it at its spaces.
+  split it at its spaces;
+- ``retrieve_bad_index.stderr`` names the line of the first bad index line
+  (``line 1: 'regions'``), since the index is read by the same JSONL reader
+  as the other inputs.
 """
 
 import json

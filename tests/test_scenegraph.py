@@ -244,3 +244,26 @@ def test_arbitrary_text_raises_only_sg_error(text):
     except SgError:
         return
     assert parse_sg_text(serialize_sg(sg)) == sg
+
+
+# Any JSON value, with the section keys and arrays of fields made common.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _ANY_FIELD,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["objects", "attributes", "relations"]) | _ANY_FIELD, inner, max_size=3),
+    max_leaves=12,
+)
+_SECTION_JSON = st.dictionaries(
+    st.sampled_from(["objects", "attributes", "relations"]),
+    st.lists(st.lists(_RULE_FIELD | _ANY_FIELD | st.none(), min_size=1, max_size=3), max_size=3) | _JSON,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON | _SECTION_JSON | _sections(_RULE_FIELD).map(lambda s: sg_to_json(SceneGraph(*s))))
+def test_arbitrary_json_gives_a_scene_graph_or_sg_error(data):
+    try:
+        sg = sg_from_json(data)
+    except SgError:
+        return
+    assert sg_from_json(sg_to_json(sg)) == sg
