@@ -19,7 +19,7 @@ from typing import Callable, NoReturn, TypeVar
 import click
 
 from . import __version__
-from .amr import PenmanError, iter_penman_blocks, parse_penman
+from .amr import AmrGraph, iter_penman_blocks, parse_penman
 from .convert import (
     AdapterError,
     ExternalAdapter,
@@ -32,9 +32,10 @@ from .corpus import (
     corpus_stats,
     filter_ungrounded,
     json_id,
-    load_records,
-    load_region_graphs,
+    read_jsonl,
+    record_from_json,
     record_to_json,
+    region_graph_from_json,
 )
 from .evaluate import evaluate_corpus
 from .linearize import Strategy, linearize
@@ -45,7 +46,7 @@ from .retrieval import (
     load_index,
     rank,
 )
-from .scenegraph import GRAMMAR_VERSION, SceneGraph, serialize_sg, sg_to_json
+from .scenegraph import GRAMMAR_VERSION, serialize_sg, sg_to_json
 
 ADAPTER_ENV_VAR = "AMRSG_ADAPTER"
 
@@ -92,13 +93,36 @@ def _read_gold(path: str) -> dict[str, str]:
     return {region_id: json_id(gold, region_id) for region_id in gold}
 
 
-def _load_region_graphs(path: str) -> tuple[list[tuple[str, str, SceneGraph]], int]:
-    """Region graphs of a JSONL file plus the number of lines skipped, each
-    reported on stderr as ``warning: <path>:<line>: <reason>``."""
-    graphs, errors = _load(load_region_graphs, path)
+def _read_lines(path: str, parse: Callable[[dict], T]) -> tuple[list[T], int]:
+    """``parse`` of each line of a JSONL file plus the number of lines skipped,
+    each reported on stderr as ``warning: <path>:<line>: <reason>``. A command
+    that skipped a line exits 2."""
+    items, errors = _load(partial(read_jsonl, parse=parse), path)
     for lineno, message in errors:
         click.echo(f"warning: {path}:{lineno}: {message}", err=True)
-    return graphs, len(errors)
+    return items, len(errors)
+
+
+def _write_each_graph(
+    input_path: str, out: str, render: Callable[[AmrGraph, int], str]
+) -> NoReturn:
+    """Write ``render(graph, i)`` as one line for each graph ``i`` of a PENMAN
+    file, then exit. A graph that does not parse, or that ``render`` rejects, is
+    reported on stderr as ``error: graph <i>: <reason>`` and the exit code is 2."""
+    blocks = iter_penman_blocks(_load(_read_text, input_path))
+    failures = 0
+    with _open_out(out) as fh:
+        for i, (meta, text) in enumerate(blocks):
+            try:
+                line = render(parse_penman(text, meta), i)
+                if "\n" in line or "\r" in line:
+                    raise ValueError("the output line would contain a line break")
+            except (ValueError, AdapterError) as err:  # PenmanError is a ValueError
+                click.echo(f"error: graph {i}: {err}", err=True)
+                failures += 1
+                continue
+            fh.write(line + "\n")
+    sys.exit(2 if failures else 0)
 
 
 @click.group()
@@ -119,23 +143,16 @@ def cli():
 @click.option("--out", default="-", help="Output path ('-' for stdout).")
 def cmd_linearize(input_path, strategy, emit, out):
     """Write one linearization per graph in a PENMAN file."""
-    blocks = iter_penman_blocks(_load(_read_text, input_path))
-    failures = 0
-    with _open_out(out) as fh:
-        for i, (meta, text) in enumerate(blocks):
-            try:
-                seq = linearize(parse_penman(text, meta), _STRATEGIES[strategy])
-                line = seq.text if emit == "text" else "\t".join(seq.tokens)
-                if "\n" in line or "\r" in line:
-                    raise ValueError("the output line would contain a line break")
-                if emit == "tokens" and any("\t" in token for token in seq.tokens):
-                    raise ValueError("a token contains a tab")
-            except ValueError as err:  # PenmanError is a ValueError
-                click.echo(f"error: graph {i}: {err}", err=True)
-                failures += 1
-                continue
-            fh.write(line + "\n")
-    sys.exit(2 if failures else 0)
+
+    def render(graph: AmrGraph, i: int) -> str:
+        seq = linearize(graph, _STRATEGIES[strategy])
+        if emit == "text":
+            return seq.text
+        if any("\t" in token for token in seq.tokens):
+            raise ValueError("a token contains a tab")
+        return "\t".join(seq.tokens)
+
+    _write_each_graph(input_path, out, render)
 
 
 @cli.command("convert")
@@ -152,40 +169,28 @@ def cmd_convert(input_path, engine, adapter, timeout, strategy, emit, out):
     With --emit jsonl, each line carries the region id (from ::id metadata,
     falling back to the block index) and the scene graph as JSON.
     """
-    blocks = iter_penman_blocks(_load(_read_text, input_path))
     adapter_proc = None
     if engine == "external":
         command = adapter or os.environ.get(ADAPTER_ENV_VAR)
         if not command:
             _fail(f"--engine external requires --adapter or ${ADAPTER_ENV_VAR}")
         adapter_proc = ExternalAdapter(command, timeout=timeout)
-    failures = 0
+
+    def render(graph: AmrGraph, i: int) -> str:
+        if adapter_proc is None:
+            sg = convert_rules(graph)
+        else:
+            sg = convert_external(linearize(graph, _STRATEGIES[strategy]), adapter_proc)
+        if emit == "text":
+            return serialize_sg(sg)
+        region_id = graph.metadata.get("id", str(i))
+        return json.dumps({"region_id": region_id, "scene_graph": sg_to_json(sg)})
+
     try:
-        with _open_out(out) as fh:
-            for i, (meta, text) in enumerate(blocks):
-                try:
-                    graph = parse_penman(text, meta)
-                    if engine == "rules":
-                        sg = convert_rules(graph)
-                    else:
-                        sg = convert_external(
-                            linearize(graph, _STRATEGIES[strategy]), adapter_proc
-                        )
-                except (PenmanError, AdapterError) as err:
-                    click.echo(f"error: graph {i}: {err}", err=True)
-                    failures += 1
-                    continue
-                if emit == "text":
-                    fh.write(serialize_sg(sg) + "\n")
-                else:
-                    region_id = meta.get("id", str(i))
-                    fh.write(
-                        json.dumps({"region_id": region_id, "scene_graph": sg_to_json(sg)}) + "\n"
-                    )
+        _write_each_graph(input_path, out, render)
     finally:
         if adapter_proc is not None:
             adapter_proc.close()
-    sys.exit(2 if failures else 0)
 
 
 @cli.command("eval")
@@ -195,9 +200,10 @@ def cmd_convert(input_path, engine, adapter, timeout, strategy, emit, out):
 @click.option("--out", default="-", help="Output path ('-' for stdout).")
 def cmd_eval(generated_path, reference_path, per_region, out):
     """SPICE-style corpus evaluation of generated vs. reference scene graphs."""
-    corpora, errors = [], []
+    corpora, errors, skipped = [], [], 0
     for path in (generated_path, reference_path):
-        graphs, _ = _load_region_graphs(path)
+        graphs, skipped_here = _read_lines(path, region_graph_from_json)
+        skipped += skipped_here
         counts = Counter(region_id for region_id, _, _ in graphs)
         duplicates = sorted(rid for rid, n in counts.items() if n > 1)
         if duplicates:
@@ -226,6 +232,7 @@ def cmd_eval(generated_path, reference_path, per_region, out):
         fh.write(
             json.dumps({"mean_f1": report.mean_f1, "region_count": report.region_count}) + "\n"
         )
+    sys.exit(2 if skipped else 0)
 
 
 @cli.command("retrieve")
@@ -245,7 +252,7 @@ def cmd_retrieve(index_path, queries_path, gold_path, ks, out):
         _fail(f"bad --k value {ks!r}")
     index = _load(load_index, index_path, "load index")
     gold_map = _load(_read_gold, gold_path, "load gold mapping") if gold_path else None
-    queries, skipped = _load_region_graphs(queries_path)
+    queries, skipped = _read_lines(queries_path, region_graph_from_json)
     if not queries:
         _fail("empty query set")
     results = []
@@ -278,16 +285,15 @@ def cmd_retrieve(index_path, queries_path, gold_path, ks, out):
 @click.option("--out", default="-", help="Output path ('-' for stdout).")
 def cmd_export(corpus_path, strategy, no_filter, out):
     """Export training pairs (linearized AMR -> target string) as JSONL."""
-    result = _load(load_records, corpus_path)
-    for _, message in result.errors:
-        click.echo(f"warning: {message}", err=True)
-    pairs, skipped = export_training_pairs(
-        result.records, _STRATEGIES[strategy], apply_filter=not no_filter
+    records, skipped = _read_lines(corpus_path, record_from_json)
+    pairs, no_pair = export_training_pairs(
+        records, _STRATEGIES[strategy], apply_filter=not no_filter
     )
     with _open_out(out) as fh:
         for pair in pairs:
             fh.write(json.dumps(asdict(pair)) + "\n")
-    click.echo(f"exported {len(pairs)} pairs, skipped {skipped}", err=True)
+    click.echo(f"exported {len(pairs)} pairs, skipped {no_pair}", err=True)
+    sys.exit(2 if skipped else 0)
 
 
 @cli.command("stats")
@@ -295,12 +301,12 @@ def cmd_export(corpus_path, strategy, no_filter, out):
 @click.option("--filtered", is_flag=True, help="Apply the ungrounded filter first.")
 def cmd_stats(corpus_path, filtered):
     """Print corpus statistics as JSON."""
-    result = _load(load_records, corpus_path)
-    records = result.records
+    records, skipped = _read_lines(corpus_path, record_from_json)
     if filtered:
         records = [filter_ungrounded(r) for r in records]
     stats = corpus_stats(records)
-    click.echo(json.dumps({**asdict(stats), "skipped_lines": result.skipped}))
+    click.echo(json.dumps({**asdict(stats), "skipped_lines": skipped}))
+    sys.exit(2 if skipped else 0)
 
 
 @cli.command("vg-convert")

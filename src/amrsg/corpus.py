@@ -68,26 +68,21 @@ def json_id(data: dict, key: str) -> str:
 
 
 def record_from_json(data: dict) -> RegionRecord:
-    for key in ("image_id", "region_id", "description", "scene_graph"):
-        if key not in data:
-            raise KeyError(f"missing key {key!r}")
-    description = data["description"]
+    image_id, region_id = json_id(data, "image_id"), json_id(data, "region_id")
+    description, amr = data["description"], data.get("amr")
     if not isinstance(description, str) or not description.strip():
         raise ValueError("empty description")
-    return RegionRecord(
-        image_id=json_id(data, "image_id"),
-        region_id=json_id(data, "region_id"),
-        description=description,
-        scene_graph=sg_from_json(data["scene_graph"]),
-        amr=data.get("amr"),
-    )
+    if amr is not None and not isinstance(amr, str):
+        raise ValueError(f"amr is a JSON {type(amr).__name__}, not a string or null")
+    return RegionRecord(image_id, region_id, description, sg_from_json(data["scene_graph"]), amr)
 
 
 def read_jsonl(
     path: str | Path, parse: Callable[[dict], T]
 ) -> tuple[list[T], list[tuple[int, str]]]:
     """``parse`` of each non-blank line's JSON object; a line that is not one, or
-    that ``parse`` rejects, is skipped and returned as (line number, message)."""
+    that ``parse`` rejects, is skipped and returned as (line number, message).
+    A KeyError from ``parse`` reads ``missing key '<key>'``."""
     items: list[T] = []
     errors: list[tuple[int, str]] = []
     with open(path, encoding="utf-8") as fh:
@@ -99,7 +94,9 @@ def read_jsonl(
                 if not isinstance(data, dict):
                     raise ValueError(f"a JSON {type(data).__name__}, not an object")
                 items.append(parse(data))
-            except (KeyError, TypeError, ValueError) as err:  # SgError is a ValueError
+            except KeyError as err:
+                errors.append((lineno, f"missing key {err.args[0]!r}"))
+            except (TypeError, ValueError) as err:  # SgError is a ValueError
                 errors.append((lineno, str(err)))
     return items, errors
 
@@ -107,21 +104,14 @@ def read_jsonl(
 def load_records(path: str | Path) -> LoadResult:
     """Load a JSONL corpus; malformed lines are counted and skipped."""
     records, errors = read_jsonl(path, record_from_json)
-    return LoadResult(records, len(errors), [(n, f"line {n}: {msg}") for n, msg in errors])
+    return LoadResult(records, len(errors), errors)
 
 
-def _region_graph_from_json(data: dict) -> tuple[str, str, SceneGraph]:
+def region_graph_from_json(data: dict) -> tuple[str, str, SceneGraph]:
+    """A ``{region_id, image_id?, scene_graph}`` line, as ``eval`` and ``retrieve``
+    read it: (region id, image id or "" if it is absent, null or "", scene graph)."""
     image_id = "" if data.get("image_id") in (None, "") else json_id(data, "image_id")
     return json_id(data, "region_id"), image_id, sg_from_json(data["scene_graph"])
-
-
-def load_region_graphs(
-    path: str | Path,
-) -> tuple[list[tuple[str, str, SceneGraph]], list[tuple[int, str]]]:
-    """Load ``{region_id, image_id?, scene_graph}`` lines as (region id, image id
-    or "" if it is absent, null or "", scene graph), as ``eval`` and ``retrieve``
-    read them; malformed lines are skipped and returned as (line number, message)."""
-    return read_jsonl(path, _region_graph_from_json)
 
 
 def save_records(records: Iterable[RegionRecord], path: str | Path) -> None:

@@ -365,6 +365,12 @@ def _index(region: dict | None = None, **fields) -> str:
 _BAD_INDEX = ["retrieve", "--index", "BAD", "--queries", "QUERIES"]
 
 
+def _record_line(**fields) -> str:
+    """A one-line corpus: region ``r1`` of image ``img1``, then ``fields``."""
+    line = {"image_id": "img1", "region_id": "r1", "description": "a dog", "scene_graph": {}}
+    return json.dumps({**line, **fields}) + "\n"
+
+
 @pytest.mark.parametrize(
     "content,args",
     [
@@ -401,6 +407,8 @@ _BAD_INDEX = ["retrieve", "--index", "BAD", "--queries", "QUERIES"]
         (_index(image_id=True), _BAD_INDEX),
         ('{"q1": null}', ["retrieve", "--index", "INDEX", "--queries", "QUERIES", "--gold", "BAD"]),
         ('{"q1": 7.0}', ["retrieve", "--index", "INDEX", "--queries", "QUERIES", "--gold", "BAD"]),
+        (_record_line(amr=5), ["export", "BAD"]),
+        (_record_line(amr=["(z0 / dog)"]), ["export", "BAD"]),
     ],
     ids=[
         "index-line-is-list",
@@ -430,6 +438,8 @@ _BAD_INDEX = ["retrieve", "--index", "BAD", "--queries", "QUERIES"]
         "index-image-id-is-boolean",
         "gold-image-id-is-null",
         "gold-image-id-is-float",
+        "record-amr-is-number",
+        "record-amr-is-list",
     ],
 )
 def test_wrong_shape_json_is_an_error(runner, tmp_path, content, args):
@@ -443,8 +453,12 @@ def test_wrong_shape_json_is_an_error(runner, tmp_path, content, args):
         + "\n"
     )
     result = _invoke(runner, [str(paths[a]) if a in paths else a for a in args])
-    assert result.exit_code == 1
-    assert result.stderr.startswith("error: cannot ")
+    if args[0] == "export":  # a bad corpus line is skipped, not fatal
+        assert result.exit_code == 2
+        assert result.stderr.startswith(f"warning: {paths['BAD']}:1: amr is a JSON ")
+    else:
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: cannot ")
     assert str(paths["BAD"]) in result.stderr
     assert "Traceback" not in result.stderr
 
@@ -468,6 +482,52 @@ def test_bad_id_is_a_diagnostic(runner, tmp_path, key, args, bad_id):
     assert result.exit_code in (1, 2)
     assert result.stderr.startswith(("warning: ", "error: "))
     assert "Traceback" not in result.stderr
+
+
+_NAMES = ["dog", "cat", "tree"]
+_REGIONS = [
+    json.dumps(
+        {
+            "image_id": f"img{i}",
+            "region_id": f"r{i}",
+            "description": f"a {name}",
+            "scene_graph": {"objects": [[name]]},
+            "amr": f"(z0 / {name})",
+        }
+    )
+    for i, name in enumerate(_NAMES)
+]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["eval", "LINES", "CLEAN"],
+        ["retrieve", "--index", "INDEX", "--queries", "LINES"],
+        ["export", "LINES"],
+        ["stats", "LINES"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_a_skipped_line_is_one_warning_and_exit_2(runner, tmp_path, args):
+    paths = {name: tmp_path / f"{name.lower()}.jsonl" for name in ("LINES", "CLEAN", "INDEX")}
+    bad = json.dumps({"image_id": "img9", "region_id": "r9", "description": "a dog"})
+    paths["LINES"].write_text("\n".join([_REGIONS[0], bad, *_REGIONS[1:]]) + "\n")
+    paths["CLEAN"].write_text("\n".join(_REGIONS) + "\n")
+    save_index(
+        RetrievalIndex([(f"img{i}", [SceneGraph(objects=[name])]) for i, name in enumerate(_NAMES)]),
+        paths["INDEX"],
+    )
+    clean = _invoke(runner, [str(paths.get("CLEAN" if a == "LINES" else a, a)) for a in args])
+    result = _invoke(runner, [str(paths.get(a, a)) for a in args])
+    assert clean.exit_code == 0
+    assert result.exit_code == 2
+    assert "Traceback" not in result.stderr
+    warnings = [line for line in result.stderr.splitlines() if line.startswith("warning: ")]
+    assert len(warnings) == 1
+    assert warnings[0].startswith(f"warning: {paths['LINES']}:2: ")
+    # stats counts the line it skipped; everything else reads as if it were not there
+    assert result.stdout == clean.stdout.replace('"skipped_lines": 0', '"skipped_lines": 1')
 
 
 def test_retrieve_empty_queries(runner, tmp_path):

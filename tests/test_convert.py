@@ -1,9 +1,12 @@
+import itertools
 import random
 import re
 import sys
 import textwrap
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amrsg.amr import Constant, parse_penman
 from amrsg.convert import (
@@ -299,6 +302,40 @@ def test_adapter_malformed_reply_keeps_child_and_alignment(tmp_path, bad_reply):
         # the same child answers on, one reply per request; a CRLF ending is accepted
         assert adapter.request("(z0 / cat)") == "( reply1 )"
         assert adapter.request("(z0 / cat)") == "( reply2 )"
+
+
+def test_slow_adapter_never_returns_a_stale_reply(tmp_path):
+    cmd = _write_stub(
+        tmp_path,
+        "slow.py",
+        """
+        import sys, time
+        for line in sys.stdin:
+            tag, delay = line.split()
+            time.sleep(float(delay))
+            print(tag, flush=True)
+        """,
+    )
+    tags = itertools.count()
+    outcomes = set()
+    with ExternalAdapter(cmd, timeout=0.2) as adapter:
+
+        # 0.15 s answers just inside the timeout, 0.3 s after it
+        @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+        @given(st.lists(st.sampled_from([0.0, 0.15, 0.3]), min_size=1, max_size=3))
+        def every_reply_answers_its_own_request(delays):
+            for delay in delays:
+                tag = str(next(tags))
+                try:
+                    reply = adapter.request(f"{tag} {delay}")
+                except AdapterTimeout:
+                    outcomes.add("timeout")
+                    continue
+                outcomes.add("reply")
+                assert reply == tag
+
+        every_reply_answers_its_own_request()
+    assert outcomes == {"reply", "timeout"}
 
 
 def test_adapter_rejects_bad_timeout():

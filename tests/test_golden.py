@@ -4,7 +4,7 @@ Each case runs one CLI command from inside that directory, so paths in
 diagnostics stay relative, and compares exit code, stdout and stderr byte for
 byte with the files under ``tests/golden/expected/``. Those files hold the
 output of the CLI as it was before tuple matching became multiset pairing,
-with three deliberate changes since:
+with these deliberate changes since:
 
 - the ``matches`` field of ``eval --per-region``: this test lets the pairs
   differ, but not their number;
@@ -14,7 +14,17 @@ with three deliberate changes since:
   split it at its spaces;
 - ``retrieve_bad_index.stderr`` names the line of the first bad index line
   (``line 1: 'regions'``), since the index is read by the same JSONL reader
-  as the other inputs.
+  as the other inputs;
+- every command reports a skipped JSONL line as ``warning: <path>:<line>:
+  <reason>`` and exits 2: ``eval``, ``eval_per_region``, ``export``,
+  ``export_bfs_no_filter``, ``stats`` and ``stats_filtered`` exit 2 where they
+  exited 0; ``export`` and ``export_bfs_no_filter`` name the file where they
+  said ``line N``; ``stats`` and ``stats_filtered`` print the two warnings
+  they left out;
+- a missing key reads ``missing key 'x'`` in every loader: ``'scene_graph'``
+  in ``eval``, ``eval_per_region`` and ``eval_misaligned``,
+  ``"missing key 'scene_graph'"`` in ``export`` and ``export_bfs_no_filter``,
+  and ``line 1: 'regions'`` in ``retrieve_bad_index``.
 """
 
 import json
@@ -42,18 +52,18 @@ CASES = [
     ),
     ("convert_text", ["convert", "graphs.penman"], 2),
     ("convert_jsonl", ["convert", "graphs.penman", "--emit", "jsonl"], 2),
-    ("eval", ["eval", "generated.jsonl", "corpus.jsonl"], 0),
-    ("eval_per_region", ["eval", "generated.jsonl", "corpus.jsonl", "--per-region"], 0),
+    ("eval", ["eval", "generated.jsonl", "corpus.jsonl"], 2),
+    ("eval_per_region", ["eval", "generated.jsonl", "corpus.jsonl", "--per-region"], 2),
     ("retrieve", ["retrieve", "--index", "index.jsonl", "--queries", "queries.jsonl", "--k", "1,2,5"], 0),
     (
         "retrieve_gold",
         ["retrieve", "--index", "index.jsonl", "--queries", "queries.jsonl", "--gold", "gold.json"],
         0,
     ),
-    ("export", ["export", "corpus.jsonl"], 0),
-    ("export_bfs_no_filter", ["export", "corpus.jsonl", "--strategy", "bfs", "--no-filter"], 0),
-    ("stats", ["stats", "corpus.jsonl"], 0),
-    ("stats_filtered", ["stats", "corpus.jsonl", "--filtered"], 0),
+    ("export", ["export", "corpus.jsonl"], 2),
+    ("export_bfs_no_filter", ["export", "corpus.jsonl", "--strategy", "bfs", "--no-filter"], 2),
+    ("stats", ["stats", "corpus.jsonl"], 2),
+    ("stats_filtered", ["stats", "corpus.jsonl", "--filtered"], 2),
     ("vg_convert", ["vg-convert", "vg.json"], 0),
     # fatal errors: message text and exit code
     ("linearize_missing", ["linearize", "missing.penman"], 1),
