@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import shlex
 import sys
 from collections import Counter
 from dataclasses import asdict
@@ -46,7 +47,7 @@ from .retrieval import (
     load_index,
     rank,
 )
-from .scenegraph import GRAMMAR_VERSION, serialize_sg, sg_to_json
+from .scenegraph import GRAMMAR_VERSION, json_typed, serialize_sg, sg_to_json
 
 ADAPTER_ENV_VAR = "AMRSG_ADAPTER"
 
@@ -80,12 +81,8 @@ def _read_text(path: str) -> str:
 
 
 def _read_json(path: str, shape: type):
-    """The JSON document in ``path``; ValueError unless its top level is a
-    ``shape`` (``dict`` or ``list``)."""
-    data = json.loads(_read_text(path))
-    if not isinstance(data, shape):
-        raise ValueError(f"top level is a JSON {type(data).__name__}, not a {shape.__name__}")
-    return data
+    """The JSON document in ``path``; ValueError unless its top level is a ``shape``."""
+    return json_typed(json.loads(_read_text(path)), shape, "top level")
 
 
 def _read_gold(path: str) -> dict[str, str]:
@@ -174,7 +171,14 @@ def cmd_convert(input_path, engine, adapter, timeout, strategy, emit, out):
         command = adapter or os.environ.get(ADAPTER_ENV_VAR)
         if not command:
             _fail(f"--engine external requires --adapter or ${ADAPTER_ENV_VAR}")
-        adapter_proc = ExternalAdapter(command, timeout=timeout)
+        try:
+            argv = shlex.split(command)
+        except ValueError as err:
+            _fail(f"bad --adapter value {command!r}: {err}")
+        try:
+            adapter_proc = ExternalAdapter(argv, timeout=timeout)
+        except ValueError as err:
+            _fail(f"bad --timeout value {timeout!r}: {err}")
 
     def render(graph: AmrGraph, i: int) -> str:
         if adapter_proc is None:

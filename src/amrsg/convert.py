@@ -9,10 +9,10 @@ pairs for fine-tuning such a model.
 from __future__ import annotations
 
 import queue
-import shlex
 import subprocess
 import threading
 from dataclasses import dataclass
+from subprocess import DEVNULL, PIPE
 from typing import Iterable, Sequence
 
 from .amr import (
@@ -167,25 +167,24 @@ class MalformedModelOutput(AdapterError):
 class ExternalAdapter:
     """Line-protocol child process: one request line in, one response line out.
 
-    The child is started lazily and reused across requests. Not safe for
-    concurrent use from multiple callers; create one adapter per worker.
+    ``command`` is an argument list, as for ``subprocess.Popen``. The child is
+    started lazily and reused across requests. Not safe for concurrent use
+    from multiple callers; create one adapter per worker.
     """
 
-    def __init__(self, command: str | Sequence[str], timeout: float = 30.0):
-        if timeout <= 0:
-            raise ValueError("timeout must be positive")
-        self.command = shlex.split(command) if isinstance(command, str) else list(command)
+    def __init__(self, command: Sequence[str], timeout: float = 30.0):
+        if not 0 < timeout <= threading.TIMEOUT_MAX:
+            raise ValueError(f"timeout must be above 0 and at most {threading.TIMEOUT_MAX}")
+        self.command = list(command)
         self.timeout = timeout
         self._proc: subprocess.Popen | None = None
         self._lines: queue.Queue[bytes | None] = queue.Queue()
 
     def _start(self) -> None:
-        self._proc = subprocess.Popen(
-            self.command,
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL,
-        )
+        try:
+            self._proc = subprocess.Popen(self.command, stdin=PIPE, stdout=PIPE, stderr=DEVNULL)
+        except OSError as err:  # not found, not executable, ...
+            raise AdapterCrashed(f"cannot start adapter {self.command!r}: {err.strerror}")
         # A fresh queue per child, so a late line from a killed child never
         # reaches the one that replaces it.
         self._lines = queue.Queue()

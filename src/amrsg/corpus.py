@@ -20,12 +20,14 @@ from typing import Callable, Iterable, Sequence, TypeVar
 from .scenegraph import (
     EmptyAfterNormalization,
     SceneGraph,
+    json_typed,
     normalize,
     sg_from_json,
     sg_to_json,
 )
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
+_STR_OR_NULL = (str, type(None))
 
 T = TypeVar("T")
 
@@ -67,13 +69,17 @@ def json_id(data: dict, key: str) -> str:
     raise ValueError(f"{key} is {json.dumps(value)}, not a non-empty string or an integer")
 
 
+def optional_json_id(data: dict, key: str) -> str:
+    """``json_id(data, key)``, or "" (no id) where ``key`` is absent, null or ""."""
+    return "" if data.get(key) in (None, "") else json_id(data, key)
+
+
 def record_from_json(data: dict) -> RegionRecord:
     image_id, region_id = json_id(data, "image_id"), json_id(data, "region_id")
-    description, amr = data["description"], data.get("amr")
-    if not isinstance(description, str) or not description.strip():
+    description = json_typed(data["description"], str, "description")
+    if not description.strip():
         raise ValueError("empty description")
-    if amr is not None and not isinstance(amr, str):
-        raise ValueError(f"amr is a JSON {type(amr).__name__}, not a string or null")
+    amr = json_typed(data.get("amr"), _STR_OR_NULL, "amr")
     return RegionRecord(image_id, region_id, description, sg_from_json(data["scene_graph"]), amr)
 
 
@@ -90,10 +96,7 @@ def read_jsonl(
             if not line.strip():
                 continue
             try:
-                data = json.loads(line)
-                if not isinstance(data, dict):
-                    raise ValueError(f"a JSON {type(data).__name__}, not an object")
-                items.append(parse(data))
+                items.append(parse(json_typed(json.loads(line), dict, "line")))
             except KeyError as err:
                 errors.append((lineno, f"missing key {err.args[0]!r}"))
             except (TypeError, ValueError) as err:  # SgError is a ValueError
@@ -110,7 +113,7 @@ def load_records(path: str | Path) -> LoadResult:
 def region_graph_from_json(data: dict) -> tuple[str, str, SceneGraph]:
     """A ``{region_id, image_id?, scene_graph}`` line, as ``eval`` and ``retrieve``
     read it: (region id, image id or "" if it is absent, null or "", scene graph)."""
-    image_id = "" if data.get("image_id") in (None, "") else json_id(data, "image_id")
+    image_id = optional_json_id(data, "image_id")
     return json_id(data, "region_id"), image_id, sg_from_json(data["scene_graph"])
 
 
@@ -193,35 +196,28 @@ def corpus_stats(records: Sequence[RegionRecord]) -> CorpusStats:
 # --- Visual Genome region graphs ------------------------------------------
 
 
-_ID = (str, int)
-
-
-def _checked(value, types: type | tuple[type, ...], what: str):
-    """``value`` if it is null or of ``types``; ValueError naming ``what``."""
-    if value is None or isinstance(value, types):
-        return value
-    expected = {str: "a string", list: "a list", _ID: "a string or an integer"}[types]
-    raise ValueError(f"{what} is a JSON {type(value).__name__}, not {expected}")
-
-
-def _vg_object_name(obj: dict, where: str) -> str | None:
-    name = _checked(obj.get("name"), str, f"{where}: name")
-    names = _checked(obj.get("names"), list, f"{where}: names")
-    if not name and names:
-        name = _checked(names[0], str, f"{where}: names[0]")
-    if not name:
-        return None
+def _normalized(term: str | None) -> str | None:
+    """``normalize(term)``, or None where ``term`` is None, empty or nothing after it."""
     try:
-        return normalize(name)
+        return normalize(term) if term else None
     except EmptyAfterNormalization:
         return None
 
 
-def _objects(value, what: str) -> list[dict]:
-    """``value`` if it is a list of JSON objects; ValueError naming ``what``."""
-    if not isinstance(value, list) or not all(isinstance(item, dict) for item in value):
-        raise ValueError(f"{what} is not a list of objects")
-    return value
+def _vg_list(data: dict, key: str, item: type | tuple[type, ...]) -> list:
+    """``data[key]``, absent meaning empty, checked to be a JSON array of ``item``."""
+    items = json_typed(data.get(key, []), list, key)
+    for i, value in enumerate(items):
+        json_typed(value, item, f"{key}[{i}]")
+    return items
+
+
+def _vg_object_name(obj: dict) -> str | None:
+    name = json_typed(obj.get("name"), _STR_OR_NULL, "name")
+    names = json_typed(obj.get("names"), (list, type(None)), "names")
+    if not name and names:
+        name = json_typed(names[0], _STR_OR_NULL, "names[0]")
+    return _normalized(name)
 
 
 def convert_vg_regions(vg_images: Iterable[dict]) -> list[RegionRecord]:
@@ -230,65 +226,48 @@ def convert_vg_regions(vg_images: Iterable[dict]) -> list[RegionRecord]:
     Expected per-image shape: {"image_id", "regions": [{"region_id",
     "phrase", "objects": [{"object_id", "name"/"names", "attributes"?}],
     "relationships": [{"subject_id", "object_id", "predicate"}]}]}.
-    A null id or string field counts as absent. Objects without a usable
-    name, empty attributes and relationships with unresolvable endpoints are
-    skipped. All terms are normalized. Raises ValueError, naming the image by
-    its index, where an image, region, object or relationship is not a JSON
-    object, a list of them is not a list, ``names`` or ``attributes`` is not a
-    list, a phrase, name, attribute or predicate is not a string, or an id is
-    not a string or an integer.
+    Ids follow ``optional_json_id``, so ``1`` and ``"1"`` name the same object;
+    a null string field counts as absent. Regions of an image without an id
+    are skipped, and a region without one gets ``<image_id>_<n>``. Objects
+    without a usable name, empty attributes and relationships with
+    unresolvable endpoints are skipped. All terms are normalized. A bad id or
+    a value of the wrong JSON type is a ValueError naming the image's index.
     """
     records: list[RegionRecord] = []
     for n, image in enumerate(vg_images):
-        if not isinstance(image, dict):
-            raise ValueError(f"image {n} is a JSON {type(image).__name__}, not an object")
-        where = f"image {n}"
-        image_id = _checked(image.get("image_id"), _ID, f"{where}: image_id")
-        image_id = "" if image_id is None else str(image_id)
-        for region in _objects(image.get("regions", []), f"{where}: regions"):
-            phrase = (_checked(region.get("phrase"), str, f"{where}: phrase") or "").strip()
-            if not phrase or not image_id:
-                continue
-            region_id = _checked(region.get("region_id"), _ID, f"{where}: region_id")
-            if region_id is None:
-                region_id = f"{image_id}_{len(records)}"
-            by_id: dict = {}
-            objects: list[str] = []
-            attributes: list[tuple[str, str]] = []
-            for obj in _objects(region.get("objects", []), f"{where}: objects"):
-                object_id = _checked(obj.get("object_id"), _ID, f"{where}: object_id")
-                name = _vg_object_name(obj, where)
-                if name is None:
+        json_typed(image, dict, f"image {n}")
+        try:
+            image_id = optional_json_id(image, "image_id")
+            for region in _vg_list(image, "regions", dict):
+                phrase = (json_typed(region.get("phrase"), _STR_OR_NULL, "phrase") or "").strip()
+                if not phrase or not image_id:
                     continue
-                if object_id is not None:
-                    by_id[object_id] = name
-                objects.append(name)
-                attrs = obj.get("attributes", [])
-                if not isinstance(attrs, list):
-                    raise ValueError(f"{where}: attributes is not a list")
-                for attr in attrs:
-                    attr = _checked(attr, str, f"{where}: attribute")
-                    try:
-                        attributes.append((name, normalize(attr or "")))
-                    except EmptyAfterNormalization:
-                        continue
-            relations: list[tuple[str, str, str]] = []
-            for rel in _objects(region.get("relationships", []), f"{where}: relationships"):
-                subj = by_id.get(_checked(rel.get("subject_id"), _ID, f"{where}: subject_id"))
-                obj = by_id.get(_checked(rel.get("object_id"), _ID, f"{where}: object_id"))
-                pred = _checked(rel.get("predicate"), str, f"{where}: predicate")
-                if subj is None or obj is None or not pred:
-                    continue
-                try:
-                    relations.append((subj, normalize(pred), obj))
-                except EmptyAfterNormalization:
-                    continue
-            records.append(
-                RegionRecord(
-                    image_id=image_id,
-                    region_id=str(region_id),
-                    description=phrase,
-                    scene_graph=SceneGraph(objects, attributes, relations),
-                )
-            )
+                region_id = optional_json_id(region, "region_id") or f"{image_id}_{len(records)}"
+                records.append(RegionRecord(image_id, region_id, phrase, _vg_scene_graph(region)))
+        except ValueError as err:
+            raise ValueError(f"image {n}: {err}") from None
     return records
+
+
+def _vg_scene_graph(region: dict) -> SceneGraph:
+    by_id: dict[str, str] = {}
+    objects: list[str] = []
+    attributes: list[tuple[str, str]] = []
+    for obj in _vg_list(region, "objects", dict):
+        object_id, name = optional_json_id(obj, "object_id"), _vg_object_name(obj)
+        if name is None:
+            continue
+        if object_id:
+            by_id[object_id] = name
+        objects.append(name)
+        for attr in _vg_list(obj, "attributes", _STR_OR_NULL):
+            if attr := _normalized(attr):
+                attributes.append((name, attr))
+    relations: list[tuple[str, str, str]] = []
+    for rel in _vg_list(region, "relationships", dict):
+        subj = by_id.get(optional_json_id(rel, "subject_id"))
+        obj = by_id.get(optional_json_id(rel, "object_id"))
+        pred = _normalized(json_typed(rel.get("predicate"), _STR_OR_NULL, "predicate"))
+        if subj and obj and pred:
+            relations.append((subj, pred, obj))
+    return SceneGraph(objects, attributes, relations)

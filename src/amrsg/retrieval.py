@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .corpus import json_id, read_jsonl
 from .evaluate import f_score
-from .scenegraph import SceneGraph, sg_from_json, sg_to_json
+from .scenegraph import SceneGraph, json_typed, sg_from_json, sg_to_json
 
 
 class UnknownGoldImage(ValueError):
@@ -98,7 +98,8 @@ def save_index(index: RetrievalIndex, path: str | Path) -> None:
 
 
 def _image_from_json(data: dict) -> tuple[str, list[SceneGraph]]:
-    return json_id(data, "image_id"), [sg_from_json(r) for r in data["regions"]]
+    regions = json_typed(data["regions"], list, "regions")
+    return json_id(data, "image_id"), [sg_from_json(r) for r in regions]
 
 
 def load_index(path: str | Path) -> RetrievalIndex:

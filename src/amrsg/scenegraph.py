@@ -182,13 +182,28 @@ def sg_to_json(sg: SceneGraph) -> dict:
     }
 
 
+# JSON's name for each Python type that json.loads returns, and the wording of an expected one
+_JSON_NAMES = {"dict": "object", "list": "array", "str": "string", "int": "number",
+               "float": "number", "bool": "boolean", "NoneType": "null"}
+_EXPECTED = {dict: "an object", list: "an array", str: "a string", type(None): "null"}
+
+
+def json_typed(value, types: type | tuple[type, ...], what: str, error: type = ValueError):
+    """``value`` if it is an instance of ``types``, else ``error`` reading
+    ``<what> is a JSON <type>, not <expected>``: the type rule of every JSON reader."""
+    if isinstance(value, types):
+        return value
+    expected = " or ".join(_EXPECTED[t] for t in (types if isinstance(types, tuple) else (types,)))
+    name = type(value).__name__
+    raise error(f"{what} is a JSON {_JSON_NAMES.get(name, name)}, not {expected}")
+
+
 _SECTIONS = {"objects": ObjectTuple, "attributes": AttributeTuple, "relations": RelationTuple}
 
 
 def sg_from_json(data: dict) -> SceneGraph:
-    """Inverse of sg_to_json; SgError for a section of any other shape."""
-    if not isinstance(data, dict):
-        raise SgError(f"scene graph is a JSON {type(data).__name__}, not an object")
+    """Inverse of sg_to_json; SgError for any other JSON value."""
+    json_typed(data, dict, "scene graph", SgError)
     sections = []
     for key, kind in _SECTIONS.items():
         items, arity = data.get(key, []), len(kind._fields)

@@ -173,6 +173,30 @@ def test_convert_external_restarts_an_exited_adapter(runner, tmp_path):
     assert "exited with status 3" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "options,message,exit_code",
+    [
+        (["--adapter", "cat", "--timeout", "-1"], "error: bad --timeout value -1.0: ", 1),
+        (["--adapter", "cat", "--timeout", "0"], "error: bad --timeout value 0.0: ", 1),
+        (["--adapter", "cat", "--timeout", "inf"], "error: bad --timeout value inf: ", 1),
+        (["--adapter", "cat", "--timeout", "nan"], "error: bad --timeout value nan: ", 1),
+        (["--adapter", '"unclosed'], "error: bad --adapter value '\"unclosed': No closing quotation", 1),
+        (["--adapter", "MISSING"], "error: graph 0: cannot start adapter ", 2),
+        (["--adapter", "DIRECTORY"], "error: graph 0: cannot start adapter ", 2),
+    ],
+    ids=["timeout-negative", "timeout-0", "timeout-inf", "timeout-nan", "unclosed-quote"]
+    + ["not-found", "directory"],
+)
+def test_adapter_that_cannot_run_is_a_diagnostic(runner, tmp_path, options, message, exit_code):
+    path = _penman_file(tmp_path, ["(z0 / dog)"])
+    paths = {"MISSING": str(tmp_path / "missing"), "DIRECTORY": str(tmp_path)}
+    result = _invoke(runner, ["convert", path, "--engine", "external", *[paths.get(o, o) for o in options]])
+    assert result.exit_code == exit_code
+    assert result.stderr.startswith(message)
+    assert result.stderr.count("\n") == 1
+    assert result.stdout == ""
+
+
 @pytest.mark.parametrize("command", [["linearize"], ["convert"]])
 def test_too_deep_graph_is_an_error_and_later_graphs_survive(runner, tmp_path, command):
     deep = " :ARG0 ".join(f"(z{i} / n" for i in range(1000)) + ")" * 1000
@@ -371,6 +395,17 @@ def _record_line(**fields) -> str:
     return json.dumps({**line, **fields}) + "\n"
 
 
+def _run_on_bad_file(runner, tmp_path, content, args):
+    """``args`` run with BAD holding ``content``, INDEX a one-image index and
+    QUERIES one query of that image; returns the result and BAD's path."""
+    paths = {name: tmp_path / name.lower() for name in ("BAD", "INDEX", "QUERIES")}
+    paths["BAD"].write_text(content)
+    save_index(RetrievalIndex([("img1", [SceneGraph(objects=["a"])])]), paths["INDEX"])
+    query = {"region_id": "q1", "image_id": "img1", "scene_graph": {}}
+    paths["QUERIES"].write_text(json.dumps(query) + "\n")
+    return _invoke(runner, [str(paths[a]) if a in paths else a for a in args]), paths["BAD"]
+
+
 @pytest.mark.parametrize(
     "content,args",
     [
@@ -443,24 +478,121 @@ def _record_line(**fields) -> str:
     ],
 )
 def test_wrong_shape_json_is_an_error(runner, tmp_path, content, args):
-    from amrsg.scenegraph import sg_to_json
-
-    paths = {name: tmp_path / name.lower() for name in ("BAD", "INDEX", "QUERIES")}
-    paths["BAD"].write_text(content)
-    save_index(RetrievalIndex([("img1", [SceneGraph(objects=["a"])])]), paths["INDEX"])
-    paths["QUERIES"].write_text(
-        json.dumps({"region_id": "q1", "image_id": "img1", "scene_graph": sg_to_json(SceneGraph())})
-        + "\n"
-    )
-    result = _invoke(runner, [str(paths[a]) if a in paths else a for a in args])
+    result, bad = _run_on_bad_file(runner, tmp_path, content, args)
     if args[0] == "export":  # a bad corpus line is skipped, not fatal
         assert result.exit_code == 2
-        assert result.stderr.startswith(f"warning: {paths['BAD']}:1: amr is a JSON ")
+        assert result.stderr.startswith(f"warning: {bad}:1: amr is a JSON ")
     else:
         assert result.exit_code == 1
         assert result.stderr.startswith("error: cannot ")
-    assert str(paths["BAD"]) in result.stderr
+    assert str(bad) in result.stderr
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "content,args,message",
+    [
+        (_record_line(description=5), ["stats", "BAD"], "BAD:1: description is a JSON number, not a string"),
+        ("[1]\n", ["stats", "BAD"], "BAD:1: line is a JSON array, not an object"),
+        (_record_line(amr=["x"]), ["export", "BAD"], "BAD:1: amr is a JSON array, not a string or null"),
+        (
+            json.dumps({"region_id": "q1", "scene_graph": "dog"}) + "\n",
+            ["eval", "BAD", "BAD"],
+            "BAD:1: scene graph is a JSON string, not an object",
+        ),
+        (_index(regions=5), _BAD_INDEX, "BAD: line 1: regions is a JSON number, not an array"),
+        (
+            '["q1", "img1"]',
+            ["retrieve", "--index", "INDEX", "--queries", "QUERIES", "--gold", "BAD"],
+            "BAD: top level is a JSON array, not an object",
+        ),
+        ("{}", ["vg-convert", "BAD"], "BAD: top level is a JSON object, not an array"),
+        ("[null]", ["vg-convert", "BAD"], "BAD: image 0 is a JSON null, not an object"),
+        ('[{"regions": 5}]', ["vg-convert", "BAD"], "BAD: image 0: regions is a JSON number, not an array"),
+        (
+            _vg_region(objects=[True]),
+            ["vg-convert", "BAD"],
+            "BAD: image 0: objects[0] is a JSON boolean, not an object",
+        ),
+        (
+            _vg_region(objects=[{"name": "dog", "attributes": ["big", 1.5]}]),
+            ["vg-convert", "BAD"],
+            "BAD: image 0: attributes[1] is a JSON number, not a string or null",
+        ),
+        (
+            _vg_region(objects=[{"names": "dog"}]),
+            ["vg-convert", "BAD"],
+            "BAD: image 0: names is a JSON string, not an array or null",
+        ),
+    ],
+    ids=[
+        "record-description",
+        "record-line",
+        "record-amr",
+        "eval-scene-graph",
+        "index-regions",
+        "gold-top-level",
+        "vg-top-level",
+        "vg-image",
+        "vg-regions",
+        "vg-object",
+        "vg-attribute",
+        "vg-names",
+    ],
+)
+def test_a_wrong_json_type_has_one_message_form(runner, tmp_path, content, args, message):
+    result, bad = _run_on_bad_file(runner, tmp_path, content, args)
+    assert result.exit_code in (1, 2)
+    assert message.replace("BAD", str(bad)) in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def _vg_dog_on_mat() -> list:
+    objects = [{"object_id": 1, "name": "dog"}, {"object_id": 2, "name": "mat"}]
+    relationship = {"subject_id": 1, "object_id": 2, "predicate": "on"}
+    region = {"region_id": 5, "phrase": "a dog on a mat", "objects": objects, "relationships": [relationship]}
+    return [{"image_id": 1, "regions": [region]}]
+
+
+_RELATIONSHIP = ("regions", 0, "relationships", 0)
+
+
+@pytest.mark.parametrize(
+    "where,key",
+    [
+        ((), "image_id"),
+        (("regions", 0), "region_id"),
+        (("regions", 0, "objects", 0), "object_id"),
+        (_RELATIONSHIP, "subject_id"),
+        (_RELATIONSHIP, "object_id"),
+    ],
+    ids=["image", "region", "object", "subject", "relationship-object"],
+)
+def test_vg_convert_boolean_id_is_an_error(runner, tmp_path, where, key):
+    vg = _vg_dog_on_mat()
+    item = vg[0]
+    for step in where:
+        item = item[step]
+    item[key] = True
+    path = tmp_path / "vg.json"
+    path.write_text(json.dumps(vg))
+    result = _invoke(runner, ["vg-convert", str(path)])
+    assert result.exit_code == 1
+    reason = f"{key} is true, not a non-empty string or an integer"
+    assert result.stderr == f"error: cannot read {path}: image 0: {reason}\n"
+    assert result.stdout == ""
+
+
+def test_vg_convert_empty_region_id_gets_one_that_stats_reads(runner, tmp_path):
+    vg = _vg_dog_on_mat()
+    vg[0]["regions"][0]["region_id"] = ""
+    vg_path, out_path = tmp_path / "vg.json", tmp_path / "corpus.jsonl"
+    vg_path.write_text(json.dumps(vg))
+    assert _invoke(runner, ["vg-convert", str(vg_path), "--out", str(out_path)]).exit_code == 0
+    assert json.loads(out_path.read_text())["region_id"] == "1_0"
+    result = _invoke(runner, ["stats", str(out_path)])
+    assert result.exit_code == 0
+    assert json.loads(result.stdout)["skipped_lines"] == 0
 
 
 @pytest.mark.parametrize("bad_id", [None, "", 1.5, True, [1]], ids=["null", "empty", "float", "boolean", "array"])

@@ -3,6 +3,7 @@ import random
 import re
 import sys
 import textwrap
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -341,6 +342,26 @@ def test_slow_adapter_never_returns_a_stale_reply(tmp_path):
 def test_adapter_rejects_bad_timeout():
     with pytest.raises(ValueError):
         ExternalAdapter(["true"], timeout=0)
+
+
+@pytest.mark.parametrize(
+    "timeout",
+    [-1.0, float("inf"), float("nan"), threading.TIMEOUT_MAX * 2],
+    ids=["negative", "inf", "nan", "above-max"],
+)
+def test_adapter_timeout_is_above_0_and_at_most_timeout_max(timeout):
+    with pytest.raises(ValueError):
+        ExternalAdapter(["true"], timeout=timeout)
+    ExternalAdapter(["true"], timeout=threading.TIMEOUT_MAX).close()
+
+
+@pytest.mark.parametrize("missing", [True, False], ids=["not-found", "a-directory"])
+def test_adapter_that_cannot_start_is_a_crash(tmp_path, missing):
+    command = [str(tmp_path / "missing" if missing else tmp_path)]
+    with ExternalAdapter(command, timeout=10) as adapter:
+        for _ in range(2):  # each request tries a fresh start
+            with pytest.raises(AdapterCrashed, match=r"^cannot start adapter \["):
+                adapter.request("(z0 / dog)")
 
 
 # --- training-pair export ----------------------------------------------------

@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amrsg.amr import parse_penman
 from amrsg.corpus import (
@@ -10,11 +12,13 @@ from amrsg.corpus import (
     corpus_stats,
     filter_ungrounded,
     load_records,
+    record_from_json,
     record_to_json,
     save_records,
 )
-from amrsg.scenegraph import SceneGraph
+from amrsg.scenegraph import RelationTuple, SceneGraph
 from helpers import FIG1_PENMAN
+from test_scenegraph import _ANY_FIELD, _RULE_FIELD
 
 
 def _record(image_id="1", region_id="1_0", description="A dog", objects=("dog",), **kw):
@@ -302,3 +306,60 @@ def test_vg_convert_null_fields_count_as_absent():
     (record,) = convert_vg_regions(vg)
     assert (record.image_id, record.region_id) == ("0", "0_0")
     assert record.scene_graph == SceneGraph(objects=["dog"], attributes=[("dog", "big")])
+
+
+def test_vg_convert_ids_follow_the_record_id_rule():
+    objects = [
+        {"object_id": 1, "name": "dog"},
+        {"object_id": "", "name": "cat"},
+        {"object_id": "2", "name": "mat"},
+    ]
+    relationships = [
+        {"subject_id": "1", "object_id": 2, "predicate": "on"},
+        {"subject_id": "", "object_id": 2, "predicate": "near"},
+    ]
+    region = {"region_id": "", "phrase": "a dog on a mat", "objects": objects, "relationships": relationships}
+    (record,) = convert_vg_regions([{"image_id": 1, "regions": [region]}])
+    assert (record.image_id, record.region_id) == ("1", "1_0")
+    assert record.scene_graph.relations == (RelationTuple("dog", "on", "mat"),)
+
+
+# Ids of every kind the id rule names: booleans are errors, null and "" no id.
+_VG_ID = st.sampled_from([None, "", True, False]) | st.integers() | st.text(min_size=1, max_size=3)
+_VG_FIELD = _RULE_FIELD | _ANY_FIELD | st.none()
+_VG_OBJECT = st.fixed_dictionaries(
+    {"object_id": _VG_ID, "name": _VG_FIELD, "attributes": st.lists(_VG_FIELD, max_size=2)},
+    optional={"names": st.lists(_VG_FIELD, max_size=2)},
+)
+
+
+@st.composite
+def _vg_region(draw) -> dict:
+    objects = draw(st.lists(_VG_OBJECT, max_size=3))
+    # endpoints name the region's objects, an integer id also by its string, or nothing
+    ids = [o["object_id"] for o in objects]
+    endpoint = st.sampled_from(ids + [str(i) for i in ids if type(i) is int] + [None, ""])
+    relationship = st.fixed_dictionaries(
+        {"subject_id": endpoint, "object_id": endpoint, "predicate": _VG_FIELD}
+    )
+    return {
+        "region_id": draw(_VG_ID),
+        "phrase": draw(_VG_FIELD),
+        "objects": objects,
+        "relationships": draw(st.lists(relationship, max_size=3)),
+    }
+
+
+_VG_IMAGE = st.fixed_dictionaries({"image_id": _VG_ID, "regions": st.lists(_vg_region(), max_size=2)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_VG_IMAGE, max_size=2))
+def test_every_vg_record_reads_back_unchanged(images):
+    try:
+        records = convert_vg_regions(images)
+    except ValueError as err:  # only a boolean id breaks the rules here
+        assert " is true, " in str(err) or " is false, " in str(err)
+        return
+    for record in records:
+        assert record_from_json(record_to_json(record)) == record
