@@ -13,7 +13,7 @@ from .linearize import (
     linearize_dfs,
     linearize_inorder,
 )
-from .retrieval import RetrievalIndex, aggregate_metrics, rank, score_image
+from .retrieval import RetrievalIndex, aggregate_metrics, rank
 from .scenegraph import (
     AttributeTuple,
     ObjectTuple,
@@ -53,7 +53,6 @@ __all__ = [
     "parse_penman",
     "parse_sg_text",
     "rank",
-    "score_image",
     "serialize_penman",
     "serialize_sg",
     "to_tuples",

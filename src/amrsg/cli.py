@@ -253,6 +253,8 @@ def cmd_retrieve(index_path, queries_path, gold_path, ks, out):
     try:
         cutoffs = [int(k) for k in ks.split(",") if k.strip()]
     except ValueError:
+        cutoffs = []
+    if not cutoffs or min(cutoffs) < 1:
         _fail(f"bad --k value {ks!r}")
     index = _load(load_index, index_path, "load index")
     gold_map = _load(_read_gold, gold_path, "load gold mapping") if gold_path else None

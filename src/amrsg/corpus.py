@@ -230,10 +230,13 @@ def convert_vg_regions(vg_images: Iterable[dict]) -> list[RegionRecord]:
     a null string field counts as absent. Regions of an image without an id
     are skipped, and a region without one gets ``<image_id>_<n>``. Objects
     without a usable name, empty attributes and relationships with
-    unresolvable endpoints are skipped. All terms are normalized. A bad id or
-    a value of the wrong JSON type is a ValueError naming the image's index.
+    unresolvable endpoints are skipped. All terms are normalized. A bad id, a
+    value of the wrong JSON type or a region id that an earlier region of the
+    file already has, given or generated, is a ValueError naming the image's
+    index.
     """
     records: list[RegionRecord] = []
+    region_ids: set[str] = set()
     for n, image in enumerate(vg_images):
         json_typed(image, dict, f"image {n}")
         try:
@@ -243,6 +246,9 @@ def convert_vg_regions(vg_images: Iterable[dict]) -> list[RegionRecord]:
                 if not phrase or not image_id:
                     continue
                 region_id = optional_json_id(region, "region_id") or f"{image_id}_{len(records)}"
+                if region_id in region_ids:
+                    raise ValueError(f"duplicate region id {region_id!r}")
+                region_ids.add(region_id)
                 records.append(RegionRecord(image_id, region_id, phrase, _vg_scene_graph(region)))
         except ValueError as err:
             raise ValueError(f"image {n}: {err}") from None

@@ -4,18 +4,22 @@ query and report Recall@k and median rank.
 An image's score for a query is the best F1 over its region scene graphs
 (a query describes a single region). Ranking is score-descending with ties
 broken by ascending image id, so results are reproducible.
+
+``RetrievalIndex`` builds an inverted tuple index once, so ``rank`` scores
+only the regions that share a tuple with the query; the rankings are those of
+running ``evaluate.f_score`` on every region.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 from .corpus import json_id, read_jsonl
-from .evaluate import f_score
-from .scenegraph import SceneGraph, json_typed, sg_from_json, sg_to_json
+from .scenegraph import SceneGraph, SgTuple, json_typed, sg_from_json, sg_to_json, to_tuples
 
 
 class UnknownGoldImage(ValueError):
@@ -27,7 +31,16 @@ class EmptyResults(ValueError):
 
 
 class RetrievalIndex:
-    """Immutable collection of (image id, region scene graphs)."""
+    """Immutable collection of (image id, region scene graphs), plus the
+    inverted tuple index that ``rank`` reads, built once here.
+
+    Images are numbered in image id order, regions in index order.
+    ``_postings`` maps each tuple to the numbers of the regions holding it, a
+    region once per occurrence, so a region's repeats are adjacent.
+    ``_region_size`` and ``_region_image`` give each region's tuple count and
+    image number; ``_with_empty_region`` numbers the images with an empty
+    region.
+    """
 
     def __init__(self, images: Sequence[tuple[str, Sequence[SceneGraph]]]):
         seen = set()
@@ -40,6 +53,32 @@ class RetrievalIndex:
         self.images: tuple[tuple[str, tuple[SceneGraph, ...]], ...] = tuple(
             (image_id, tuple(regions)) for image_id, regions in images
         )
+        self._sorted_ids = sorted(seen)
+        self._image_number = {image_id: k for k, image_id in enumerate(self._sorted_ids)}
+        postings: dict[SgTuple, list[int]] = {}
+        get = postings.get
+        sizes: list[int] = []
+        owners: list[int] = []
+        empty: list[int] = []
+        for image_id, regions in self.images:
+            image = self._image_number[image_id]
+            for region in regions:
+                number = len(sizes)
+                tuples = region.objects + region.attributes + region.relations
+                for t in tuples:
+                    numbers = get(t)
+                    if numbers is None:
+                        postings[t] = [number]
+                    else:
+                        numbers.append(number)
+                sizes.append(len(tuples))
+                owners.append(image)
+                if not tuples:
+                    empty.append(image)
+        self._postings = postings
+        self._region_size = sizes
+        self._region_image = owners
+        self._with_empty_region = empty
 
     def image_ids(self) -> list[str]:
         return [image_id for image_id, _ in self.images]
@@ -53,9 +92,44 @@ class RankedResult:
     gold_rank: int  # 1-based
 
 
-def score_image(query: SceneGraph, regions: Sequence[SceneGraph]) -> float:
-    """Best per-region F1; the best-matching region defines the image score."""
-    return max(f_score(query, region).f1 for region in regions)
+def _image_scores(query: SceneGraph, index: RetrievalIndex) -> list[float]:
+    """Every image's best region F1, by image number.
+
+    Only regions on the query tuples' postings are scored; every other region
+    shares no tuple with the query and scores 0. A region's overlap is the
+    multiset intersection size: each posting counts up to the tuple's query
+    multiplicity. F1 uses ``f_score``'s float expression, so each score
+    equals ``f_score``'s exactly.
+    """
+    scores = [0.0] * len(index._sorted_ids)
+    wanted = Counter(to_tuples(query))
+    if not wanted:
+        # both empty: F1 = 1; an empty query scores 0 on any other region
+        for image in index._with_empty_region:
+            scores[image] = 1.0
+        return scores
+    overlap: dict[int, int] = {}
+    get = overlap.get
+    for t, cap in wanted.items():
+        last, run = -1, 0
+        for number in index._postings.get(t, ()):
+            if number != last:
+                last, run = number, 1
+            elif run < cap:
+                run += 1
+            else:
+                continue
+            overlap[number] = get(number, 0) + 1
+    g_size = sum(wanted.values())
+    sizes, owners = index._region_size, index._region_image
+    for number, m in overlap.items():
+        p = m / g_size
+        rec = m / sizes[number]
+        f1 = 2 * p * rec / (p + rec)
+        image = owners[number]
+        if f1 > scores[image]:
+            scores[image] = f1
+    return scores
 
 
 def rank(
@@ -64,13 +138,15 @@ def rank(
     gold_image_id: str,
     query_id: str = "",
 ) -> RankedResult:
-    """Score every image, sort descending (ties by ascending image id)."""
-    scored = [(image_id, score_image(query, regions)) for image_id, regions in index.images]
-    scored.sort(key=lambda item: (-item[1], item[0]))
-    for gold_rank, (image_id, _) in enumerate(scored, start=1):
-        if image_id == gold_image_id:
-            return RankedResult(query_id, tuple(scored), gold_image_id, gold_rank)
-    raise UnknownGoldImage(f"gold image {gold_image_id!r} not in index")
+    """Rank every image, score descending (ties by ascending image id)."""
+    gold = index._image_number.get(gold_image_id)
+    if gold is None:
+        raise UnknownGoldImage(f"gold image {gold_image_id!r} not in index")
+    scores = _image_scores(query, index)
+    # image numbers follow image ids, and a stable sort keeps ties in that order
+    order = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
+    ranking = tuple(zip(map(index._sorted_ids.__getitem__, order), map(scores.__getitem__, order)))
+    return RankedResult(query_id, ranking, gold_image_id, order.index(gold) + 1)
 
 
 def aggregate_metrics(results: Sequence[RankedResult], ks: Sequence[int] = (5, 10)) -> dict:

@@ -9,6 +9,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from amrsg.amr import AmrEdge, AmrGraph, Constant, children_index
+from amrsg.evaluate import f_score
 from amrsg.scenegraph import AttributeTuple, ObjectTuple, RelationTuple, SceneGraph
 
 CONCEPTS = ["dog", "cat", "snow", "tree", "person", "umbrella", "gold", "retriever", "car", "house"]
@@ -121,6 +122,17 @@ def multiset_intersection_size(g_tuples, r_tuples) -> int:
     """Matching-size oracle, valid under exact-equality compatibility."""
     gc, rc = Counter(g_tuples), Counter(r_tuples)
     return sum(min(count, rc[t]) for t, count in gc.items())
+
+
+def score_image(query: SceneGraph, regions) -> float:
+    """Brute-force image score: ``f_score`` on every region, the best F1."""
+    return max(f_score(query, region).f1 for region in regions)
+
+
+def brute_force_ranking(query: SceneGraph, index) -> list[tuple[str, float]]:
+    """Every image of a RetrievalIndex by score_image, sorted by (-score, id)."""
+    scored = [(image_id, score_image(query, regions)) for image_id, regions in index.images]
+    return sorted(scored, key=lambda item: (-item[1], item[0]))
 
 
 def normalize_oracle(term: str) -> str:

@@ -27,6 +27,7 @@ from amrsg.retrieval import RetrievalIndex, aggregate_metrics, rank
 from amrsg.scenegraph import ObjectTuple, SceneGraph
 from helpers import (
     FIG1_PENMAN,
+    brute_force_ranking,
     multiset_intersection_size,
     random_graph,
     random_scene_graph,
@@ -174,13 +175,7 @@ def test_criterion_7_retrieval_sanity():
         query = SceneGraph(objects=rng.sample(shared, rng.randint(1, 4)))
         gold = f"img{rng.randrange(100):03d}"
         result = rank(query, index, gold)
-        oracle = sorted(
-            (
-                (image_id, max(f_score(query, region).f1 for region in regions))
-                for image_id, regions in index.images
-            ),
-            key=lambda item: (-item[1], item[0]),
-        )
+        oracle = brute_force_ranking(query, index)
         assert list(result.ranking) == oracle
         assert result.gold_rank == [img for img, _ in oracle].index(gold) + 1
     elapsed = time.perf_counter() - start

@@ -373,6 +373,24 @@ def test_retrieve_skips_malformed_query_line(runner, tmp_path, bad_line):
     assert json.loads(result.stdout) == {"recall_at": {"1": 0.5}, "median_rank": 1}
 
 
+@pytest.mark.parametrize("ks", ["x", "0,-2", ","])
+def test_retrieve_bad_k_is_an_error(runner, tmp_path, ks):
+    from amrsg.scenegraph import sg_to_json
+
+    index_path = tmp_path / "index.jsonl"
+    save_index(RetrievalIndex([("img1", [SceneGraph(objects=["a"])])]), index_path)
+    queries_path = tmp_path / "queries.jsonl"
+    queries_path.write_text(
+        json.dumps({"region_id": "q1", "image_id": "img1", "scene_graph": sg_to_json(SceneGraph(objects=["a"]))})
+        + "\n"
+    )
+    args = ["retrieve", "--index", str(index_path), "--queries", str(queries_path), "--k", ks]
+    result = _invoke(runner, args)
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == f"error: bad --k value {ks!r}\n"
+
+
 _DOG = {"object_id": 1, "name": "dog"}
 
 
@@ -580,6 +598,24 @@ def test_vg_convert_boolean_id_is_an_error(runner, tmp_path, where, key):
     assert result.exit_code == 1
     reason = f"{key} is true, not a non-empty string or an integer"
     assert result.stderr == f"error: cannot read {path}: image 0: {reason}\n"
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "regions,region_id",
+    [
+        ([{"phrase": "a dog"}, {"region_id": "7_0", "phrase": "a cat"}], "7_0"),
+        ([{"region_id": "7_1", "phrase": "a dog"}, {"phrase": "a cat"}], "7_1"),
+        ([{"region_id": 5, "phrase": "a dog"}, {"region_id": "5", "phrase": "a cat"}], "5"),
+    ],
+    ids=["generated-then-given", "given-then-generated", "given-twice"],
+)
+def test_vg_convert_duplicate_region_id_is_an_error(runner, tmp_path, regions, region_id):
+    path = tmp_path / "vg.json"
+    path.write_text(json.dumps([{"image_id": 7, "regions": regions}]))
+    result = _invoke(runner, ["vg-convert", str(path)])
+    assert result.exit_code == 1
+    assert result.stderr == f"error: cannot read {path}: image 0: duplicate region id {region_id!r}\n"
     assert result.stdout == ""
 
 

@@ -358,8 +358,9 @@ _VG_IMAGE = st.fixed_dictionaries({"image_id": _VG_ID, "regions": st.lists(_vg_r
 def test_every_vg_record_reads_back_unchanged(images):
     try:
         records = convert_vg_regions(images)
-    except ValueError as err:  # only a boolean id breaks the rules here
-        assert " is true, " in str(err) or " is false, " in str(err)
+    except ValueError as err:  # only a boolean id or a repeated region id breaks the rules here
+        assert " is true, " in str(err) or " is false, " in str(err) or "duplicate region id" in str(err)
         return
+    assert len({record.region_id for record in records}) == len(records)
     for record in records:
         assert record_from_json(record_to_json(record)) == record

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amrsg.evaluate import f_score
 from amrsg.retrieval import (
@@ -12,10 +14,9 @@ from amrsg.retrieval import (
     load_index,
     rank,
     save_index,
-    score_image,
 )
-from amrsg.scenegraph import SceneGraph
-from helpers import random_scene_graph
+from amrsg.scenegraph import AttributeTuple, ObjectTuple, RelationTuple, SceneGraph
+from helpers import brute_force_ranking, random_scene_graph, score_image
 
 
 def _sg(*names):
@@ -98,16 +99,62 @@ def test_rank_matches_brute_force_oracle():
         query = random_scene_graph(rng)
         gold = f"img{rng.randrange(50):03d}"
         result = rank(query, index, gold)
-        # brute force: score every region of every image, full sort
-        oracle = sorted(
-            (
-                (image_id, max(f_score(query, region).f1 for region in regions))
-                for image_id, regions in index.images
-            ),
-            key=lambda item: (-item[1], item[0]),
-        )
+        oracle = brute_force_ranking(query, index)
         assert list(result.ranking) == oracle
         assert result.gold_rank == [img for img, _ in oracle].index(gold) + 1
+
+
+# A vocabulary this small repeats tuples within a graph, so the min-count cap
+# of the overlap is exercised on both sides; an empty list is an empty graph.
+_TUPLE = st.sampled_from(
+    [
+        ObjectTuple("dog"),
+        ObjectTuple("cat"),
+        AttributeTuple("dog", "red"),
+        AttributeTuple("cat", "red"),
+        RelationTuple("dog", "on", "cat"),
+    ]
+)
+_GRAPH = st.lists(_TUPLE, max_size=5).map(
+    lambda ts: SceneGraph(
+        [t for t in ts if len(t) == 1], [t for t in ts if len(t) == 2], [t for t in ts if len(t) == 3]
+    )
+)
+
+
+@st.composite
+def _index(draw) -> RetrievalIndex:
+    """Random images plus copies of some of them, so that scores tie, under
+    shuffled ids, so that the id tie-break decides between the copies."""
+    images = draw(st.lists(st.lists(_GRAPH, min_size=1, max_size=3), min_size=1, max_size=6))
+    images += [images[i] for i in draw(st.lists(st.integers(0, len(images) - 1), max_size=3))]
+    ids = draw(st.permutations([f"img{i}" for i in range(len(images))]))
+    return RetrievalIndex(list(zip(ids, images)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_index(), _GRAPH, st.data())
+def test_rank_equals_the_brute_force_oracle(index, query, data):
+    gold = data.draw(st.sampled_from(index.image_ids()))
+    result = rank(query, index, gold)
+    oracle = brute_force_ranking(query, index)
+    assert list(result.ranking) == oracle
+    assert result.gold_rank == [img for img, _ in oracle].index(gold) + 1
+
+
+def test_empty_query_scores_images_with_an_empty_region():
+    index = RetrievalIndex([("b", [_sg("x"), SceneGraph()]), ("a", [_sg("y")]), ("c", [SceneGraph()])])
+    assert rank(SceneGraph(), index, "a").ranking == (("b", 1.0), ("c", 1.0), ("a", 0.0))
+
+
+def test_repeated_query_tuple_counts_up_to_the_region_count():
+    # ("dog", "dog") overlaps ("dog") once (P = 1/2, R = 1) and
+    # ("dog", "dog", "cat") twice (P = 1, R = 2/3)
+    index = RetrievalIndex([("a", [_sg("dog")]), ("b", [_sg("dog", "dog", "cat")])])
+    result = rank(_sg("dog", "dog"), index, "a")
+    assert [image_id for image_id, _ in result.ranking] == ["b", "a"]
+    assert [score for _, score in result.ranking] == pytest.approx([0.8, 2 / 3])
+    assert result.gold_rank == 2
 
 
 def test_aggregate_all_rank_one():
