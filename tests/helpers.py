@@ -63,6 +63,27 @@ def random_graph(
     return AmrGraph(root=root, nodes=nodes, edges=tuple(edges), tree_edge_indices=frozenset(tree))
 
 
+MUTATION_ALPHABET = '()/:" \\\nzZ0a-'
+
+
+def mutate_text(rng: random.Random, text: str) -> str:
+    """One random edit of a PENMAN text: insert a character that the lexer
+    treats specially, delete a character or a span, repeat a span, or cut the
+    text short."""
+    i = rng.randint(0, len(text))
+    j = rng.randint(i, min(len(text), i + 8))
+    edit = rng.randrange(5)
+    if edit == 0:
+        return text[:i] + rng.choice(MUTATION_ALPHABET) + text[i:]
+    if edit == 1:
+        return text[:i] + text[i + 1 :]
+    if edit == 2:
+        return text[:i] + text[j:]
+    if edit == 3:
+        return text[:j] + text[i:j] + text[j:]
+    return text[:i]
+
+
 # --- independent oracles -----------------------------------------------------
 
 

@@ -1,4 +1,6 @@
+import ast
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,7 @@ from amrsg.amr import (
     serialize_penman,
 )
 from amrsg.linearize import Strategy, linearize
-from helpers import FIG1_PENMAN, WANT_PENMAN, random_graph, validate
+from helpers import FIG1_PENMAN, WANT_PENMAN, mutate_text, random_graph, validate
 
 
 def test_parse_retriever_graph():
@@ -63,6 +65,11 @@ def test_parse_non_z_variables():
     assert g.nodes == {"w": "want-01", "b": "boy"}
 
 
+def chain_penman(depth: int) -> str:
+    """A chain of ``depth`` nested nodes: ``(z0 / n :ARG0 (z1 / n ...))``."""
+    return " :ARG0 ".join(f"(z{i} / n" for i in range(depth)) + ")" * depth
+
+
 @pytest.mark.parametrize(
     "text,exc",
     [
@@ -79,6 +86,71 @@ def test_parse_errors(text, exc):
     with pytest.raises(exc) as info:
         parse_penman(text)
     assert info.value.offset >= 0
+
+
+# One row per raise site of parse_penman: exact class, message and offset.
+@pytest.mark.parametrize(
+    "text,exc,message,offset",
+    [
+        ('(z0 / dog :mod "big)', PenmanError, "unterminated string literal", 15),
+        (" \n\t", EmptyInput, "empty input", 0),
+        ("  z0 / dog)", UnbalancedParentheses, "expected '(' at start, got 'z0'", 2),
+        ("( ", UnbalancedParentheses, "unexpected end of input", 2),
+        ("(z0 ", UnbalancedParentheses, "unexpected end of input", 4),
+        ("(z0 / ", UnbalancedParentheses, "unexpected end of input", 6),
+        ("(/ dog)", PenmanError, "expected atom, got '/'", 1),
+        ('( "z0" / dog)', PenmanError, "expected atom, got '\"z0\"'", 2),
+        ("(Z0 / dog)", PenmanError, "invalid variable name 'Z0'", 1),
+        ("(z0 dog)", PenmanError, "expected slash, got 'dog'", 4),
+        ("(z0 / :mod)", PenmanError, "invalid concept ':mod'", 6),
+        ("(z0 / dog :mod (z0 / cat))", DuplicateVariableDeclaration, "variable 'z0' declared twice", 16),
+        ("(z0 / dog ", UnbalancedParentheses, "missing ')'", 10),
+        ("(z0 / dog cat)", PenmanError, "expected role label, got 'cat'", 10),
+        ('(z0 / dog "cat")', PenmanError, "expected role label, got '\"cat\"'", 10),
+        ("(z0 / dog : cat)", PenmanError, "empty role label", 10),
+        ("(z0 / dog :mod  ", UnbalancedParentheses, "missing edge target", 16),
+        ("(z0 / dog :mod z9)", UndeclaredVariableReference, "reference to undeclared variable 'z9'", 15),
+        ("(z0 / dog :mod /)", PenmanError, "invalid edge target '/'", 15),
+        ("(z0 / dog :mod :ARG0 z0)", PenmanError, "invalid edge target ':ARG0'", 15),
+        ("(z0 / dog) (z1 / cat)", UnbalancedParentheses, "trailing content '('", 11),
+        ("(z0 / dog))", UnbalancedParentheses, "trailing content ')'", 10),
+        (
+            chain_penman(MAX_DEPTH + 1),
+            PenmanError,
+            f"nesting deeper than {MAX_DEPTH} levels",
+            chain_penman(MAX_DEPTH + 1).index(f"(z{MAX_DEPTH} / n"),
+        ),
+    ],
+)
+def test_every_parse_error_has_its_class_message_and_offset(text, exc, message, offset):
+    with pytest.raises(PenmanError) as info:
+        parse_penman(text)
+    assert type(info.value) is exc
+    assert str(info.value) == f"{message} (at offset {offset})"
+    assert info.value.offset == offset
+
+
+# A message that quotes a token names the one at the error's offset.
+_QUOTED_TOKEN_RE = re.compile(
+    r"(?:got|variable|variable name|concept|edge target|content) ('(?:[^'\\]|\\.)*'|\"(?:[^\"\\]|\\.)*\")"
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(min_value=0), st.integers(min_value=1, max_value=4))
+def test_error_offsets_hold_on_mutated_graphs(seed, n_mutations):
+    rng = random.Random(seed)
+    text = serialize_penman(random_graph(rng))
+    for _ in range(n_mutations):
+        text = mutate_text(rng, text)
+    try:
+        parse_penman(text)
+    except PenmanError as err:
+        quoted = _QUOTED_TOKEN_RE.search(str(err))
+        if quoted:
+            assert text[err.offset :].startswith(ast.literal_eval(quoted.group(1))), str(err)
+        else:
+            assert 0 <= err.offset <= len(text)
 
 
 def test_error_offsets_point_at_the_problem():
@@ -124,11 +196,6 @@ def test_arbitrary_text_raises_only_penman_error(text):
         parse_penman(text)
     except PenmanError as err:
         assert 0 <= err.offset <= len(text)
-
-
-def chain_penman(depth: int) -> str:
-    """A chain of ``depth`` nested nodes: ``(z0 / n :ARG0 (z1 / n ...))``."""
-    return " :ARG0 ".join(f"(z{i} / n" for i in range(depth)) + ")" * depth
 
 
 def test_chain_at_max_depth_round_trips_and_linearizes():
