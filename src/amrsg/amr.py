@@ -106,11 +106,6 @@ def is_frame(concept: str) -> bool:
     return bool(_FRAME_RE.match(concept))
 
 
-def frame_lemma(concept: str) -> str:
-    """Strip the two-digit sense suffix from a frame label."""
-    return concept[:-3] if is_frame(concept) else concept
-
-
 def is_variable_token(tok: str) -> bool:
     return bool(_VAR_RE.match(tok))
 
@@ -119,18 +114,28 @@ def is_variable_token(tok: str) -> bool:
 
 # Only space, tab, CR and LF separate tokens. A '"' that starts a token opens
 # a string literal, in which a backslash escapes the next character; a '"'
-# inside an atom is part of the atom. A lone '"' is an unterminated literal.
-# The literal's pattern repeats whole runs of plain characters, not single
-# characters, so matching a long literal does not grow the regex engine's stack.
-_TOKEN_RE = re.compile(
-    r'(?P<open>\()|(?P<close>\))|(?P<slash>/)|(?P<string>"[^"\\]*(?:\\[\s\S][^"\\]*)*")'
-    r'|(?P<unterminated>")|(?P<role>:[^()/ \t\r\n]*)|(?P<atom>[^()/ \t\r\n]+)'
-)
+# inside an atom is part of the atom. The literal's pattern repeats whole runs
+# of plain characters, not single characters, so matching a long literal does
+# not grow the regex engine's stack. The pattern has no groups, so one
+# ``findall`` lexes at C level, and a token's kind is its first character:
+# '(', ')', '/', '"' for a literal (a lone '"' is an unterminated one), ':' for
+# a role, anything else an atom. Offsets are found again only for an error.
+_TOKEN_RE = re.compile(r'[()/]|"[^"\\]*(?:\\[\s\S][^"\\]*)*"|"|:[^()/ \t\r\n]*|[^()/ \t\r\n]+')
+_PUNCTUATION = "()/:"  # first characters of the tokens that are neither atom nor literal
 
 MAX_DEPTH = 200
 """Deepest node nesting ``parse_penman`` accepts; the root is level 1. It keeps
 the recursive walks over a parsed graph (``penman_pieces``,
 ``linearize_inorder``) well inside Python's default recursion limit."""
+
+
+def _offset(text: str, i: int) -> int:
+    """Offset of token ``i`` of ``text``; the end of the text for the end
+    marker that follows the last token."""
+    for k, m in enumerate(_TOKEN_RE.finditer(text)):
+        if k == i:
+            return m.start()
+    return len(text)
 
 
 def parse_penman(text: str, metadata: dict[str, str] | None = None) -> AmrGraph:
@@ -141,16 +146,15 @@ def parse_penman(text: str, metadata: dict[str, str] | None = None) -> AmrGraph:
     a byte offset on any malformed input, and a PenmanError for nesting deeper
     than ``MAX_DEPTH``.
     """
-    tokens = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN_RE.finditer(text)]
-    for kind, _, off in tokens:
-        if kind == "unterminated":
-            raise PenmanError("unterminated string literal", off)
+    tokens = _TOKEN_RE.findall(text)
+    if '"' in tokens:
+        raise PenmanError("unterminated string literal", _offset(text, tokens.index('"')))
     if not tokens:
         raise EmptyInput("empty input", 0)
-    if tokens[0][0] != "open":
-        raise UnbalancedParentheses(f"expected '(' at start, got {tokens[0][1]!r}", tokens[0][2])
+    if tokens[0] != "(":
+        raise UnbalancedParentheses(f"expected '(' at start, got {tokens[0]!r}", _offset(text, 0))
     end = len(text)
-    tokens.append(("end", "", end))
+    tokens.append("")  # end of input
     nodes: dict[str, str] = {}
     edges: list[AmrEdge] = []
     tree_indices: set[int] = set()
@@ -158,29 +162,31 @@ def parse_penman(text: str, metadata: dict[str, str] | None = None) -> AmrGraph:
     role: str | None = ""  # while tokens[i] opens a node: its tree edge's role
     i = 0
     while True:
-        kind, value, off = tokens[i]
+        token = tokens[i]
         if role is not None:  # "( var / concept"
             if len(stack) == MAX_DEPTH:
-                raise PenmanError(f"nesting deeper than {MAX_DEPTH} levels", off)
-            vkind, var, voff = tokens[i + 1]
-            if vkind == "end":
-                raise UnbalancedParentheses("unexpected end of input", end)
-            if vkind != "atom":
-                raise PenmanError(f"expected atom, got {var!r}", voff)
+                raise PenmanError(f"nesting deeper than {MAX_DEPTH} levels", _offset(text, i))
+            var = tokens[i + 1]
             if not is_variable_token(var):
-                raise PenmanError(f"invalid variable name {var!r}", voff)
-            skind, slash, soff = tokens[i + 2]
-            if skind == "end":
+                if not var:
+                    raise UnbalancedParentheses("unexpected end of input", end)
+                if var[0] in _PUNCTUATION or var[0] == '"':
+                    raise PenmanError(f"expected atom, got {var!r}", _offset(text, i + 1))
+                raise PenmanError(f"invalid variable name {var!r}", _offset(text, i + 1))
+            slash = tokens[i + 2]
+            if slash != "/":
+                if not slash:
+                    raise UnbalancedParentheses("unexpected end of input", end)
+                raise PenmanError(f"expected slash, got {slash!r}", _offset(text, i + 2))
+            concept = tokens[i + 3]
+            if not concept:
                 raise UnbalancedParentheses("unexpected end of input", end)
-            if skind != "slash":
-                raise PenmanError(f"expected slash, got {slash!r}", soff)
-            ckind, concept, coff = tokens[i + 3]
-            if ckind == "end":
-                raise UnbalancedParentheses("unexpected end of input", end)
-            if ckind not in ("atom", "string"):
-                raise PenmanError(f"invalid concept {concept!r}", coff)
+            if concept[0] in _PUNCTUATION:
+                raise PenmanError(f"invalid concept {concept!r}", _offset(text, i + 3))
             if var in nodes:
-                raise DuplicateVariableDeclaration(f"variable {var!r} declared twice", voff)
+                raise DuplicateVariableDeclaration(
+                    f"variable {var!r} declared twice", _offset(text, i + 1)
+                )
             nodes[var] = concept
             if stack:
                 tree_indices.add(len(edges))
@@ -188,40 +194,39 @@ def parse_penman(text: str, metadata: dict[str, str] | None = None) -> AmrGraph:
             stack.append(var)
             role = None
             i += 4
-        elif kind == "close":
+        elif token == ")":
             stack.pop()
             i += 1
             if not stack:
                 break
-        elif kind == "end":
+        elif not token:
             raise UnbalancedParentheses("missing ')'", end)
-        elif kind != "role":
-            raise PenmanError(f"expected role label, got {value!r}", off)
-        elif len(value) < 2:
-            raise PenmanError("empty role label", off)
+        elif token[0] != ":":
+            raise PenmanError(f"expected role label, got {token!r}", _offset(text, i))
+        elif len(token) < 2:
+            raise PenmanError("empty role label", _offset(text, i))
         else:
-            tkind, target, toff = tokens[i + 1]
-            if tkind == "end":
-                raise UnbalancedParentheses("missing edge target", end)
-            if tkind == "open":
-                role = value
+            target = tokens[i + 1]
+            if target == "(":
+                role = token
                 i += 1
                 continue
-            if tkind == "atom" and is_variable_token(target):
+            if is_variable_token(target):
                 if target not in nodes:
                     # declaration must precede any bare reference
                     raise UndeclaredVariableReference(
-                        f"reference to undeclared variable {target!r}", toff
+                        f"reference to undeclared variable {target!r}", _offset(text, i + 1)
                     )
-                edges.append(AmrEdge(stack[-1], value, target))
-            elif tkind in ("atom", "string"):
-                edges.append(AmrEdge(stack[-1], value, Constant(target)))
+                edges.append(AmrEdge(stack[-1], token, target))
+            elif not target:
+                raise UnbalancedParentheses("missing edge target", end)
+            elif target[0] not in _PUNCTUATION:
+                edges.append(AmrEdge(stack[-1], token, Constant(target)))
             else:
-                raise PenmanError(f"invalid edge target {target!r}", toff)
+                raise PenmanError(f"invalid edge target {target!r}", _offset(text, i + 1))
             i += 2
-    kind, value, off = tokens[i]
-    if kind != "end":
-        raise UnbalancedParentheses(f"trailing content {value!r}", off)
+    if tokens[i]:
+        raise UnbalancedParentheses(f"trailing content {tokens[i]!r}", _offset(text, i))
     return AmrGraph(
         root=next(iter(nodes)),
         nodes=nodes,

@@ -20,7 +20,6 @@ from .amr import (
     Constant,
     PenmanError,
     children_index,
-    frame_lemma,
     is_frame,
     parse_penman,
 )
@@ -50,12 +49,7 @@ CORE_ROLES = (":ARG0", ":ARG1", ":ARG2")
 LOCATIVE_ROLES = {":location": "in"}
 
 
-def _surface(graph: AmrGraph, target) -> str | None:
-    """Normalized surface form of an edge target or node concept."""
-    if isinstance(target, Constant):
-        raw = target.value
-    else:
-        raw = frame_lemma(graph.nodes[target])
+def _normalized(raw: str) -> str | None:
     try:
         return normalize(raw)
     except EmptyAfterNormalization:
@@ -73,42 +67,46 @@ def convert_rules(graph: AmrGraph) -> SceneGraph:
        lemma, "+ in" when the object edge was locative)
     4. frame with exactly one core child -> attribute (child, lemma)
     5. frame with no core children -> dropped
+
+    A node's surface form is its normalized frame lemma or concept; a quoted
+    concept loses its quotes, as a quoted constant does.
     """
     objects: list[ObjectTuple] = []
     attributes: list[AttributeTuple] = []
     relations: list[RelationTuple] = []
 
-    attribute_values = {
-        e.target
-        for e in graph.edges
-        if e.role in ATTRIBUTE_ROLES
-        and isinstance(e.target, str)
-        and not is_frame(graph.nodes[e.target])
-    }
-
+    # Each node is read once: its surface form (None when normalizing leaves
+    # nothing), and for a frame, the same form as its lemma.
+    surface: dict[str, str | None] = {}
+    lemmas: dict[str, str | None] = {}  # frame variables, in node order
     for var, concept in graph.nodes.items():
-        if not is_frame(concept) and var not in attribute_values:
-            name = _surface(graph, var)
-            if name:
-                objects.append(ObjectTuple(name))
+        if is_frame(concept):
+            surface[var] = lemmas[var] = _normalized(concept[:-3])
+        else:
+            surface[var] = _normalized(Constant(concept).value if concept[:1] == '"' else concept)
 
+    attribute_values = set()
     for e in graph.edges:
-        if e.role not in ATTRIBUTE_ROLES:
-            continue
-        if isinstance(e.target, str) and is_frame(graph.nodes[e.target]):
-            continue
-        obj = _surface(graph, e.source)
-        attr = _surface(graph, e.target)
-        if obj and attr:
-            attributes.append(AttributeTuple(obj, attr))
+        if e.role in ATTRIBUTE_ROLES:
+            target = e.target
+            if isinstance(target, Constant):
+                attr = _normalized(target.value)
+            elif target in lemmas:
+                continue
+            else:
+                attribute_values.add(target)
+                attr = surface[target]
+            obj = surface[e.source]
+            if obj and attr:
+                attributes.append(AttributeTuple(obj, attr))
+
+    for var, name in surface.items():
+        if name and var not in lemmas and var not in attribute_values:
+            objects.append(ObjectTuple(name))
 
     index = children_index(graph)
-    for var, concept in graph.nodes.items():
-        if not is_frame(concept):
-            continue
-        try:
-            lemma = normalize(frame_lemma(concept))
-        except EmptyAfterNormalization:
+    for var, lemma in lemmas.items():
+        if not lemma:
             continue
         out = [e for _, e in index.get(var, ()) if isinstance(e.target, str)]
         core: list[tuple[str, str]] = []  # (role, child var) in preference order
@@ -125,8 +123,8 @@ def convert_rules(graph: AmrGraph) -> SceneGraph:
                 obj_role, obj_var = core[1]
             else:
                 obj_role, obj_var = locative[0]
-            subj = _surface(graph, subj_var)
-            obj = _surface(graph, obj_var)
+            subj = surface[subj_var]
+            obj = surface[obj_var]
             if subj and obj:
                 if obj_role in LOCATIVE_ROLES:
                     pred = f"{lemma} {LOCATIVE_ROLES[obj_role]}"
@@ -136,7 +134,7 @@ def convert_rules(graph: AmrGraph) -> SceneGraph:
                     pred = lemma
                 relations.append(RelationTuple(subj, pred, obj))
         else:
-            child = _surface(graph, core[0][1])
+            child = surface[core[0][1]]
             if child:
                 attributes.append(AttributeTuple(child, lemma))
 

@@ -108,6 +108,15 @@ def test_convert_keeps_wire_delimiters_out_of_fields(runner, tmp_path):
     assert result.stdout == "( dog ) ( dog , big red )\n( dog ) ( dog , x )\n"
 
 
+def test_convert_unquotes_a_quoted_concept(runner, tmp_path):
+    path = _penman_file(
+        tmp_path, ['(z0 / "dog" :mod (z1 / "big"))', '(z0 / stand-01 :ARG1 (z1 / "golden retriever"))']
+    )
+    result = _invoke(runner, ["convert", path])
+    assert result.exit_code == 0
+    assert result.stdout == "( dog ) ( dog , big )\n( golden retriever ) ( golden retriever , stand )\n"
+
+
 def test_convert_external_requires_adapter(runner, tmp_path, monkeypatch):
     monkeypatch.delenv("AMRSG_ADAPTER", raising=False)
     path = _penman_file(tmp_path, [FIG1_PENMAN])

@@ -41,13 +41,19 @@ def _bf_is_frame(label):
     return re.search(r"-[0-9][0-9]$", label) is not None
 
 
+def _bf_label(label):
+    """A concept's raw surface: a frame's lemma, or a quoted concept's text."""
+    if _bf_is_frame(label):
+        return label[:-3]
+    if len(label) >= 2 and label[0] == label[-1] == '"':
+        return label[1:-1]
+    return label
+
+
 def _bf_surface(graph, target):
     if isinstance(target, Constant):
-        raw = target.value
-    else:
-        label = graph.nodes[target]
-        raw = label[:-3] if _bf_is_frame(label) else label
-    return _bf_norm(raw)
+        return _bf_norm(target.value)
+    return _bf_norm(_bf_label(graph.nodes[target]))
 
 
 _BF_ATTRIBUTE_ROLES = {":mod"}
@@ -167,7 +173,7 @@ def test_rules_no_invented_objects():
         g = random_graph(rng, max_nodes=8)
         concept_surfaces = set()
         for concept in g.nodes.values():
-            s = _bf_norm(concept[:-3] if _bf_is_frame(concept) else concept)
+            s = _bf_norm(_bf_label(concept))
             if s:
                 concept_surfaces.add(s)
         for const in (e.target for e in g.edges if isinstance(e.target, Constant)):
