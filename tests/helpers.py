@@ -12,7 +12,10 @@ from amrsg.amr import AmrEdge, AmrGraph, Constant, children_index
 from amrsg.evaluate import f_score
 from amrsg.scenegraph import AttributeTuple, ObjectTuple, RelationTuple, SceneGraph
 
-CONCEPTS = ["dog", "cat", "snow", "tree", "person", "umbrella", "gold", "retriever", "car", "house", '"golden retriever"']
+CONCEPTS = [
+    "dog", "cat", "snow", "tree", "person", "umbrella", "gold", "retriever", "car", "house",
+    '"golden retriever"',
+]
 FRAMES = ["stand-01", "run-02", "want-01", "eat-01", "hold-01", "sit-02"]
 ROLES = [":ARG0", ":ARG1", ":ARG2", ":mod", ":location", ":domain", ":time"]
 CONSTANT_SURFACES = ["-", "3", '"red car"', "42"]
