@@ -46,6 +46,11 @@ CASES = [
     ("linearize_inorder", ["linearize", "graphs.penman", "--strategy", "inorder"], 2),
     ("linearize_dfs_tokens", ["linearize", "graphs.penman", "--emit", "tokens"], 2),
     (
+        "linearize_bfs_tokens",
+        ["linearize", "graphs.penman", "--strategy", "bfs", "--emit", "tokens"],
+        2,
+    ),
+    (
         "linearize_inorder_tokens",
         ["linearize", "graphs.penman", "--strategy", "inorder", "--emit", "tokens"],
         2,
