@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .amr import AmrEdge, AmrGraph, Constant, parse_penman, serialize_penman
+from .amr import AmrEdge, AmrGraph, parse_penman, serialize_penman
 from .convert import ExternalAdapter, convert_external, convert_rules
 from .evaluate import CorpusReport, EvalReport, evaluate_corpus, f_score, match_tuples
 from .linearize import (
@@ -29,7 +29,6 @@ __all__ = [
     "AmrEdge",
     "AmrGraph",
     "AttributeTuple",
-    "Constant",
     "CorpusReport",
     "EvalReport",
     "ExternalAdapter",

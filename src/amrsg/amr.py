@@ -9,7 +9,7 @@ The textual form is PENMAN notation::
 A variable referenced again after its declaration (a bare token instead of
 a nested ``(var / concept ...)`` expression) is a re-entrancy and turns the
 tree into a DAG. Edge targets may also be constants: quoted strings,
-numbers, or ``-``.
+numbers, or ``-``, kept as their text.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple
 
 _VAR_RE = re.compile(r"[a-z][a-zA-Z0-9]*$")
 _FRAME_RE = re.compile(r".+-[0-9][0-9]$")
@@ -48,30 +48,21 @@ class UndeclaredVariableReference(PenmanError):
     pass
 
 
-@dataclass(frozen=True)
-class Constant:
-    """A leaf edge target that is not a variable: quoted string, number, or '-'.
+class AmrEdge(NamedTuple):
+    """``target`` is a variable exactly when it is a key of the graph's
+    ``nodes``; otherwise it is a constant (a quoted string, a number or '-'),
+    kept as its surface text, quotes included."""
 
-    ``text`` keeps the surface form, quotes included.
-    """
-
-    text: str
-
-    @property
-    def value(self) -> str:
-        if len(self.text) >= 2 and self.text[0] == '"' and self.text[-1] == '"':
-            return self.text[1:-1]
-        return self.text
-
-
-EdgeTarget = Union[str, Constant]
-
-
-@dataclass(frozen=True)
-class AmrEdge:
     source: str
     role: str
-    target: EdgeTarget
+    target: str
+
+
+def unquote(text: str) -> str:
+    """A constant's or a concept's value: ``text`` without the quotes around it."""
+    if len(text) >= 2 and text[0] == '"' and text[-1] == '"':
+        return text[1:-1]
+    return text
 
 
 @dataclass(frozen=True)
@@ -217,13 +208,11 @@ def parse_penman(text: str, metadata: dict[str, str] | None = None) -> AmrGraph:
                     raise UndeclaredVariableReference(
                         f"reference to undeclared variable {target!r}", _offset(text, i + 1)
                     )
-                edges.append(AmrEdge(stack[-1], token, target))
             elif not target:
                 raise UnbalancedParentheses("missing edge target", end)
-            elif target[0] not in _PUNCTUATION:
-                edges.append(AmrEdge(stack[-1], token, Constant(target)))
-            else:
+            elif target[0] in _PUNCTUATION:
                 raise PenmanError(f"invalid edge target {target!r}", _offset(text, i + 1))
+            edges.append(AmrEdge(stack[-1], token, target))  # a variable or a constant
             i += 2
     if tokens[i]:
         raise UnbalancedParentheses(f"trailing content {tokens[i]!r}", _offset(text, i))
@@ -259,9 +248,8 @@ def penman_pieces(graph: AmrGraph) -> tuple[list[str], list[str]]:
             if i in graph.tree_edge_indices:
                 emit(e.target)
             else:
-                target = e.target.text if isinstance(e.target, Constant) else e.target
-                texts.append(target)
-                tokens.append(target)
+                texts.append(e.target)
+                tokens.append(e.target)
         texts[-1] += ")"
         tokens[-1] += ")"
 

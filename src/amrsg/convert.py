@@ -15,24 +15,16 @@ from dataclasses import dataclass
 from subprocess import DEVNULL, PIPE
 from typing import Iterable, Sequence
 
-from .amr import (
-    AmrGraph,
-    Constant,
-    PenmanError,
-    children_index,
-    is_frame,
-    parse_penman,
-)
+from .amr import AmrGraph, PenmanError, children_index, is_frame, parse_penman, unquote
 from .corpus import filter_ungrounded
 from .linearize import LinearizedSequence, Strategy, linearize
 from .scenegraph import (
     AttributeTuple,
-    EmptyAfterNormalization,
     ObjectTuple,
     RelationTuple,
     SceneGraph,
     SgError,
-    normalize,
+    normalize_or_none,
     parse_sg_text,
     serialize_sg,
 )
@@ -47,13 +39,6 @@ from .scenegraph import (
 ATTRIBUTE_ROLES = frozenset({":mod"})
 CORE_ROLES = (":ARG0", ":ARG1", ":ARG2")
 LOCATIVE_ROLES = {":location": "in"}
-
-
-def _normalized(raw: str) -> str | None:
-    try:
-        return normalize(raw)
-    except EmptyAfterNormalization:
-        return None
 
 
 def convert_rules(graph: AmrGraph) -> SceneGraph:
@@ -76,21 +61,22 @@ def convert_rules(graph: AmrGraph) -> SceneGraph:
     relations: list[RelationTuple] = []
 
     # Each node is read once: its surface form (None when normalizing leaves
-    # nothing), and for a frame, the same form as its lemma.
+    # nothing), and for a frame, the same form as its lemma. An edge target
+    # that is not a key here is a constant.
     surface: dict[str, str | None] = {}
     lemmas: dict[str, str | None] = {}  # frame variables, in node order
     for var, concept in graph.nodes.items():
         if is_frame(concept):
-            surface[var] = lemmas[var] = _normalized(concept[:-3])
+            surface[var] = lemmas[var] = normalize_or_none(concept[:-3])
         else:
-            surface[var] = _normalized(Constant(concept).value if concept[:1] == '"' else concept)
+            surface[var] = normalize_or_none(unquote(concept))
 
     attribute_values = set()
     for e in graph.edges:
         if e.role in ATTRIBUTE_ROLES:
             target = e.target
-            if isinstance(target, Constant):
-                attr = _normalized(target.value)
+            if target not in surface:
+                attr = normalize_or_none(unquote(target))
             elif target in lemmas:
                 continue
             else:
@@ -108,7 +94,7 @@ def convert_rules(graph: AmrGraph) -> SceneGraph:
     for var, lemma in lemmas.items():
         if not lemma:
             continue
-        out = [e for _, e in index.get(var, ()) if isinstance(e.target, str)]
+        out = [e for _, e in index.get(var, ()) if e.target in surface]
         core: list[tuple[str, str]] = []  # (role, child var) in preference order
         for role in CORE_ROLES:
             core.extend((e.role, e.target) for e in out if e.role == role)

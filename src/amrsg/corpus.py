@@ -17,14 +17,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
-from .scenegraph import (
-    EmptyAfterNormalization,
-    SceneGraph,
-    json_typed,
-    normalize,
-    sg_from_json,
-    sg_to_json,
-)
+from .scenegraph import SceneGraph, json_typed, normalize_or_none, sg_from_json, sg_to_json
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
 _STR_OR_NULL = (str, type(None))
@@ -196,14 +189,6 @@ def corpus_stats(records: Sequence[RegionRecord]) -> CorpusStats:
 # --- Visual Genome region graphs ------------------------------------------
 
 
-def _normalized(term: str | None) -> str | None:
-    """``normalize(term)``, or None where ``term`` is None, empty or nothing after it."""
-    try:
-        return normalize(term) if term else None
-    except EmptyAfterNormalization:
-        return None
-
-
 def _vg_list(data: dict, key: str, item: type | tuple[type, ...]) -> list:
     """``data[key]``, absent meaning empty, checked to be a JSON array of ``item``."""
     items = json_typed(data.get(key, []), list, key)
@@ -217,7 +202,7 @@ def _vg_object_name(obj: dict) -> str | None:
     names = json_typed(obj.get("names"), (list, type(None)), "names")
     if not name and names:
         name = json_typed(names[0], _STR_OR_NULL, "names[0]")
-    return _normalized(name)
+    return normalize_or_none(name)
 
 
 def convert_vg_regions(vg_images: Iterable[dict]) -> list[RegionRecord]:
@@ -267,13 +252,13 @@ def _vg_scene_graph(region: dict) -> SceneGraph:
             by_id[object_id] = name
         objects.append(name)
         for attr in _vg_list(obj, "attributes", _STR_OR_NULL):
-            if attr := _normalized(attr):
+            if attr := normalize_or_none(attr):
                 attributes.append((name, attr))
     relations: list[tuple[str, str, str]] = []
     for rel in _vg_list(region, "relationships", dict):
         subj = by_id.get(optional_json_id(rel, "subject_id"))
         obj = by_id.get(optional_json_id(rel, "object_id"))
-        pred = _normalized(json_typed(rel.get("predicate"), _STR_OR_NULL, "predicate"))
+        pred = normalize_or_none(json_typed(rel.get("predicate"), _STR_OR_NULL, "predicate"))
         if subj and obj and pred:
             relations.append((subj, pred, obj))
     return SceneGraph(objects, attributes, relations)

@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
-from .amr import AmrEdge, AmrGraph, Constant, children_index, penman_pieces
+from .amr import AmrEdge, AmrGraph, children_index, penman_pieces
 
 
 class Strategy(str, Enum):
@@ -48,7 +48,7 @@ def _emit_node(graph: AmrGraph, var: str, texts: list[str], tokens: list[str]) -
 def _emit_leaf(e: AmrEdge, texts: list[str], tokens: list[str]) -> None:
     """BFS/in-order unit of a re-entrant or constant target: ``(var)`` /
     ``(literal)``."""
-    unit = f"({e.target.text})" if isinstance(e.target, Constant) else f"({e.target})"
+    unit = f"({e.target})"
     texts.append(unit)
     tokens.append(unit)
 

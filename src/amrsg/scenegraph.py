@@ -52,6 +52,14 @@ def normalize(term: str) -> str:
     return " ".join(words)
 
 
+def normalize_or_none(term: str | None) -> str | None:
+    """``normalize(term)``, or None where ``term`` is None, empty or nothing after it."""
+    try:
+        return normalize(term) if term else None
+    except EmptyAfterNormalization:
+        return None
+
+
 # Each kind hashes, compares and sorts as the plain tuple of its fields; kinds
 # never compare equal to each other because their arities differ.
 class ObjectTuple(NamedTuple):
@@ -109,10 +117,9 @@ class SceneGraph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SceneGraph):
             return NotImplemented
-        return (
-            Counter(self.objects) == Counter(other.objects)
-            and Counter(self.attributes) == Counter(other.attributes)
-            and Counter(self.relations) == Counter(other.relations)
+        # one multiset: tuples of different kinds never collide, their arities differ
+        return Counter(self.objects + self.attributes + self.relations) == Counter(
+            other.objects + other.attributes + other.relations
         )
 
     def __repr__(self) -> str:

@@ -8,7 +8,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 
-from amrsg.amr import AmrEdge, AmrGraph, Constant, children_index
+from amrsg.amr import AmrEdge, AmrGraph, children_index, is_variable_token
 from amrsg.evaluate import f_score
 from amrsg.scenegraph import AttributeTuple, ObjectTuple, RelationTuple, SceneGraph
 
@@ -49,7 +49,7 @@ def random_graph(
             role = rng.choice(ROLES)
             r = rng.random()
             if r < p_constant:
-                edges.append(AmrEdge(var, role, Constant(rng.choice(CONSTANT_SURFACES))))
+                edges.append(AmrEdge(var, role, rng.choice(CONSTANT_SURFACES)))
             elif r < p_constant + 0.12 and reent_left[0] > 0 and len(declared) > 1:
                 edges.append(AmrEdge(var, role, rng.choice(declared)))
                 reent_left[0] -= 1
@@ -107,7 +107,7 @@ def validate(graph: AmrGraph) -> list[Diagnostic]:
     for e in graph.edges:
         if e.source not in graph.nodes:
             diags.append(Diagnostic("DanglingEdgeSource", e.source))
-        if isinstance(e.target, str) and e.target not in graph.nodes:
+        if is_variable_token(e.target) and e.target not in graph.nodes:
             diags.append(Diagnostic("UndeclaredVariableReference", e.target))
     # reachability over all edges
     index = children_index(graph)
@@ -119,7 +119,7 @@ def validate(graph: AmrGraph) -> list[Diagnostic]:
             continue
         seen.add(v)
         for _, e in index.get(v, ()):
-            if isinstance(e.target, str) and e.target in graph.nodes:
+            if e.target in graph.nodes:
                 stack.append(e.target)
     for v in graph.nodes:
         if v not in seen:
@@ -129,7 +129,7 @@ def validate(graph: AmrGraph) -> list[Diagnostic]:
     for i in graph.tree_edge_indices:
         if i < len(graph.edges):
             e = graph.edges[i]
-            if isinstance(e.target, str) and e.target in incoming:
+            if e.target in incoming:
                 incoming[e.target] += 1
     for v, count in incoming.items():
         if v == graph.root:

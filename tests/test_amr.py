@@ -10,16 +10,17 @@ from amrsg.amr import (
     MAX_DEPTH,
     AmrEdge,
     AmrGraph,
-    Constant,
     DuplicateVariableDeclaration,
     EmptyInput,
     PenmanError,
     UnbalancedParentheses,
     UndeclaredVariableReference,
+    is_variable_token,
     iter_penman_blocks,
     load_penman_file,
     parse_penman,
     serialize_penman,
+    unquote,
 )
 from amrsg.linearize import Strategy, linearize
 from helpers import FIG1_PENMAN, WANT_PENMAN, mutate_text, random_graph, validate
@@ -55,8 +56,16 @@ def test_parse_reentrancy():
 
 def test_parse_constants():
     g = parse_penman('(z0 / car :mod "bright red" :quant 3 :polarity -)')
-    assert [e.target for e in g.edges] == [Constant('"bright red"'), Constant("3"), Constant("-")]
-    assert Constant('"bright red"').value == "bright red"
+    assert [e.target for e in g.edges] == ['"bright red"', "3", "-"]
+    assert not any(e.target in g.nodes for e in g.edges)
+
+
+@pytest.mark.parametrize(
+    "text,value",
+    [('"red car"', "red car"), ('"', '"'), ('"dog', '"dog'), ("3", "3"), ("-", "-")],
+)
+def test_unquote(text, value):
+    assert unquote(text) == value
 
 
 def test_parse_non_z_variables():
@@ -151,6 +160,21 @@ def test_error_offsets_hold_on_mutated_graphs(seed, n_mutations):
             assert text[err.offset :].startswith(ast.literal_eval(quoted.group(1))), str(err)
         else:
             assert 0 <= err.offset <= len(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0), st.integers(min_value=0, max_value=3))
+def test_edge_target_is_a_node_iff_it_is_a_variable_token(seed, n_mutations):
+    rng = random.Random(seed)
+    text = serialize_penman(random_graph(rng))
+    for _ in range(n_mutations):
+        text = mutate_text(rng, text)
+    try:
+        g = parse_penman(text)
+    except PenmanError:
+        return
+    for e in g.edges:
+        assert (e.target in g.nodes) == is_variable_token(e.target), e
 
 
 def test_error_offsets_point_at_the_problem():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amrsg.amr import Constant, parse_penman
+from amrsg.amr import parse_penman
 from amrsg.convert import (
     AdapterCrashed,
     AdapterError,
@@ -41,18 +41,18 @@ def _bf_is_frame(label):
     return re.search(r"-[0-9][0-9]$", label) is not None
 
 
+def _bf_unquote(text):
+    return text[1:-1] if len(text) >= 2 and text[0] == text[-1] == '"' else text
+
+
 def _bf_label(label):
     """A concept's raw surface: a frame's lemma, or a quoted concept's text."""
-    if _bf_is_frame(label):
-        return label[:-3]
-    if len(label) >= 2 and label[0] == label[-1] == '"':
-        return label[1:-1]
-    return label
+    return label[:-3] if _bf_is_frame(label) else _bf_unquote(label)
 
 
 def _bf_surface(graph, target):
-    if isinstance(target, Constant):
-        return _bf_norm(target.value)
+    if target not in graph.nodes:  # a constant
+        return _bf_norm(_bf_unquote(target))
     return _bf_norm(_bf_label(graph.nodes[target]))
 
 
@@ -67,7 +67,7 @@ def brute_force_rules(graph):
     for e in graph.edges:
         if (
             e.role in _BF_ATTRIBUTE_ROLES
-            and not isinstance(e.target, Constant)
+            and e.target in graph.nodes
             and not _bf_is_frame(graph.nodes[e.target])
         ):
             attr_value_vars.add(e.target)
@@ -83,7 +83,7 @@ def brute_force_rules(graph):
     for e in graph.edges:
         if e.role not in _BF_ATTRIBUTE_ROLES:
             continue
-        if not isinstance(e.target, Constant) and _bf_is_frame(graph.nodes[e.target]):
+        if e.target in graph.nodes and _bf_is_frame(graph.nodes[e.target]):
             continue
         obj = _bf_surface(graph, e.source)
         attr = _bf_surface(graph, e.target)
@@ -95,7 +95,7 @@ def brute_force_rules(graph):
         if not _bf_is_frame(graph.nodes[var]):
             continue
         lemma = _bf_norm(graph.nodes[var][:-3])
-        outgoing = [e for e in graph.edges if e.source == var and not isinstance(e.target, Constant)]
+        outgoing = [e for e in graph.edges if e.source == var and e.target in graph.nodes]
         core = []
         for role in _BF_CORE_ROLES:
             for e in outgoing:
@@ -176,8 +176,8 @@ def test_rules_no_invented_objects():
             s = _bf_norm(_bf_label(concept))
             if s:
                 concept_surfaces.add(s)
-        for const in (e.target for e in g.edges if isinstance(e.target, Constant)):
-            s = _bf_norm(const.value)
+        for const in (e.target for e in g.edges if e.target not in g.nodes):
+            s = _bf_norm(_bf_unquote(const))
             if s:
                 concept_surfaces.add(s)
         for o in convert_rules(g).objects:
