@@ -82,13 +82,13 @@ class AmrGraph:
     metadata: dict[str, str] = field(default_factory=dict, compare=False)
 
 
-def children_index(graph: AmrGraph) -> dict[str, list[tuple[int, AmrEdge]]]:
-    """Map each source variable to its outgoing (edge index, edge) pairs in
-    stored order. Callers build it once per walk; it is not kept on the
-    graph, so a loaded corpus does not hold one per graph."""
-    index: dict[str, list[tuple[int, AmrEdge]]] = {}
-    for i, e in enumerate(graph.edges):
-        index.setdefault(e.source, []).append((i, e))
+def children_index(graph: AmrGraph) -> dict[str, list[tuple[int, str, str]]]:
+    """Map each source variable to its outgoing edges in stored order, each as
+    a plain (edge index, role, target) tuple. Callers build it once per walk;
+    it is not kept on the graph, so a loaded corpus does not hold one per graph."""
+    index: dict[str, list[tuple[int, str, str]]] = {}
+    for i, (source, role, target) in enumerate(graph.edges):
+        index.setdefault(source, []).append((i, role, target))
     return index
 
 
@@ -242,14 +242,14 @@ def penman_pieces(graph: AmrGraph) -> tuple[list[str], list[str]]:
         concept = graph.nodes[var]
         texts.append(f"({var} / {concept}")
         tokens.append(f"({var}/{concept}")
-        for i, e in index.get(var, ()):
-            texts.append(e.role)
-            tokens.append(e.role)
+        for i, role, target in index.get(var, ()):
+            texts.append(role)
+            tokens.append(role)
             if i in graph.tree_edge_indices:
-                emit(e.target)
+                emit(target)
             else:
-                texts.append(e.target)
-                tokens.append(e.target)
+                texts.append(target)
+                tokens.append(target)
         texts[-1] += ")"
         tokens[-1] += ")"
 

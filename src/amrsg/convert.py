@@ -94,11 +94,11 @@ def convert_rules(graph: AmrGraph) -> SceneGraph:
     for var, lemma in lemmas.items():
         if not lemma:
             continue
-        out = [e for _, e in index.get(var, ()) if e.target in surface]
+        out = [(role, target) for _, role, target in index.get(var, ()) if target in surface]
         core: list[tuple[str, str]] = []  # (role, child var) in preference order
         for role in CORE_ROLES:
-            core.extend((e.role, e.target) for e in out if e.role == role)
-        locative = [(e.role, e.target) for e in out if e.role in LOCATIVE_ROLES]
+            core.extend(edge for edge in out if edge[0] == role)
+        locative = [edge for edge in out if edge[0] in LOCATIVE_ROLES]
         has_arg0 = any(role == ":ARG0" for role, _ in core)
 
         if not core:

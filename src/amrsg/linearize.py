@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
-from .amr import AmrEdge, AmrGraph, children_index, penman_pieces
+from .amr import AmrGraph, children_index, penman_pieces
 
 
 class Strategy(str, Enum):
@@ -45,10 +45,10 @@ def _emit_node(graph: AmrGraph, var: str, texts: list[str], tokens: list[str]) -
     tokens.append(f"({var}/{concept})")
 
 
-def _emit_leaf(e: AmrEdge, texts: list[str], tokens: list[str]) -> None:
+def _emit_leaf(target: str, texts: list[str], tokens: list[str]) -> None:
     """BFS/in-order unit of a re-entrant or constant target: ``(var)`` /
     ``(literal)``."""
-    unit = f"({e.target})"
+    unit = f"({target})"
     texts.append(unit)
     tokens.append(unit)
 
@@ -72,14 +72,14 @@ def linearize_bfs(graph: AmrGraph) -> LinearizedSequence:
     _emit_node(graph, graph.root, texts, tokens)
     queue = deque([graph.root])
     while queue:
-        for i, e in index.get(queue.popleft(), ()):
-            texts.append(e.role)
-            tokens.append(e.role)
+        for i, role, target in index.get(queue.popleft(), ()):
+            texts.append(role)
+            tokens.append(role)
             if i in graph.tree_edge_indices:
-                _emit_node(graph, e.target, texts, tokens)
-                queue.append(e.target)
+                _emit_node(graph, target, texts, tokens)
+                queue.append(target)
             else:
-                _emit_leaf(e, texts, tokens)
+                _emit_leaf(target, texts, tokens)
     return LinearizedSequence(Strategy.BFS, tuple(tokens), " ".join(texts))
 
 
@@ -95,26 +95,26 @@ def linearize_inorder(graph: AmrGraph) -> LinearizedSequence:
     texts: list[str] = []
     tokens: list[str] = []
 
-    def emit_child(i: int, e: AmrEdge) -> None:
+    def emit_child(i: int, target: str) -> None:
         if i in graph.tree_edge_indices:
-            emit(e.target)
+            emit(target)
         else:
-            _emit_leaf(e, texts, tokens)
+            _emit_leaf(target, texts, tokens)
 
     def emit(var: str) -> None:
         children = index.get(var)
         if not children:
             _emit_node(graph, var, texts, tokens)
             return
-        first_i, first = children[0]
-        emit_child(first_i, first)
-        texts.append(first.role)
-        tokens.append(first.role)
+        first_i, first_role, first_target = children[0]
+        emit_child(first_i, first_target)
+        texts.append(first_role)
+        tokens.append(first_role)
         _emit_node(graph, var, texts, tokens)
-        for i, e in children[1:]:
-            texts.append(e.role)
-            tokens.append(e.role)
-            emit_child(i, e)
+        for i, role, target in children[1:]:
+            texts.append(role)
+            tokens.append(role)
+            emit_child(i, target)
 
     emit(graph.root)
     return LinearizedSequence(Strategy.IN_ORDER, tuple(tokens), " ".join(texts))

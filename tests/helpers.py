@@ -118,9 +118,9 @@ def validate(graph: AmrGraph) -> list[Diagnostic]:
         if v in seen:
             continue
         seen.add(v)
-        for _, e in index.get(v, ()):
-            if e.target in graph.nodes:
-                stack.append(e.target)
+        for _, _, target in index.get(v, ()):
+            if target in graph.nodes:
+                stack.append(target)
     for v in graph.nodes:
         if v not in seen:
             diags.append(Diagnostic("UnreachableNode", v))

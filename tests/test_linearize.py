@@ -155,10 +155,10 @@ def test_bfs_queue_discipline_matches_reference_simulation():
         index = children_index(g)
         while queue:
             var = queue.popleft()
-            for i, e in index.get(var, []):
+            for i, _, target in index.get(var, []):
                 if i in g.tree_edge_indices:
-                    order.append(e.target)
-                    queue.append(e.target)
+                    order.append(target)
+                    queue.append(target)
         positions = [text.index(f"({v} / ") for v in order]
         assert positions == sorted(positions)
 
