@@ -15,7 +15,14 @@ from dataclasses import dataclass
 from subprocess import DEVNULL, PIPE
 from typing import Iterable, Sequence
 
-from .amr import AmrGraph, PenmanError, children_index, is_frame, parse_penman, unquote
+from .amr import (
+    AmrGraph,
+    PenmanError,
+    children_index,
+    is_frame,
+    parse_penman,
+    unquote,
+)
 from .corpus import filter_ungrounded
 from .linearize import LinearizedSequence, Strategy, linearize
 from .scenegraph import (

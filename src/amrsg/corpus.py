@@ -17,7 +17,13 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
-from .scenegraph import SceneGraph, json_typed, normalize_or_none, sg_from_json, sg_to_json
+from .scenegraph import (
+    SceneGraph,
+    json_typed,
+    normalize_or_none,
+    sg_from_json,
+    sg_to_json,
+)
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
 _STR_OR_NULL = (str, type(None))
