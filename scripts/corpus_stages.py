@@ -13,13 +13,17 @@ the DFS, BFS and in-order linearizations, ``convert_rules``, ``serialize_sg``,
 over ``--runs`` passes. Records whose AMR does not parse are left out of the
 table. Two columns follow: the median graph (the median of each stage's
 times, and of the totals), and the slowest 10% of graphs by total time (the
-mean of each stage over them). It is a measurement, not a test: nothing runs
-it automatically.
+mean of each stage over them). The passes run with the garbage collector
+off (``gc.collect()``, then ``gc.disable()``, enabled again afterwards):
+otherwise each collection is charged to whichever stage happens to trigger
+it, and a stage that allocates less moves time into the others. It is a
+measurement, not a test: nothing runs it automatically.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import statistics
 import sys
@@ -99,9 +103,14 @@ def main() -> int:
         records.append(record)
 
     best = [[float("inf")] * len(STAGES) for _ in records]
-    for _ in range(args.runs):
-        for times, record in zip(best, records):
-            times[:] = map(min, times, run_once(record))
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(args.runs):
+            for times, record in zip(best, records):
+                times[:] = map(min, times, run_once(record))
+    finally:
+        gc.enable()
 
     totals = [sum(times) for times in best]
     slowest = sorted(range(len(best)), key=totals.__getitem__)[-max(1, len(best) // 10) :]

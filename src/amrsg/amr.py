@@ -15,6 +15,7 @@ numbers, or ``-``, kept as their text.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, NamedTuple
@@ -136,6 +137,12 @@ def parse_penman(text: str, metadata: dict[str, str] | None = None) -> AmrGraph:
     declaration point becomes a tree edge. Raises a PenmanError subclass with
     a byte offset on any malformed input, and a PenmanError for nesting deeper
     than ``MAX_DEPTH``.
+
+    Every string the graph keeps (variables, concepts, roles, constants) is
+    passed through ``sys.intern`` where it is stored, so the graphs of a
+    corpus share one object per symbol and a re-entrant edge's target is the
+    very key in ``nodes``. CPython 3.11 frees an interned string once nothing
+    holds it, so a long-running process does not keep its vocabulary.
     """
     tokens = _TOKEN_RE.findall(text)
     if '"' in tokens:
@@ -151,6 +158,9 @@ def parse_penman(text: str, metadata: dict[str, str] | None = None) -> AmrGraph:
     tree_indices: set[int] = set()
     stack: list[str] = []  # variables of the open nodes, root first
     role: str | None = ""  # while tokens[i] opens a node: its tree edge's role
+    intern = sys.intern
+    is_variable = _VAR_RE.match
+    new = tuple.__new__  # builds an AmrEdge without NamedTuple's Python-level __new__
     i = 0
     while True:
         token = tokens[i]
@@ -158,7 +168,7 @@ def parse_penman(text: str, metadata: dict[str, str] | None = None) -> AmrGraph:
             if len(stack) == MAX_DEPTH:
                 raise PenmanError(f"nesting deeper than {MAX_DEPTH} levels", _offset(text, i))
             var = tokens[i + 1]
-            if not is_variable_token(var):
+            if not is_variable(var):
                 if not var:
                     raise UnbalancedParentheses("unexpected end of input", end)
                 if var[0] in _PUNCTUATION or var[0] == '"':
@@ -178,10 +188,11 @@ def parse_penman(text: str, metadata: dict[str, str] | None = None) -> AmrGraph:
                 raise DuplicateVariableDeclaration(
                     f"variable {var!r} declared twice", _offset(text, i + 1)
                 )
-            nodes[var] = concept
+            var = intern(var)
+            nodes[var] = intern(concept)
             if stack:
                 tree_indices.add(len(edges))
-                edges.append(AmrEdge(stack[-1], role, var))
+                edges.append(new(AmrEdge, (stack[-1], role, var)))
             stack.append(var)
             role = None
             i += 4
@@ -199,20 +210,20 @@ def parse_penman(text: str, metadata: dict[str, str] | None = None) -> AmrGraph:
         else:
             target = tokens[i + 1]
             if target == "(":
-                role = token
+                role = intern(token)
                 i += 1
                 continue
-            if is_variable_token(target):
-                if target not in nodes:
+            if target not in nodes:  # not a re-entrancy, so it must be a constant
+                if is_variable(target):
                     # declaration must precede any bare reference
                     raise UndeclaredVariableReference(
                         f"reference to undeclared variable {target!r}", _offset(text, i + 1)
                     )
-            elif not target:
-                raise UnbalancedParentheses("missing edge target", end)
-            elif target[0] in _PUNCTUATION:
-                raise PenmanError(f"invalid edge target {target!r}", _offset(text, i + 1))
-            edges.append(AmrEdge(stack[-1], token, target))  # a variable or a constant
+                if not target:
+                    raise UnbalancedParentheses("missing edge target", end)
+                if target[0] in _PUNCTUATION:
+                    raise PenmanError(f"invalid edge target {target!r}", _offset(text, i + 1))
+            edges.append(new(AmrEdge, (stack[-1], intern(token), intern(target))))
             i += 2
     if tokens[i]:
         raise UnbalancedParentheses(f"trailing content {tokens[i]!r}", _offset(text, i))
@@ -280,11 +291,14 @@ def _parse_metadata_line(line: str, meta: dict[str, str]) -> None:
 def iter_penman_blocks(text: str) -> Iterator[tuple[dict[str, str], str]]:
     """Yield (metadata, penman_text) per blank-line-separated block.
 
-    Lines starting with '#' carry ``::key value`` metadata pairs.
+    Lines starting with '#' carry ``::key value`` metadata pairs. Lines end
+    only at LF, CRLF or CR, as in universal newlines mode; ``str.splitlines``
+    would also break a string literal at U+2028, U+0085, form feed and the
+    like, which ``parse_penman`` keeps.
     """
     meta: dict[str, str] = {}
     body: list[str] = []
-    for line in text.splitlines():
+    for line in text.replace("\r\n", "\n").replace("\r", "\n").split("\n"):
         stripped = line.strip()
         if not stripped:
             if body:

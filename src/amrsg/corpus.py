@@ -149,12 +149,16 @@ def filter_ungrounded(record: RegionRecord) -> RegionRecord:
 
     Grounding is lexical overlap after lowercasing plus naive suffix
     stemming. Attributes and relations referencing a dropped object are
-    dropped with it. Idempotent.
+    dropped with it. Idempotent; a record whose objects are all grounded is
+    returned as it is.
     """
     desc_variants: set[str] = set()
     for tok in _WORD_RE.findall(record.description.lower()):
         desc_variants |= _variants(tok)
-    kept_names = {o.name for o in record.scene_graph.objects if _grounded(o.name, desc_variants)}
+    names = {o.name for o in record.scene_graph.objects}
+    kept_names = {name for name in names if _grounded(name, desc_variants)}
+    if len(kept_names) == len(names):
+        return record  # every object a tuple names is in ``objects``: nothing to drop
     sg = SceneGraph(
         [o for o in record.scene_graph.objects if o.name in kept_names],
         [a for a in record.scene_graph.attributes if a.object in kept_names],

@@ -200,11 +200,30 @@ def test_serialize_normalizes_whitespace():
     assert serialize_penman(parse_penman(messy)) == "(z0 / dog :mod (z1 / big))"
 
 
+def _stored_strings(g: AmrGraph) -> list[str]:
+    return [*g.nodes, *g.nodes.values(), *(s for e in g.edges for s in e)]
+
+
 def test_roundtrip_random_graphs():
     rng = random.Random(7)
+    reentrancies = 0
     for _ in range(200):
         g = random_graph(rng)
-        assert parse_penman(serialize_penman(g)) == g
+        text = serialize_penman(g)
+        parsed = parse_penman(text)
+        assert parsed == g
+        # A second text, built apart from the first, gives the same string
+        # objects: node keys, concepts, roles and constants are interned.
+        again = parse_penman(text.replace(" :", "\n  :"))
+        assert again == g
+        for a, b in zip(_stored_strings(again), _stored_strings(parsed), strict=True):
+            assert a is b, (text, a)
+        keys = {v: v for v in parsed.nodes}
+        for i, e in enumerate(parsed.edges):
+            if i not in parsed.tree_edge_indices and e.target in keys:
+                assert e.target is keys[e.target], (text, e)  # the very key in nodes
+                reentrancies += 1
+    assert reentrancies > 0
 
 
 def test_parser_totality_on_fuzzed_input():

@@ -6,8 +6,10 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from amrsg.amr import load_penman_file, parse_penman
 from amrsg.cli import cli
 from amrsg.corpus import RegionRecord, save_records
+from amrsg.linearize import Strategy, linearize
 from amrsg.retrieval import RetrievalIndex, save_index
 from amrsg.scenegraph import SceneGraph
 from helpers import FIG1_PENMAN
@@ -159,6 +161,37 @@ def test_convert_external_refuses_request_with_line_break(runner, tmp_path):
     assert result.stderr.startswith("error: graph 0: ")
     assert "line break" in result.stderr
     assert result.stdout == "( cat )\n( tree )\n"
+
+
+@pytest.mark.parametrize(
+    "char",
+    ["\u2028", "\u2029", "\x85", "\x1c", "\x1d", "\x1e", "\v", "\f"],
+    ids=["U+2028", "U+2029", "U+0085", "x1c", "x1d", "x1e", "vt", "ff"],
+)
+def test_file_input_keeps_a_line_separator_inside_a_literal(runner, tmp_path, char):
+    # Lines end only at LF, CRLF or CR, so a file reads as parse_penman reads its text.
+    text = f'(z0 / name :op1 "a{char}b")'
+    path = _penman_file(tmp_path, [text])
+    [graph] = load_penman_file(path)
+    assert graph == parse_penman(text)
+    assert graph.edges[0].target == f'"a{char}b"'
+    stub = tmp_path / "stub.py"
+    stub.write_text(
+        "import sys\n"
+        "with open(sys.argv[1], 'ab') as log:\n"
+        "    for line in sys.stdin.buffer:\n"
+        "        log.write(line)\n"
+        "        print('( name )', flush=True)\n"
+    )
+    log = tmp_path / "requests"
+    result = _invoke(
+        runner,
+        ["convert", path, "--engine", "external", "--adapter", f"{sys.executable} {stub} {log}"],
+    )
+    assert result.exit_code == 0, result.stderr
+    assert result.stdout == "( name )\n"
+    request = linearize(parse_penman(text), Strategy.DFS).text + "\n"
+    assert log.read_bytes() == request.encode("utf-8")
 
 
 def test_convert_external_restarts_an_exited_adapter(runner, tmp_path):

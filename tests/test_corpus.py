@@ -130,7 +130,7 @@ def test_filter_bus_red_example():
 def test_filter_keeps_grounded_record_unchanged():
     record = _record(description="A dog on the mat", objects=("dog", "mat"),
                      relations=[("dog", "on", "mat")])
-    assert filter_ungrounded(record).scene_graph == record.scene_graph
+    assert filter_ungrounded(record) is record
 
 
 def test_filter_plural_stemming():
@@ -169,7 +169,7 @@ def test_filter_idempotent():
         )
         once = filter_ungrounded(record)
         twice = filter_ungrounded(once)
-        assert once.scene_graph == twice.scene_graph
+        assert twice is once
 
 
 def test_filter_never_adds_tuples():
