@@ -12,13 +12,13 @@ import queue
 import subprocess
 import threading
 from dataclasses import dataclass
+from operator import itemgetter
 from subprocess import DEVNULL, PIPE
 from typing import Iterable, Sequence
 
 from .amr import (
     AmrGraph,
     PenmanError,
-    children_index,
     is_frame,
     parse_penman,
     unquote,
@@ -46,6 +46,8 @@ from .scenegraph import (
 ATTRIBUTE_ROLES = frozenset({":mod"})
 CORE_ROLES = (":ARG0", ":ARG1", ":ARG2")
 LOCATIVE_ROLES = {":location": "in"}
+_CORE_RANK = {role: rank for rank, role in enumerate(CORE_ROLES)}
+_rank = itemgetter(0)
 
 
 def convert_rules(graph: AmrGraph) -> SceneGraph:
@@ -78,60 +80,67 @@ def convert_rules(graph: AmrGraph) -> SceneGraph:
         else:
             surface[var] = normalize_or_none(unquote(concept))
 
+    # One pass over the edges emits the attribute-role tuples and collects,
+    # for each frame, its core children as (rank, role, child) in edge order
+    # and its first locative child as (role, child).
     attribute_values = set()
-    for e in graph.edges:
-        if e.role in ATTRIBUTE_ROLES:
-            target = e.target
-            if target not in surface:
+    core: dict[str, list[tuple[int, str, str]]] = {}
+    locative: dict[str, tuple[str, str]] = {}
+    for source, role, target in graph.edges:
+        if target not in surface:  # a constant: never a core or locative child
+            if role in ATTRIBUTE_ROLES:
                 attr = normalize_or_none(unquote(target))
-            elif target in lemmas:
-                continue
-            else:
-                attribute_values.add(target)
-                attr = surface[target]
-            obj = surface[e.source]
+                obj = surface[source]
+                if obj and attr:
+                    attributes.append(tuple.__new__(AttributeTuple, (obj, attr)))
+            continue
+        if role in ATTRIBUTE_ROLES and target not in lemmas:
+            attribute_values.add(target)
+            obj, attr = surface[source], surface[target]
             if obj and attr:
-                attributes.append(AttributeTuple(obj, attr))
+                attributes.append(tuple.__new__(AttributeTuple, (obj, attr)))
+        if source in lemmas:
+            rank = _CORE_RANK.get(role)
+            if rank is not None:
+                core.setdefault(source, []).append((rank, role, target))
+            elif role in LOCATIVE_ROLES and source not in locative:
+                locative[source] = (role, target)
 
     for var, name in surface.items():
         if name and var not in lemmas and var not in attribute_values:
-            objects.append(ObjectTuple(name))
+            objects.append(tuple.__new__(ObjectTuple, (name,)))
 
-    index = children_index(graph)
     for var, lemma in lemmas.items():
-        if not lemma:
-            continue
-        out = [(role, target) for _, role, target in index.get(var, ()) if target in surface]
-        core: list[tuple[str, str]] = []  # (role, child var) in preference order
-        for role in CORE_ROLES:
-            core.extend(edge for edge in out if edge[0] == role)
-        locative = [edge for edge in out if edge[0] in LOCATIVE_ROLES]
-        has_arg0 = any(role == ":ARG0" for role, _ in core)
-
-        if not core:
+        children = core.get(var)
+        if not lemma or not children:
             continue  # rule 5
-        if len(core) >= 2 or locative:
-            subj_role, subj_var = core[0]
-            if len(core) >= 2:
-                obj_role, obj_var = core[1]
+        children.sort(key=_rank)  # stable: edge order within a rank
+        loc = locative.get(var)
+        if len(children) >= 2 or loc:
+            subj_var = children[0][2]
+            if len(children) >= 2:
+                _, obj_role, obj_var = children[1]
             else:
-                obj_role, obj_var = locative[0]
+                obj_role, obj_var = loc
             subj = surface[subj_var]
             obj = surface[obj_var]
             if subj and obj:
                 if obj_role in LOCATIVE_ROLES:
                     pred = f"{lemma} {LOCATIVE_ROLES[obj_role]}"
-                elif obj_role == ":ARG2" and not has_arg0:
+                # a frame with an :ARG0 child has it first, CORE_ROLES[0] being :ARG0
+                elif obj_role == ":ARG2" and children[0][1] != ":ARG0":
                     pred = f"{lemma} in"
                 else:
                     pred = lemma
-                relations.append(RelationTuple(subj, pred, obj))
+                relations.append(tuple.__new__(RelationTuple, (subj, pred, obj)))
         else:
-            child = surface[core[0][1]]
+            child = surface[children[0][2]]
             if child:
-                attributes.append(AttributeTuple(child, lemma))
+                attributes.append(tuple.__new__(AttributeTuple, (child, lemma)))
 
-    return SceneGraph(objects, attributes, relations)
+    # every field comes out of normalize, or is "<lemma> <preposition>" of two
+    # normalized words: already the field rule
+    return SceneGraph._unchecked(objects, attributes, relations)
 
 
 # --- external model adapter ------------------------------------------------

@@ -25,7 +25,7 @@ from .scenegraph import (
     sg_to_json,
 )
 
-_WORD_RE = re.compile(r"[a-z0-9]+")
+_WORD_RE = re.compile(r"[^\W_]+")
 _STR_OR_NULL = (str, type(None))
 
 T = TypeVar("T")
@@ -125,50 +125,47 @@ def save_records(records: Iterable[RegionRecord], path: str | Path) -> None:
 # --- ungrounded-tuple filter -----------------------------------------------
 
 
-def _variants(token: str) -> set[str]:
-    # naive suffix stemming: dogs -> dog, boxes -> box, running -> runn
-    out = {token}
-    if token.endswith("ing") and len(token) > 4:
-        out.add(token[:-3])
-    if token.endswith("es") and len(token) > 3:
-        out.add(token[:-2])
-    if token.endswith("s") and len(token) > 2:
-        out.add(token[:-1])
+def _stems(text: str) -> set[str]:
+    """Each word of ``text`` (a run of Unicode letters and digits), lowercased,
+    with its naive suffix stems: dogs -> dog, boxes -> box, running -> runn."""
+    words = set(_WORD_RE.findall(text.lower()))
+    out = set(words)
+    for word in words:
+        n = len(word)
+        if n > 4 and word.endswith("ing"):
+            out.add(word[:-3])
+        if n > 3 and word.endswith("es"):
+            out.add(word[:-2])
+        if n > 2 and word.endswith("s"):
+            out.add(word[:-1])
     return out
 
 
-def _grounded(name: str, description_variants: set[str]) -> bool:
-    for word in _WORD_RE.findall(name.lower()):
-        if _variants(word) & description_variants:
-            return True
-    return False
-
-
 def filter_ungrounded(record: RegionRecord) -> RegionRecord:
-    """Drop tuples whose head object shares no token with the description.
+    """Drop tuples whose head object shares no word with the description.
 
-    Grounding is lexical overlap after lowercasing plus naive suffix
+    Grounding is lexical overlap of words after lowercasing plus naive suffix
     stemming. Attributes and relations referencing a dropped object are
     dropped with it. Idempotent; a record whose objects are all grounded is
     returned as it is.
     """
-    desc_variants: set[str] = set()
-    for tok in _WORD_RE.findall(record.description.lower()):
-        desc_variants |= _variants(tok)
-    names = {o.name for o in record.scene_graph.objects}
-    kept_names = {name for name in names if _grounded(name, desc_variants)}
+    desc_stems = _stems(record.description)
+    sg = record.scene_graph
+    names = {o.name for o in sg.objects}
+    # a name found among the description's stems is one word, and so its own stem
+    kept_names = {
+        name for name in names if name in desc_stems or not desc_stems.isdisjoint(_stems(name))
+    }
     if len(kept_names) == len(names):
         return record  # every object a tuple names is in ``objects``: nothing to drop
-    sg = SceneGraph(
-        [o for o in record.scene_graph.objects if o.name in kept_names],
-        [a for a in record.scene_graph.attributes if a.object in kept_names],
-        [
-            r
-            for r in record.scene_graph.relations
-            if r.subject in kept_names and r.object in kept_names
-        ],
+    # a subset of a checked scene graph, which holds every object its kept
+    # attributes and relations name
+    kept = SceneGraph._unchecked(
+        [o for o in sg.objects if o.name in kept_names],
+        [a for a in sg.attributes if a.object in kept_names],
+        [r for r in sg.relations if r.subject in kept_names and r.object in kept_names],
     )
-    return replace(record, scene_graph=sg)
+    return replace(record, scene_graph=kept)
 
 
 # --- statistics ------------------------------------------------------------

@@ -15,6 +15,7 @@ so every scene graph survives ``parse_sg_text(serialize_sg(sg))``.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from typing import Iterable, NamedTuple, Sequence, Union
 
@@ -23,6 +24,7 @@ GRAMMAR_VERSION = "1"
 
 _ARTICLES = {"a", "an", "the"}
 _DELIMS_TO_SPACES = str.maketrans("(),", "   ")
+_ONE_WORD = re.compile(r"[^\s(),]+").fullmatch
 
 
 class SgError(ValueError):
@@ -44,6 +46,10 @@ class UnbalancedParentheses(SgError):
 def normalize(term: str) -> str:
     """Lowercase, turn '(', ')' and ',' into spaces, collapse whitespace,
     strip leading articles."""
+    # one lowercase word that is not an article is its own normal form; ``\s``
+    # and ``str.split()`` share one whitespace test
+    if _ONE_WORD(term) and term == term.lower() and term not in _ARTICLES:
+        return term
     words = term.lower().translate(_DELIMS_TO_SPACES).split()
     while words and words[0] in _ARTICLES:
         words.pop(0)
@@ -107,9 +113,29 @@ class SceneGraph:
                         f"field {f!r} of {tuple(t)}: a field is a non-empty string with no"
                         " surrounding whitespace and no '(', ')' or ','"
                     )
-        present = {o.name for o in objs}
-        referenced = [a.object for a in attrs] + [n for r in rels for n in (r.subject, r.object)]
-        objs += [ObjectTuple(n) for n in dict.fromkeys(referenced) if n not in present]
+        self._store(objs, attrs, rels)
+
+    @classmethod
+    def _unchecked(
+        cls, objs: list[ObjectTuple], attrs: list[AttributeTuple], rels: list[RelationTuple]
+    ) -> SceneGraph:
+        """A scene graph of tuples that its caller built to the field rule
+        itself, so they are not checked again. Takes ownership of ``objs``."""
+        sg = cls.__new__(cls)
+        sg._store(objs, attrs, rels)
+        return sg
+
+    def _store(
+        self, objs: list[ObjectTuple], attrs: list[AttributeTuple], rels: list[RelationTuple]
+    ) -> None:
+        # auto-insert, in order of first mention, each object an attribute or
+        # relation names that ``objs`` lacks
+        if attrs or rels:
+            named = dict.fromkeys([obj for obj, _ in attrs])
+            for subj, _, obj in rels:
+                named[subj] = named[obj] = None
+            present = {name for name, in objs}
+            objs += [tuple.__new__(ObjectTuple, (n,)) for n in named if n not in present]
         self.objects: tuple[ObjectTuple, ...] = tuple(objs)
         self.attributes: tuple[AttributeTuple, ...] = tuple(attrs)
         self.relations: tuple[RelationTuple, ...] = tuple(rels)
@@ -163,18 +189,20 @@ def parse_sg_text(text: str) -> SceneGraph:
         if "(" in inner:
             raise UnbalancedParentheses(f"nested group at offset {i}")
         fields = [f.strip() for f in inner.split(",")]
-        if any(not f for f in fields):
+        if "" in fields:
             raise BadArity(f"empty field in group at offset {i}")
         if len(fields) == 1:
-            objects.append(ObjectTuple(fields[0]))
+            objects.append(tuple.__new__(ObjectTuple, fields))
         elif len(fields) == 2:
-            attributes.append(AttributeTuple(*fields))
+            attributes.append(tuple.__new__(AttributeTuple, fields))
         elif len(fields) == 3:
-            relations.append(RelationTuple(*fields))
+            relations.append(tuple.__new__(RelationTuple, fields))
         else:
             raise BadArity(f"group with {len(fields)} fields at offset {i}")
         i = end + 1
-    return SceneGraph(objects, attributes, relations)
+    # each field is stripped, non-empty, and free of ',' (split there), '(' (no
+    # nested group) and ')' (the group ends at the first one): the field rule
+    return SceneGraph._unchecked(objects, attributes, relations)
 
 
 # --- JSON rendering --------------------------------------------------------

@@ -166,6 +166,18 @@ def normalize_oracle(term: str) -> str:
     return s
 
 
+def variants(token: str) -> set[str]:
+    """A word and its naive suffix stems: dogs -> dog, boxes -> box, running -> runn."""
+    out = {token}
+    if token.endswith("ing") and len(token) > 4:
+        out.add(token[:-3])
+    if token.endswith("es") and len(token) > 3:
+        out.add(token[:-2])
+    if token.endswith("s") and len(token) > 2:
+        out.add(token[:-1])
+    return out
+
+
 def random_tuple_multiset(rng: random.Random, max_size: int = 10) -> list:
     """Small vocabulary so duplicates and cross-arity collisions occur."""
     names = ["dog", "cat", "snow"]

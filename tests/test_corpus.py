@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from amrsg.amr import parse_penman
 from amrsg.corpus import (
     RegionRecord,
+    _stems,
     convert_vg_regions,
     corpus_stats,
     filter_ungrounded,
@@ -17,7 +18,7 @@ from amrsg.corpus import (
     save_records,
 )
 from amrsg.scenegraph import RelationTuple, SceneGraph
-from helpers import FIG1_PENMAN
+from helpers import FIG1_PENMAN, variants
 from test_scenegraph import _ANY_FIELD, _RULE_FIELD
 
 
@@ -144,6 +145,28 @@ def test_filter_plural_stemming():
 def test_filter_ing_and_es_stemming():
     record = _record(description="a man walking past boxes", objects=("man", "walk", "box"))
     assert {o.name for o in filter_ungrounded(record).scene_graph.objects} == {"man", "walk", "box"}
+
+
+@pytest.mark.parametrize(
+    "description,objects,kept",
+    [
+        # a name that appears word for word in the description is grounded
+        ("кошка спит на диване", ("кошка", "стол"), ["кошка"]),
+        # a fragment of a name grounds nothing: "ωmega" is one word, not "mega"
+        ("a mega sale", ("ωmega", "sale"), ["sale"]),
+    ],
+)
+def test_filter_words_are_unicode_letters_and_digits(description, objects, kept):
+    record = _record(description=description, objects=objects)
+    assert [o.name for o in filter_ungrounded(record).scene_graph.objects] == kept
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=st.sampled_from(list("singe_ ,-İK\u212aΣ\xa0")) | st.characters(), max_size=30))
+def test_stems_are_the_union_of_each_words_variants(text):
+    # a word is a run of characters that str.isalnum() accepts
+    words = "".join(c if c.isalnum() else " " for c in text.lower()).split()
+    assert _stems(text) == set().union(*map(variants, words))
 
 
 def test_filter_drops_relations_with_ungrounded_endpoint():

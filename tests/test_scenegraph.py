@@ -1,9 +1,12 @@
 import random
+from itertools import cycle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amrsg.convert import convert_rules
+from amrsg.corpus import RegionRecord, filter_ungrounded
 from amrsg.scenegraph import (
     AttributeTuple,
     BadArity,
@@ -20,7 +23,7 @@ from amrsg.scenegraph import (
     sg_to_json,
     to_tuples,
 )
-from helpers import normalize_oracle, random_scene_graph
+from helpers import normalize_oracle, random_graph, random_scene_graph
 
 
 @pytest.mark.parametrize(
@@ -45,6 +48,25 @@ def test_normalize(raw, expected):
 def test_normalize_empty(raw):
     with pytest.raises(EmptyAfterNormalization):
         normalize(raw)
+
+
+# Whitespace that str.split() and re's \s both know, letters that change
+# length or leave ASCII when lowercased, the delimiters and the articles.
+_TERM = st.lists(
+    st.sampled_from(["\xa0", "\x1c", " ", "\u0130", "\u212a", "(", ")", ",", "a", "an", "the",
+                     "The", "dog", "x"]),
+    max_size=6,
+).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_TERM)
+def test_normalize_matches_the_oracle(term):
+    try:
+        got = normalize(term)
+    except EmptyAfterNormalization:
+        got = ""  # the oracle's "nothing left"
+    assert got == normalize_oracle(term)
 
 
 def test_serialize_fig1_semantics():
@@ -267,3 +289,34 @@ def test_arbitrary_json_gives_a_scene_graph_or_sg_error(data):
     except SgError:
         return
     assert sg_from_json(sg_to_json(sg)) == sg
+
+
+def _assert_in_field_rule(sg: SceneGraph) -> None:
+    """``sg``, built again by the checking constructor, does not raise and has
+    the same tuples in the same order."""
+    again = SceneGraph(sg.objects, sg.attributes, sg.relations)
+    assert (again.objects, again.attributes, again.relations) == (
+        sg.objects, sg.attributes, sg.relations
+    )
+
+
+# convert_rules, parse_sg_text and filter_ungrounded build their scene graphs
+# without the field check, trusting their own fields to follow the rule.
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=0),
+    _sections(_RULE_FIELD),
+    st.lists(st.text(alphabet=" \t\n\xa0\x1c\u2028", max_size=3), min_size=1, max_size=5),
+    _ANY_FIELD,
+)
+def test_trusted_producers_follow_the_field_rule(seed, sections, spaces, description):
+    _assert_in_field_rule(convert_rules(random_graph(random.Random(seed))))
+    sg = SceneGraph(*sections)
+    spaced = "".join(part + space for part, space in zip(serialize_sg(sg).split(" "), cycle(spaces)))
+    parsed = parse_sg_text(spaces[-1] + spaced)
+    _assert_in_field_rule(parsed)
+    for graph in (sg, parsed):
+        # every other object named in the description, so that some are kept
+        named = " ".join(name for name, in graph.objects[::2])
+        record = RegionRecord("1", "1_0", f"{description} {named}", graph)
+        _assert_in_field_rule(filter_ungrounded(record).scene_graph)
