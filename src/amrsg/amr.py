@@ -70,36 +70,37 @@ def unquote(text: str) -> str:
 class AmrGraph:
     """Immutable AMR graph.
 
-    ``edges`` keep textual attachment order. ``tree_edge_indices`` marks the
-    edges whose target variable was declared at that attachment point; they
-    form a spanning tree rooted at ``root``. Re-entrancies are the remaining
-    variable-targeted edges.
+    ``edges`` are stored in textual attachment order, and a variable is
+    declared where it is first attached, so the first edge into a node is its
+    tree edge; the root has none. The tree edges form a spanning tree rooted at
+    ``root``, and re-entrancies are the remaining variable-targeted edges.
     """
 
     root: str
     nodes: dict[str, str]
     edges: tuple[AmrEdge, ...]
-    tree_edge_indices: frozenset[int]
     metadata: dict[str, str] = field(default_factory=dict, compare=False)
 
 
-def children_index(graph: AmrGraph) -> dict[str, list[tuple[int, str, str]]]:
+def children_index(graph: AmrGraph) -> dict[str, list[tuple[str, str, bool]]]:
     """Map each source variable to its outgoing edges in stored order, each as
-    a plain (edge index, role, target) tuple. Callers build it once per walk;
-    it is not kept on the graph, so a loaded corpus does not hold one per graph."""
-    index: dict[str, list[tuple[int, str, str]]] = {}
-    for i, (source, role, target) in enumerate(graph.edges):
-        index.setdefault(source, []).append((i, role, target))
+    a plain (role, target, declares) tuple. ``declares`` marks the tree edge:
+    the target is a node other than the root, and no earlier edge targets it.
+    Callers build it once per walk; it is not kept on the graph, so a loaded
+    corpus does not hold one per graph."""
+    index: dict[str, list[tuple[str, str, bool]]] = {}
+    undeclared = graph.nodes.keys() - {graph.root}
+    for source, role, target in graph.edges:
+        declares = target in undeclared
+        if declares:
+            undeclared.remove(target)
+        index.setdefault(source, []).append((role, target, declares))
     return index
 
 
 def is_frame(concept: str) -> bool:
     """True for PropBank-style frames like 'stand-01'."""
     return bool(_FRAME_RE.match(concept))
-
-
-def is_variable_token(tok: str) -> bool:
-    return bool(_VAR_RE.match(tok))
 
 
 # --- parser ----------------------------------------------------------------
@@ -133,10 +134,10 @@ def _offset(text: str, i: int) -> int:
 def parse_penman(text: str, metadata: dict[str, str] | None = None) -> AmrGraph:
     """Parse a single PENMAN expression into an AmrGraph.
 
-    Edge order follows textual attachment order; the edge at each variable's
-    declaration point becomes a tree edge. Raises a PenmanError subclass with
-    a byte offset on any malformed input, and a PenmanError for nesting deeper
-    than ``MAX_DEPTH``.
+    Edge order follows textual attachment order, so the edge at each
+    variable's declaration point is the first edge into it. Raises a
+    PenmanError subclass with a byte offset on any malformed input, and a
+    PenmanError for nesting deeper than ``MAX_DEPTH``.
 
     Every string the graph keeps (variables, concepts, roles, constants) is
     passed through ``sys.intern`` where it is stored, so the graphs of a
@@ -155,7 +156,6 @@ def parse_penman(text: str, metadata: dict[str, str] | None = None) -> AmrGraph:
     tokens.append("")  # end of input
     nodes: dict[str, str] = {}
     edges: list[AmrEdge] = []
-    tree_indices: set[int] = set()
     stack: list[str] = []  # variables of the open nodes, root first
     role: str | None = ""  # while tokens[i] opens a node: its tree edge's role
     intern = sys.intern
@@ -191,7 +191,6 @@ def parse_penman(text: str, metadata: dict[str, str] | None = None) -> AmrGraph:
             var = intern(var)
             nodes[var] = intern(concept)
             if stack:
-                tree_indices.add(len(edges))
                 edges.append(new(AmrEdge, (stack[-1], role, var)))
             stack.append(var)
             role = None
@@ -231,7 +230,6 @@ def parse_penman(text: str, metadata: dict[str, str] | None = None) -> AmrGraph:
         root=next(iter(nodes)),
         nodes=nodes,
         edges=tuple(edges),
-        tree_edge_indices=frozenset(tree_indices),
         metadata=dict(metadata or {}),
     )
 
@@ -253,10 +251,10 @@ def penman_pieces(graph: AmrGraph) -> tuple[list[str], list[str]]:
         concept = graph.nodes[var]
         texts.append(f"({var} / {concept}")
         tokens.append(f"({var}/{concept}")
-        for i, role, target in index.get(var, ()):
+        for role, target, declares in index.get(var, ()):
             texts.append(role)
             tokens.append(role)
-            if i in graph.tree_edge_indices:
+            if declares:
                 emit(target)
             else:
                 texts.append(target)

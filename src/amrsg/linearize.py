@@ -72,10 +72,10 @@ def linearize_bfs(graph: AmrGraph) -> LinearizedSequence:
     _emit_node(graph, graph.root, texts, tokens)
     queue = deque([graph.root])
     while queue:
-        for i, role, target in index.get(queue.popleft(), ()):
+        for role, target, declares in index.get(queue.popleft(), ()):
             texts.append(role)
             tokens.append(role)
-            if i in graph.tree_edge_indices:
+            if declares:
                 _emit_node(graph, target, texts, tokens)
                 queue.append(target)
             else:
@@ -95,8 +95,8 @@ def linearize_inorder(graph: AmrGraph) -> LinearizedSequence:
     texts: list[str] = []
     tokens: list[str] = []
 
-    def emit_child(i: int, target: str) -> None:
-        if i in graph.tree_edge_indices:
+    def emit_child(target: str, declares: bool) -> None:
+        if declares:
             emit(target)
         else:
             _emit_leaf(target, texts, tokens)
@@ -106,15 +106,15 @@ def linearize_inorder(graph: AmrGraph) -> LinearizedSequence:
         if not children:
             _emit_node(graph, var, texts, tokens)
             return
-        first_i, first_role, first_target = children[0]
-        emit_child(first_i, first_target)
+        first_role, first_target, first_declares = children[0]
+        emit_child(first_target, first_declares)
         texts.append(first_role)
         tokens.append(first_role)
         _emit_node(graph, var, texts, tokens)
-        for i, role, target in children[1:]:
+        for role, target, declares in children[1:]:
             texts.append(role)
             tokens.append(role)
-            emit_child(i, target)
+            emit_child(target, declares)
 
     emit(graph.root)
     return LinearizedSequence(Strategy.IN_ORDER, tuple(tokens), " ".join(texts))

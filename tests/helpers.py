@@ -8,7 +8,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 
-from amrsg.amr import AmrEdge, AmrGraph, children_index, is_variable_token
+from amrsg.amr import AmrEdge, AmrGraph, children_index
 from amrsg.evaluate import f_score
 from amrsg.scenegraph import AttributeTuple, ObjectTuple, RelationTuple, SceneGraph
 
@@ -19,6 +19,13 @@ CONCEPTS = [
 FRAMES = ["stand-01", "run-02", "want-01", "eat-01", "hold-01", "sit-02"]
 ROLES = [":ARG0", ":ARG1", ":ARG2", ":mod", ":location", ":domain", ":time"]
 CONSTANT_SURFACES = ["-", "3", '"red car"', "42"]
+
+_VARIABLE_RE = re.compile(r"[a-z][a-zA-Z0-9]*$")
+
+
+def is_variable_token(tok: str) -> bool:
+    """True for a token that PENMAN reads as a variable, not a constant."""
+    return bool(_VARIABLE_RE.match(tok))
 
 
 def random_graph(
@@ -31,7 +38,6 @@ def random_graph(
     mimicking how a PENMAN parse would have produced it."""
     nodes: dict[str, str] = {}
     edges: list[AmrEdge] = []
-    tree: set[int] = set()
     declared: list[str] = []
     counter = [0]
     total = rng.randint(1, max_nodes)
@@ -55,7 +61,6 @@ def random_graph(
                 reent_left[0] -= 1
             elif len(nodes) < total:
                 child = new_var()
-                tree.add(len(edges))
                 edges.append(AmrEdge(var, role, child))
                 expand(child, depth + 1)
             else:
@@ -63,7 +68,7 @@ def random_graph(
 
     root = new_var()
     expand(root, 0)
-    return AmrGraph(root=root, nodes=nodes, edges=tuple(edges), tree_edge_indices=frozenset(tree))
+    return AmrGraph(root=root, nodes=nodes, edges=tuple(edges))
 
 
 MUTATION_ALPHABET = '()/:" \\\nzZ0a-'
@@ -118,27 +123,19 @@ def validate(graph: AmrGraph) -> list[Diagnostic]:
         if v in seen:
             continue
         seen.add(v)
-        for _, _, target in index.get(v, ()):
+        for _, target, _ in index.get(v, ()):
             if target in graph.nodes:
                 stack.append(target)
     for v in graph.nodes:
         if v not in seen:
             diags.append(Diagnostic("UnreachableNode", v))
-    # spanning-tree shape: each non-root node exactly one incoming tree edge
-    incoming: dict[str, int] = {v: 0 for v in graph.nodes}
-    for i in graph.tree_edge_indices:
-        if i < len(graph.edges):
-            e = graph.edges[i]
-            if e.target in incoming:
-                incoming[e.target] += 1
-    for v, count in incoming.items():
-        if v == graph.root:
-            if count != 0:
-                diags.append(Diagnostic("TreeEdgeIntoRoot", v))
-        elif count > 1:
-            diags.append(Diagnostic("MultipleTreeEdges", v))
-        elif count == 0 and v in seen:
-            diags.append(Diagnostic("MissingTreeEdge", v))
+    # attachment order: an edge leaves the root or a node an earlier edge reached,
+    # so each node's first incoming edge is its tree edge
+    attached = {graph.root}
+    for e in graph.edges:
+        if e.source in graph.nodes and e.source not in attached:
+            diags.append(Diagnostic("EdgeBeforeSourceAttached", e.source))
+        attached.add(e.target)
     return diags
 
 

@@ -15,7 +15,7 @@ from amrsg.amr import (
     PenmanError,
     UnbalancedParentheses,
     UndeclaredVariableReference,
-    is_variable_token,
+    children_index,
     iter_penman_blocks,
     load_penman_file,
     parse_penman,
@@ -23,7 +23,14 @@ from amrsg.amr import (
     unquote,
 )
 from amrsg.linearize import Strategy, linearize
-from helpers import FIG1_PENMAN, WANT_PENMAN, mutate_text, random_graph, validate
+from helpers import (
+    FIG1_PENMAN,
+    WANT_PENMAN,
+    is_variable_token,
+    mutate_text,
+    random_graph,
+    validate,
+)
 
 
 def test_parse_retriever_graph():
@@ -35,7 +42,6 @@ def test_parse_retriever_graph():
         AmrEdge("z1", ":mod", "z2"),
         AmrEdge("z0", ":ARG2", "z3"),
     )
-    assert g.tree_edge_indices == frozenset({0, 1, 2})
 
 
 def test_parse_minimal_graph():
@@ -49,9 +55,13 @@ def test_parse_reentrancy():
     g = parse_penman(WANT_PENMAN)
     assert len(g.nodes) == 3
     assert len(g.edges) == 3
-    assert len(g.tree_edge_indices) == len(g.nodes) - 1 == 2
-    reentrant = [e for i, e in enumerate(g.edges) if i not in g.tree_edge_indices]
-    assert reentrant == [AmrEdge("z2", ":ARG0", "z1")]
+    reentrant = [
+        (source, role, target)
+        for source, children in children_index(g).items()
+        for role, target, declares in children
+        if not declares
+    ]
+    assert reentrant == [("z2", ":ARG0", "z1")]
 
 
 def test_parse_constants():
@@ -162,24 +172,76 @@ def test_error_offsets_hold_on_mutated_graphs(seed, n_mutations):
             assert 0 <= err.offset <= len(text)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.integers(min_value=0))
-def test_edge_target_is_a_node_iff_it_is_a_variable_token(seed):
-    rng = random.Random(seed)
+def _parsed_variants(rng: random.Random) -> list[tuple[str, AmrGraph]]:
+    """A random graph's PENMAN text and ten chains of three edits of it, each
+    step kept, with the graph of every one that parses."""
     text = serialize_penman(random_graph(rng))
     variants = [text]
-    for _ in range(10):  # ten chains of three edits, each step kept
+    for _ in range(10):
         mutated = text
         for _ in range(3):
             mutated = mutate_text(rng, mutated)
             variants.append(mutated)
+    parsed = []
     for variant in variants:
         try:
-            g = parse_penman(variant)
+            parsed.append((variant, parse_penman(variant)))
         except PenmanError:
             continue
+    return parsed
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0))
+def test_edge_target_is_a_node_iff_it_is_a_variable_token(seed):
+    for variant, g in _parsed_variants(random.Random(seed)):
         for e in g.edges:
             assert (e.target in g.nodes) == is_variable_token(e.target), (variant, e)
+
+
+def _dfs_first_visits(g: AmrGraph) -> set[AmrEdge]:
+    """The edges along which a depth-first walk over all edges, children in
+    stored order, first reaches each node."""
+    out: dict[str, list[AmrEdge]] = {}
+    for e in g.edges:
+        out.setdefault(e.source, []).append(e)
+    visited = {g.root}
+    first: set[AmrEdge] = set()
+
+    def visit(var: str) -> None:
+        for e in out.get(var, ()):
+            if e.target in g.nodes and e.target not in visited:
+                visited.add(e.target)
+                first.add(e)
+                visit(e.target)
+
+    visit(g.root)
+    return first
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0))
+def test_declaring_edges_span_each_parsed_graph_as_its_dfs_tree(seed):
+    for variant, g in _parsed_variants(random.Random(seed)):
+        assert validate(g) == [], variant
+        index = children_index(g)
+        declaring = [
+            (source, role, target)
+            for source, children in index.items()
+            for role, target, declares in children
+            if declares
+        ]
+        assert len(declaring) == len(g.nodes) - 1, variant
+        reached = {g.root}
+        stack = [g.root]
+        while stack:
+            for _, target, declares in index.get(stack.pop(), ()):
+                if declares:
+                    reached.add(target)
+                    stack.append(target)
+        assert reached == set(g.nodes), variant
+        assert set(declaring) == _dfs_first_visits(g), variant
+        assert parse_penman(serialize_penman(g)) == g, variant
 
 
 def test_error_offsets_point_at_the_problem():
@@ -219,10 +281,10 @@ def test_roundtrip_random_graphs():
         for a, b in zip(_stored_strings(again), _stored_strings(parsed), strict=True):
             assert a is b, (text, a)
         keys = {v: v for v in parsed.nodes}
-        for i, e in enumerate(parsed.edges):
-            if i not in parsed.tree_edge_indices and e.target in keys:
-                assert e.target is keys[e.target], (text, e)  # the very key in nodes
-                reentrancies += 1
+        into_nodes = [e for e in parsed.edges if e.target in keys]
+        for e in into_nodes:
+            assert e.target is keys[e.target], (text, e)  # the very key in nodes
+        reentrancies += len(into_nodes) - (len(parsed.nodes) - 1)
     assert reentrancies > 0
 
 
@@ -275,7 +337,6 @@ def test_validate_undeclared_reference():
         root=g.root,
         nodes=g.nodes,
         edges=g.edges + (AmrEdge("z0", ":mod", "z9"),),
-        tree_edge_indices=g.tree_edge_indices,
     )
     kinds = [(d.kind, d.subject) for d in validate(bad)]
     assert ("UndeclaredVariableReference", "z9") in kinds
@@ -285,17 +346,26 @@ def test_validate_unreachable_node():
     g = parse_penman(FIG1_PENMAN)
     # drop the tree edge z1 -:mod-> z2 entirely
     edges = tuple(e for e in g.edges if e != AmrEdge("z1", ":mod", "z2"))
-    bad = AmrGraph(root=g.root, nodes=g.nodes, edges=edges, tree_edge_indices=frozenset({0, 1}))
+    bad = AmrGraph(root=g.root, nodes=g.nodes, edges=edges)
     kinds = [(d.kind, d.subject) for d in validate(bad)]
     assert ("UnreachableNode", "z2") in kinds
 
 
-def test_tree_edge_count_invariant():
-    rng = random.Random(13)
-    for _ in range(100):
-        g = random_graph(rng)
-        assert len(g.tree_edge_indices) == len(g.nodes) - 1
-        assert validate(g) == []
+def test_validate_edges_out_of_attachment_order():
+    # Every node is reachable, but z1 and z2 are first reached from each
+    # other, not from the root, so the PENMAN text would never declare them.
+    bad = AmrGraph(
+        root="z0",
+        nodes={"z0": "dog", "z1": "cat", "z2": "tree"},
+        edges=(
+            AmrEdge("z1", ":mod", "z2"),
+            AmrEdge("z0", ":ARG0", "z2"),
+            AmrEdge("z2", ":ARG1", "z1"),
+        ),
+    )
+    kinds = [(d.kind, d.subject) for d in validate(bad)]
+    assert kinds == [("EdgeBeforeSourceAttached", "z1")]
+    assert serialize_penman(bad) == "(z0 / dog :ARG0 z2)"
 
 
 def test_penman_blocks_with_metadata(tmp_path):

@@ -3,7 +3,7 @@ from collections import deque
 
 import pytest
 
-from amrsg.amr import children_index, parse_penman
+from amrsg.amr import parse_penman
 from amrsg.linearize import (
     Strategy,
     linearize,
@@ -147,18 +147,23 @@ def test_role_token_count_equals_edge_count():
 def test_bfs_queue_discipline_matches_reference_simulation():
     rng = random.Random(29)
     for _ in range(60):
-        g = random_graph(rng, p_constant=0.0, max_reentrancies=0)
+        g = random_graph(rng)
         text = linearize_bfs(g).text
-        # reference queue simulation over the spanning tree
+        # reference queue simulation over the spanning tree, whose edges are
+        # the first stored edge into each node other than the root
+        first_in: dict[str, int] = {}
+        out: dict[str, list[int]] = {}
+        for i, e in enumerate(g.edges):
+            first_in.setdefault(e.target, i)
+            out.setdefault(e.source, []).append(i)
+        tree = {i for target, i in first_in.items() if target in g.nodes and target != g.root}
         order = [g.root]
         queue = deque([g.root])
-        index = children_index(g)
         while queue:
-            var = queue.popleft()
-            for i, _, target in index.get(var, []):
-                if i in g.tree_edge_indices:
-                    order.append(target)
-                    queue.append(target)
+            for i in out.get(queue.popleft(), []):
+                if i in tree:
+                    order.append(g.edges[i].target)
+                    queue.append(g.edges[i].target)
         positions = [text.index(f"({v} / ") for v in order]
         assert positions == sorted(positions)
 
