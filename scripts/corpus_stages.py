@@ -80,6 +80,7 @@ def load_amrsg(name: str, src: Path | None = None) -> SimpleNamespace:
         PenmanError=amr.PenmanError,
         parse_penman=amr.parse_penman,
         convert_rules=convert.convert_rules,
+        ExternalAdapter=convert.ExternalAdapter,
         filter_ungrounded=corpus.filter_ungrounded,
         record_from_json=corpus.record_from_json,
         f_score=evaluate.f_score,
@@ -185,18 +186,18 @@ def main() -> int:
         f"({rejected} rejected records left out), best of {args.runs} runs per graph"
     )
     if args.baseline is None:
-        print_table(bests[0])
+        print_table(STAGES, bests[0])
     else:
         print(f"baseline: {args.baseline}")
-        print_ratios(*bests)
+        print_ratios(STAGES, *bests)
     return 0
 
 
-def print_table(best: list[list[float]]) -> None:
+def print_table(stages: list[str], best: list[list[float]]) -> None:
     totals = [sum(times) for times in best]
     slowest = slowest_tenth(best)
     print(f"{'stage':<20} {'median graph us':>16} {'slowest 10% us':>16}")
-    for s, stage in enumerate(STAGES):
+    for s, stage in enumerate(stages):
         median = statistics.median(times[s] for times in best)
         tail = statistics.mean(best[k][s] for k in slowest)
         print(f"{stage:<20} {median * 1e6:>16.1f} {tail * 1e6:>16.1f}")
@@ -205,17 +206,17 @@ def print_table(best: list[list[float]]) -> None:
     print(f"{'total':<20} {total_median * 1e6:>16.1f} {total_tail * 1e6:>16.1f}")
 
 
-def print_ratios(best: list[list[float]], base: list[list[float]]) -> None:
+def print_ratios(stages: list[str], best: list[list[float]], base: list[list[float]]) -> None:
     slowest = slowest_tenth(base)
     print(
         f"{'stage':<20} {'median graph us':>16} {'baseline us':>12}"
         f" {'median ratio':>13} {'slowest 10% ratio':>18}"
     )
-    columns = [[times[s] for times in best] for s in range(len(STAGES))]
-    base_columns = [[times[s] for times in base] for s in range(len(STAGES))]
+    columns = [[times[s] for times in best] for s in range(len(stages))]
+    base_columns = [[times[s] for times in base] for s in range(len(stages))]
     columns.append([sum(times) for times in best])
     base_columns.append([sum(times) for times in base])
-    for stage, ours, theirs in zip(STAGES + ["total"], columns, base_columns):
+    for stage, ours, theirs in zip(stages + ["total"], columns, base_columns):
         ratio = statistics.median(a / b for a, b in zip(ours, theirs))
         tail = sum(ours[k] for k in slowest) / sum(theirs[k] for k in slowest)
         print(

@@ -70,10 +70,15 @@ def unquote(text: str) -> str:
 class AmrGraph:
     """Immutable AMR graph.
 
-    ``edges`` are stored in textual attachment order, and a variable is
+    ``edges`` are stored in textual order, the depth-first pre-order of the
+    PENMAN text: each edge leaves the root or a node declared earlier whose
+    parentheses are still open, and an edge that leaves a node closes every
+    node nested inside it, so no later edge leaves those. A variable is
     declared where it is first attached, so the first edge into a node is its
     tree edge; the root has none. The tree edges form a spanning tree rooted at
     ``root``, and re-entrancies are the remaining variable-targeted edges.
+    ``parse_penman`` builds graphs in this order; ``serialize_penman`` raises
+    ValueError on a graph built by hand that breaks it.
     """
 
     root: str
@@ -118,8 +123,8 @@ _PUNCTUATION = "()/:"  # first characters of the tokens that are neither atom no
 
 MAX_DEPTH = 200
 """Deepest node nesting ``parse_penman`` accepts; the root is level 1. It keeps
-the recursive walks over a parsed graph (``penman_pieces``,
-``linearize_inorder``) well inside Python's default recursion limit."""
+the recursive walk over a parsed graph (``linearize_inorder``) well inside
+Python's default recursion limit."""
 
 
 def _offset(text: str, i: int) -> int:
@@ -241,28 +246,46 @@ def penman_pieces(graph: AmrGraph) -> tuple[list[str], list[str]]:
 
     A piece is a node's ``(var / concept``, a role, a bare variable at a
     re-entrancy or a constant; closing parentheses attach to the piece
-    before them. Children follow stored edge order.
+    before them. One pass over ``graph.edges`` in stored order, which is the
+    text's order: an edge whose source is not the innermost open node closes
+    the nodes above its source, and a target is declared where it is first
+    reached. Raises ValueError for an edge whose source is not open at that
+    point, and for a node that no edge reaches.
     """
-    index = children_index(graph)
-    texts: list[str] = []
-    tokens: list[str] = []
-
-    def emit(var: str) -> None:
-        concept = graph.nodes[var]
-        texts.append(f"({var} / {concept}")
-        tokens.append(f"({var}/{concept}")
-        for role, target, declares in index.get(var, ()):
-            texts.append(role)
-            tokens.append(role)
-            if declares:
-                emit(target)
-            else:
-                texts.append(target)
-                tokens.append(target)
-        texts[-1] += ")"
-        tokens[-1] += ")"
-
-    emit(graph.root)
+    nodes = graph.nodes
+    root = graph.root
+    concept = nodes[root]
+    texts = [f"({root} / {concept}"]
+    tokens = [f"({root}/{concept}"]
+    open_nodes = [root]  # the innermost last
+    undeclared = nodes.keys() - {root}
+    for source, role, target in graph.edges:
+        if source != open_nodes[-1]:
+            closed = 0
+            while open_nodes[-1] != source:
+                open_nodes.pop()
+                closed += 1
+                if not open_nodes:
+                    raise ValueError(
+                        f"edge {source} {role} {target}: its source is not an open node"
+                    )
+            texts[-1] += ")" * closed
+            tokens[-1] += ")" * closed
+        texts.append(role)
+        tokens.append(role)
+        if target in undeclared:
+            undeclared.remove(target)
+            open_nodes.append(target)
+            concept = nodes[target]
+            texts.append(f"({target} / {concept}")
+            tokens.append(f"({target}/{concept}")
+        else:
+            texts.append(target)
+            tokens.append(target)
+    if undeclared:
+        raise ValueError(f"nodes never reached from the root: {', '.join(sorted(undeclared))}")
+    texts[-1] += ")" * len(open_nodes)
+    tokens[-1] += ")" * len(open_nodes)
     return texts, tokens
 
 

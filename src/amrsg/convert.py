@@ -8,9 +8,11 @@ pairs for fine-tuning such a model.
 
 from __future__ import annotations
 
-import queue
+import os
+import select
 import subprocess
 import threading
+import time
 from dataclasses import dataclass
 from operator import itemgetter
 from subprocess import DEVNULL, PIPE
@@ -146,6 +148,11 @@ def convert_rules(graph: AmrGraph) -> SceneGraph:
 # --- external model adapter ------------------------------------------------
 
 
+# poll(2) takes its timeout as a C int of milliseconds; longer waits are split.
+_POLL_MAX_MS = 2**31 - 1
+_READ_SIZE = 65536
+
+
 class AdapterError(RuntimeError):
     def __init__(self, message: str, raw: str | None = None):
         super().__init__(message)
@@ -168,8 +175,10 @@ class ExternalAdapter:
     """Line-protocol child process: one request line in, one response line out.
 
     ``command`` is an argument list, as for ``subprocess.Popen``. The child is
-    started lazily and reused across requests. Not safe for concurrent use
-    from multiple callers; create one adapter per worker.
+    started lazily and reused across requests. Replies are read on the calling
+    thread, through ``select.poll`` (POSIX only); no background thread runs.
+    Not safe for concurrent use from multiple callers; create one adapter per
+    worker.
     """
 
     def __init__(self, command: Sequence[str], timeout: float = 30.0):
@@ -178,26 +187,19 @@ class ExternalAdapter:
         self.command = list(command)
         self.timeout = timeout
         self._proc: subprocess.Popen | None = None
-        self._lines: queue.Queue[bytes | None] = queue.Queue()
+        self._poll = select.poll()
+        self._buffer = bytearray()
 
     def _start(self) -> None:
         try:
             self._proc = subprocess.Popen(self.command, stdin=PIPE, stdout=PIPE, stderr=DEVNULL)
         except OSError as err:  # not found, not executable, ...
             raise AdapterCrashed(f"cannot start adapter {self.command!r}: {err.strerror}")
-        # A fresh queue per child, so a late line from a killed child never
+        # A fresh buffer per child, so a late line from a killed child never
         # reaches the one that replaces it.
-        self._lines = queue.Queue()
-        threading.Thread(
-            target=self._pump, args=(self._proc.stdout, self._lines), daemon=True
-        ).start()
-
-    @staticmethod
-    def _pump(stdout, lines: queue.Queue[bytes | None]) -> None:
-        with stdout:
-            for line in stdout:
-                lines.put(line)
-        lines.put(None)  # EOF marker
+        self._poll = select.poll()
+        self._poll.register(self._proc.stdout, select.POLLIN)
+        self._buffer = bytearray()
 
     def request(self, line: str) -> str:
         """Send one line, return the raw response line (newline stripped).
@@ -205,36 +207,58 @@ class ExternalAdapter:
         A line with a line break inside is refused: the child would read it as
         two requests and every later reply would be off by one. Lines are UTF-8; a
         reply that is not, or that has a carriage return other than in a CRLF end,
-        is a MalformedModelOutput, and the child is kept. A child that times out,
-        exits or closes its input is reaped, and the next request starts a fresh one.
+        is a MalformedModelOutput, and the child is kept. The timeout covers the
+        whole reply line. A child that times out, exits or closes its input is
+        reaped, and the next request starts a fresh one; an unterminated last
+        line before the child's exit is still a reply.
         """
         line = line.rstrip("\n")
         if "\n" in line or "\r" in line:
             raise AdapterError("request contains a line break")
         if self._proc is None:
             self._start()
-        assert self._proc is not None and self._proc.stdin is not None
+        proc = self._proc
+        assert proc is not None and proc.stdin is not None and proc.stdout is not None
         try:
-            self._proc.stdin.write((line + "\n").encode("utf-8"))
-            self._proc.stdin.flush()
+            proc.stdin.write((line + "\n").encode("utf-8"))
+            proc.stdin.flush()
         except (BrokenPipeError, OSError):
-            self._proc.kill()
+            proc.kill()
             self.close()
             raise AdapterCrashed(f"adapter {self.command!r} closed its input")
+        # The raw fd is read, never the BufferedReader, so poll sees every
+        # byte that has not been taken yet.
+        deadline = time.monotonic() + self.timeout
+        fd, buffer = proc.stdout.fileno(), self._buffer
+        scanned = 0
+        while (end := buffer.find(b"\n", scanned)) < 0:
+            scanned = len(buffer)
+            wait = deadline - time.monotonic()
+            if not self._poll.poll(min(max(wait, 0.0) * 1000, _POLL_MAX_MS)):
+                if wait <= 0:
+                    proc.kill()
+                    self.close()
+                    raise AdapterTimeout(
+                        f"no response within {self.timeout}s from {self.command!r}"
+                    )
+                continue
+            chunk = os.read(fd, _READ_SIZE)
+            if not chunk:  # EOF
+                if not buffer:
+                    code = proc.wait()
+                    self.close()
+                    raise AdapterCrashed(f"adapter {self.command!r} exited with status {code}")
+                end = len(buffer)
+                break
+            buffer += chunk
+        response = buffer[:end].removesuffix(b"\r")
+        del buffer[: end + 1]
         try:
-            response = self._lines.get(timeout=self.timeout)
-        except queue.Empty:
-            self._proc.kill()
-            self.close()
-            raise AdapterTimeout(f"no response within {self.timeout}s from {self.command!r}")
-        if response is None:
-            code = self._proc.wait()
-            self.close()
-            raise AdapterCrashed(f"adapter {self.command!r} exited with status {code}")
-        response = response.rstrip(b"\n").removesuffix(b"\r")
-        text = response.decode("utf-8", "replace")
-        # a reply that does not survive the round trip was not valid UTF-8
-        if "\r" in text or text.encode("utf-8") != response:
+            text = response.decode("utf-8")
+        except UnicodeDecodeError:
+            raw = response.decode("utf-8", "replace")
+            raise MalformedModelOutput("model output is not one UTF-8 line", raw=raw) from None
+        if "\r" in text:
             raise MalformedModelOutput("model output is not one UTF-8 line", raw=text)
         return text
 
@@ -249,6 +273,8 @@ class ExternalAdapter:
                 self._proc.wait(timeout=5)
             except subprocess.TimeoutExpired:
                 self._proc.kill()
+            if self._proc.stdout is not None:
+                self._proc.stdout.close()
             self._proc = None
 
     def __enter__(self) -> "ExternalAdapter":

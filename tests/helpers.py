@@ -139,6 +139,34 @@ def validate(graph: AmrGraph) -> list[Diagnostic]:
     return diags
 
 
+def reference_penman_pieces(graph: AmrGraph) -> tuple[list[str], list[str]]:
+    """Reference DFS walk for ``amr.penman_pieces``: recursive, over each
+    node's children from ``children_index``, declaring a node at its flagged
+    edge. On a graph whose edges are out of textual order it drops nodes where
+    the implementation raises."""
+    index = children_index(graph)
+    texts: list[str] = []
+    tokens: list[str] = []
+
+    def emit(var: str) -> None:
+        concept = graph.nodes[var]
+        texts.append(f"({var} / {concept}")
+        tokens.append(f"({var}/{concept}")
+        for role, target, declares in index.get(var, ()):
+            texts.append(role)
+            tokens.append(role)
+            if declares:
+                emit(target)
+            else:
+                texts.append(target)
+                tokens.append(target)
+        texts[-1] += ")"
+        tokens[-1] += ")"
+
+    emit(graph.root)
+    return texts, tokens
+
+
 def multiset_intersection_size(g_tuples, r_tuples) -> int:
     """Matching-size oracle, valid under exact-equality compatibility."""
     gc, rc = Counter(g_tuples), Counter(r_tuples)

@@ -19,16 +19,18 @@ from amrsg.amr import (
     iter_penman_blocks,
     load_penman_file,
     parse_penman,
+    penman_pieces,
     serialize_penman,
     unquote,
 )
-from amrsg.linearize import Strategy, linearize
+from amrsg.linearize import Strategy, linearize, linearize_dfs
 from helpers import (
     FIG1_PENMAN,
     WANT_PENMAN,
     is_variable_token,
     mutate_text,
     random_graph,
+    reference_penman_pieces,
     validate,
 )
 
@@ -244,6 +246,16 @@ def test_declaring_edges_span_each_parsed_graph_as_its_dfs_tree(seed):
         assert parse_penman(serialize_penman(g)) == g, variant
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0))
+def test_penman_pieces_match_the_recursive_reference(seed):
+    rng = random.Random(seed)
+    graphs = [("random_graph", random_graph(rng)), *_parsed_variants(rng)]
+    for variant, g in graphs:
+        assert penman_pieces(g) == reference_penman_pieces(g), variant
+        assert parse_penman(serialize_penman(g)) == g, variant
+
+
 def test_error_offsets_point_at_the_problem():
     text = "(z0 / dog :mod z9)"
     with pytest.raises(UndeclaredVariableReference) as info:
@@ -349,6 +361,9 @@ def test_validate_unreachable_node():
     bad = AmrGraph(root=g.root, nodes=g.nodes, edges=edges)
     kinds = [(d.kind, d.subject) for d in validate(bad)]
     assert ("UnreachableNode", "z2") in kinds
+    for serialize in (serialize_penman, linearize_dfs):
+        with pytest.raises(ValueError, match="^nodes never reached from the root: z2$"):
+            serialize(bad)
 
 
 def test_validate_edges_out_of_attachment_order():
@@ -365,7 +380,27 @@ def test_validate_edges_out_of_attachment_order():
     )
     kinds = [(d.kind, d.subject) for d in validate(bad)]
     assert kinds == [("EdgeBeforeSourceAttached", "z1")]
-    assert serialize_penman(bad) == "(z0 / dog :ARG0 z2)"
+    for serialize in (serialize_penman, linearize_dfs):
+        with pytest.raises(ValueError, match="^edge z1 :mod z2: its source is not an open node$"):
+            serialize(bad)
+
+
+def test_serialize_refuses_edges_in_attachment_but_not_textual_order():
+    # Each edge leaves a node an earlier edge reached, but z1's subtree was
+    # closed by z0's second edge, so no PENMAN text gives this edge order.
+    bad = AmrGraph(
+        root="z0",
+        nodes={"z0": "dog", "z1": "cat", "z2": "tree", "z3": "snow"},
+        edges=(
+            AmrEdge("z0", ":ARG0", "z1"),
+            AmrEdge("z0", ":ARG1", "z3"),
+            AmrEdge("z1", ":mod", "z2"),
+        ),
+    )
+    assert validate(bad) == []
+    for serialize in (serialize_penman, linearize_dfs):
+        with pytest.raises(ValueError, match="^edge z1 :mod z2: its source is not an open node$"):
+            serialize(bad)
 
 
 def test_penman_blocks_with_metadata(tmp_path):

@@ -361,6 +361,92 @@ def test_adapter_timeout_is_above_0_and_at_most_timeout_max(timeout):
     ExternalAdapter(["true"], timeout=threading.TIMEOUT_MAX).close()
 
 
+def test_adapter_reply_written_in_pieces_comes_back_whole(tmp_path):
+    cmd = _write_stub(
+        tmp_path,
+        "pieces.py",
+        """
+        import sys, time
+        for line in sys.stdin:
+            for piece in ("( d", "o", "g )\\n"):
+                sys.stdout.write(piece)
+                sys.stdout.flush()
+                time.sleep(0.05)
+        """,
+    )
+    with ExternalAdapter(cmd, timeout=10) as adapter:
+        assert adapter.request("(z0 / dog)") == "( dog )"
+        assert adapter.request("(z0 / dog)") == "( dog )"
+
+
+def test_adapter_reply_of_a_mebibyte_comes_back_whole(tmp_path):
+    cmd = _write_stub(
+        tmp_path,
+        "big.py",
+        """
+        import sys
+        for line in sys.stdin:
+            print("( " + "a" * (1 << 20) + " )", flush=True)
+        """,
+    )
+    with ExternalAdapter(cmd, timeout=10) as adapter:
+        for _ in range(2):
+            assert adapter.request("(z0 / dog)") == "( " + "a" * (1 << 20) + " )"
+
+
+def test_adapter_timeout_covers_the_whole_reply(tmp_path):
+    cmd = _write_stub(
+        tmp_path,
+        "drip.py",
+        """
+        import sys, time
+        for line in sys.stdin:
+            for char in "( dog )\\n":
+                sys.stdout.write(char)
+                sys.stdout.flush()
+                time.sleep(0.1)
+        """,
+    )
+    with ExternalAdapter(cmd, timeout=0.3) as adapter:
+        with pytest.raises(AdapterTimeout):
+            adapter.request("(z0 / dog)")
+        # the killed child's partial reply does not prefix the next one
+        adapter.timeout = 10
+        assert adapter.request("(z0 / dog)") == "( dog )"
+
+
+def test_adapter_request_with_the_longest_timeout_gets_its_reply(echo_dog):
+    with ExternalAdapter(echo_dog, timeout=threading.TIMEOUT_MAX) as adapter:
+        assert adapter.request("(z0 / dog)") == "( dog )"
+
+
+def test_adapter_starts_no_thread(echo_dog):
+    before = threading.active_count()
+    with ExternalAdapter(echo_dog, timeout=10) as adapter:
+        for _ in range(3):
+            assert adapter.request("(z0 / dog)") == "( dog )"
+            assert threading.active_count() == before
+    assert threading.active_count() == before
+
+
+def test_adapter_unterminated_last_line_is_a_reply(tmp_path):
+    cmd = _write_stub(
+        tmp_path,
+        "last_words.py",
+        """
+        import sys
+        sys.stdin.readline()
+        sys.stdout.write("( dog )")
+        """,
+    )
+    with ExternalAdapter(cmd, timeout=10) as adapter:
+        assert adapter.request("(z0 / dog)") == "( dog )"
+        # the child has exited; whether its input is already closed is a race
+        with pytest.raises(AdapterCrashed):
+            adapter.request("(z0 / dog)")
+        assert adapter.request("(z0 / dog)") == "( dog )"
+
+
 @pytest.mark.parametrize("missing", [True, False], ids=["not-found", "a-directory"])
 def test_adapter_that_cannot_start_is_a_crash(tmp_path, missing):
     command = [str(tmp_path / "missing" if missing else tmp_path)]
