@@ -187,14 +187,18 @@ class ExternalAdapter:
         self.command = list(command)
         self.timeout = timeout
         self._proc: subprocess.Popen | None = None
-        self._poll = select.poll()
-        self._buffer = bytearray()
+        # set by _start, once per child
+        self._poll: select.poll
+        self._buffer: bytearray
 
     def _start(self) -> None:
         try:
             self._proc = subprocess.Popen(self.command, stdin=PIPE, stdout=PIPE, stderr=DEVNULL)
         except OSError as err:  # not found, not executable, ...
             raise AdapterCrashed(f"cannot start adapter {self.command!r}: {err.strerror}")
+        # Requests are written to a non-blocking stdin, so a child that
+        # streams its reply while still reading never stalls the write.
+        os.set_blocking(self._proc.stdin.fileno(), False)
         # A fresh buffer per child, so a late line from a killed child never
         # reaches the one that replaces it.
         self._poll = select.poll()
@@ -208,9 +212,10 @@ class ExternalAdapter:
         two requests and every later reply would be off by one. Lines are UTF-8; a
         reply that is not, or that has a carriage return other than in a CRLF end,
         is a MalformedModelOutput, and the child is kept. The timeout covers the
-        whole reply line. A child that times out, exits or closes its input is
-        reaped, and the next request starts a fresh one; an unterminated last
-        line before the child's exit is still a reply.
+        whole exchange: writing the request and reading the reply line. A child
+        that times out, exits or closes its input is reaped, and the next request
+        starts a fresh one; an unterminated last line before the child's exit is
+        still a reply.
         """
         line = line.rstrip("\n")
         if "\n" in line or "\r" in line:
@@ -219,38 +224,40 @@ class ExternalAdapter:
             self._start()
         proc = self._proc
         assert proc is not None and proc.stdin is not None and proc.stdout is not None
-        try:
-            proc.stdin.write((line + "\n").encode("utf-8"))
-            proc.stdin.flush()
-        except (BrokenPipeError, OSError):
-            proc.kill()
-            self.close()
-            raise AdapterCrashed(f"adapter {self.command!r} closed its input")
-        # The raw fd is read, never the BufferedReader, so poll sees every
-        # byte that has not been taken yet.
         deadline = time.monotonic() + self.timeout
-        fd, buffer = proc.stdout.fileno(), self._buffer
-        scanned = 0
-        while (end := buffer.find(b"\n", scanned)) < 0:
-            scanned = len(buffer)
+        # Both pipes are used through their raw fds, never the buffered files,
+        # so poll sees every byte that has not been taken yet.
+        in_fd, out_fd, buffer = proc.stdin.fileno(), proc.stdout.fileno(), self._buffer
+        data = (line + "\n").encode("utf-8")
+        # What the pipe does not take at once is written from the poll loop,
+        # which keeps reading meanwhile: the child may be blocked on its reply.
+        pending = memoryview(data)[self._write(proc, data) :]
+        if pending:
+            self._poll.register(in_fd, select.POLLOUT)
+        scanned, end = 0, -1
+        while end < 0:
+            if not pending:
+                if (end := buffer.find(b"\n", scanned)) >= 0:
+                    break
+                scanned = len(buffer)
             wait = deadline - time.monotonic()
-            if not self._poll.poll(min(max(wait, 0.0) * 1000, _POLL_MAX_MS)):
-                if wait <= 0:
-                    proc.kill()
-                    self.close()
-                    raise AdapterTimeout(
-                        f"no response within {self.timeout}s from {self.command!r}"
-                    )
-                continue
-            chunk = os.read(fd, _READ_SIZE)
-            if not chunk:  # EOF
-                if not buffer:
+            if wait <= 0:
+                proc.kill()
+                self.close()
+                raise AdapterTimeout(f"no response within {self.timeout}s from {self.command!r}")
+            for fd, _ in self._poll.poll(min(wait * 1000, _POLL_MAX_MS)):
+                if fd == in_fd:
+                    pending = pending[self._write(proc, pending) :]
+                    if not pending:
+                        self._poll.unregister(in_fd)
+                elif chunk := os.read(out_fd, _READ_SIZE):
+                    buffer += chunk
+                elif buffer and not pending:  # an unterminated last line, then EOF
+                    end = len(buffer)
+                else:
                     code = proc.wait()
                     self.close()
                     raise AdapterCrashed(f"adapter {self.command!r} exited with status {code}")
-                end = len(buffer)
-                break
-            buffer += chunk
         response = buffer[:end].removesuffix(b"\r")
         del buffer[: end + 1]
         try:
@@ -261,6 +268,18 @@ class ExternalAdapter:
         if "\r" in text:
             raise MalformedModelOutput("model output is not one UTF-8 line", raw=text)
         return text
+
+    def _write(self, proc: subprocess.Popen, data: bytes | memoryview) -> int:
+        """Write what the child's input pipe takes now; return the byte count."""
+        assert proc.stdin is not None
+        try:
+            return os.write(proc.stdin.fileno(), data)
+        except BlockingIOError:
+            return 0
+        except OSError:  # BrokenPipeError, ...
+            proc.kill()
+            self.close()
+            raise AdapterCrashed(f"adapter {self.command!r} closed its input")
 
     def close(self) -> None:
         if self._proc is not None:

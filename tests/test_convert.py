@@ -1,14 +1,17 @@
 import itertools
+import os
 import random
 import re
 import sys
 import textwrap
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amrsg import convert
 from amrsg.amr import parse_penman
 from amrsg.convert import (
     AdapterCrashed,
@@ -413,6 +416,79 @@ def test_adapter_timeout_covers_the_whole_reply(tmp_path):
         # the killed child's partial reply does not prefix the next one
         adapter.timeout = 10
         assert adapter.request("(z0 / dog)") == "( dog )"
+
+
+def test_adapter_timeout_holds_while_output_keeps_coming(tmp_path, monkeypatch):
+    # Reads are slowed so that bytes without a newline are waiting at every
+    # poll, as from a child that floods its output: the deadline must still end
+    # the request, not the end of the flood.
+    cmd = _write_stub(
+        tmp_path,
+        "flood.py",
+        """
+        import sys, time
+        sys.stdin.readline()
+        for _ in range(600):  # 3 s of output
+            sys.stdout.write("a" * 64)
+            sys.stdout.flush()
+            time.sleep(0.005)
+        """,
+    )
+
+    class SlowReads:
+        def __getattr__(self, name):
+            return getattr(os, name)
+
+        @staticmethod
+        def read(fd, size):
+            chunk = os.read(fd, size)
+            time.sleep(0.02)  # the child writes meanwhile
+            return chunk
+
+    monkeypatch.setattr(convert, "os", SlowReads())
+    with ExternalAdapter(cmd, timeout=0.3) as adapter:
+        start = time.monotonic()
+        with pytest.raises(AdapterTimeout):
+            adapter.request("(z0 / dog)")
+        assert time.monotonic() - start < 1.5
+
+
+@pytest.fixture
+def cat(tmp_path):
+    """A child that echoes its input as it reads it, before the line ends."""
+    return _write_stub(
+        tmp_path,
+        "cat.py",
+        """
+        import os
+        while chunk := os.read(0, 65536):
+            os.write(1, chunk)
+        """,
+    )
+
+
+def test_adapter_request_larger_than_the_pipes_reaches_a_streaming_child(cat):
+    line = "(z0 / " + "d" * (1 << 20) + ")"
+    with ExternalAdapter(cat, timeout=10) as adapter:
+        for _ in range(2):
+            assert adapter.request(line) == line
+        assert adapter.request("(z0 / dog)") == "(z0 / dog)"
+
+
+def test_adapter_timeout_covers_writing_the_request(tmp_path):
+    cmd = _write_stub(
+        tmp_path,
+        "deaf.py",
+        """
+        import time
+        time.sleep(60)
+        """,
+    )
+    with ExternalAdapter(cmd, timeout=0.3) as adapter:
+        start = time.monotonic()
+        with pytest.raises(AdapterTimeout):
+            adapter.request("(z0 / " + "d" * (1 << 20) + ")")
+        assert time.monotonic() - start < 1.5
 
 
 def test_adapter_request_with_the_longest_timeout_gets_its_reply(echo_dog):
