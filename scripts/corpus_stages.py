@@ -9,7 +9,8 @@ Usage, from the root of a checkout:
 The records come from the benchmark's generator (``bench/gen.corpus_input``);
 nothing is written. Each record goes through the stages of the
 ``corpus_pipeline`` workload in order: ``filter_ungrounded``, ``parse_penman``,
-the DFS, BFS and in-order linearizations, ``convert_rules``, ``serialize_sg``,
+the DFS, BFS and in-order linearizations with their tokens (which the
+workload reads, and which are built on demand), ``convert_rules``, ``serialize_sg``,
 ``parse_sg_text`` and ``f_score``. Every stage keeps its best time per graph
 over ``--runs`` passes. Records whose AMR does not parse are left out of the
 table. Two columns follow: the median graph (the median of each stage's
@@ -100,11 +101,11 @@ def run_once(lib: SimpleNamespace, record) -> list[float]:
     t1 = clock()
     graph = lib.parse_penman(record.amr)
     t2 = clock()
-    linearize(graph, Strategy.DFS)
+    linearize(graph, Strategy.DFS).tokens
     t3 = clock()
-    linearize(graph, Strategy.BFS)
+    linearize(graph, Strategy.BFS).tokens
     t4 = clock()
-    linearize(graph, Strategy.IN_ORDER)
+    linearize(graph, Strategy.IN_ORDER).tokens
     t5 = clock()
     sg = lib.convert_rules(graph)
     t6 = clock()

@@ -87,12 +87,13 @@ class AmrGraph:
     metadata: dict[str, str] = field(default_factory=dict, compare=False)
 
 
-def children_index(graph: AmrGraph) -> dict[str, list[tuple[str, str, bool]]]:
+def children_index(graph: AmrGraph) -> tuple[dict[str, list[tuple[str, str, bool]]], set[str]]:
     """Map each source variable to its outgoing edges in stored order, each as
     a plain (role, target, declares) tuple. ``declares`` marks the tree edge:
     the target is a node other than the root, and no earlier edge targets it.
-    Callers build it once per walk; it is not kept on the graph, so a loaded
-    corpus does not hold one per graph."""
+    Also returns the nodes other than the root that no edge targets, which no
+    walk from the root reaches. Callers build it once per walk; it is not kept
+    on the graph, so a loaded corpus does not hold one per graph."""
     index: dict[str, list[tuple[str, str, bool]]] = {}
     undeclared = graph.nodes.keys() - {graph.root}
     for source, role, target in graph.edges:
@@ -100,7 +101,12 @@ def children_index(graph: AmrGraph) -> dict[str, list[tuple[str, str, bool]]]:
         if declares:
             undeclared.remove(target)
         index.setdefault(source, []).append((role, target, declares))
-    return index
+    return index, undeclared
+
+
+def unreached_error(nodes: set[str]) -> ValueError:
+    """The error of a walk over a graph with ``nodes`` that no edge reaches."""
+    return ValueError(f"nodes never reached from the root: {', '.join(sorted(nodes))}")
 
 
 def is_frame(concept: str) -> bool:
@@ -239,10 +245,9 @@ def parse_penman(text: str, metadata: dict[str, str] | None = None) -> AmrGraph:
     )
 
 
-def penman_pieces(graph: AmrGraph) -> tuple[list[str], list[str]]:
-    """The depth-first PENMAN walk as two parallel lists: text pieces, which
-    joined with single spaces give the canonical PENMAN string, and tokens,
-    the same pieces with the spaces around each node's '/' dropped.
+def penman_pieces(graph: AmrGraph) -> list[str]:
+    """The depth-first PENMAN walk as text pieces, which joined with single
+    spaces give the canonical PENMAN string.
 
     A piece is a node's ``(var / concept``, a role, a bare variable at a
     re-entrancy or a constant; closing parentheses attach to the piece
@@ -254,9 +259,7 @@ def penman_pieces(graph: AmrGraph) -> tuple[list[str], list[str]]:
     """
     nodes = graph.nodes
     root = graph.root
-    concept = nodes[root]
-    texts = [f"({root} / {concept}"]
-    tokens = [f"({root}/{concept}"]
+    pieces = [f"({root} / {nodes[root]}"]
     open_nodes = [root]  # the innermost last
     undeclared = nodes.keys() - {root}
     for source, role, target in graph.edges:
@@ -269,30 +272,24 @@ def penman_pieces(graph: AmrGraph) -> tuple[list[str], list[str]]:
                     raise ValueError(
                         f"edge {source} {role} {target}: its source is not an open node"
                     )
-            texts[-1] += ")" * closed
-            tokens[-1] += ")" * closed
-        texts.append(role)
-        tokens.append(role)
+            pieces[-1] += ")" * closed
+        pieces.append(role)
         if target in undeclared:
             undeclared.remove(target)
             open_nodes.append(target)
-            concept = nodes[target]
-            texts.append(f"({target} / {concept}")
-            tokens.append(f"({target}/{concept}")
+            pieces.append(f"({target} / {nodes[target]}")
         else:
-            texts.append(target)
-            tokens.append(target)
+            pieces.append(target)
     if undeclared:
-        raise ValueError(f"nodes never reached from the root: {', '.join(sorted(undeclared))}")
-    texts[-1] += ")" * len(open_nodes)
-    tokens[-1] += ")" * len(open_nodes)
-    return texts, tokens
+        raise unreached_error(undeclared)
+    pieces[-1] += ")" * len(open_nodes)
+    return pieces
 
 
 def serialize_penman(graph: AmrGraph) -> str:
     """Canonical PENMAN text: single spaces around '/', one space before each
     role, children in stored edge order, bare variables at re-entrancies."""
-    return " ".join(penman_pieces(graph)[0])
+    return " ".join(penman_pieces(graph))
 
 
 # --- PENMAN files ----------------------------------------------------------

@@ -145,9 +145,10 @@ def cmd_linearize(input_path, strategy, emit, out):
         seq = linearize(graph, _STRATEGIES[strategy])
         if emit == "text":
             return seq.text
-        if any("\t" in token for token in seq.tokens):
+        tokens = seq.tokens
+        if any("\t" in token for token in tokens):
             raise ValueError("a token contains a tab")
-        return "\t".join(seq.tokens)
+        return "\t".join(tokens)
 
     _write_each_graph(input_path, out, render)
 

@@ -152,6 +152,10 @@ def convert_rules(graph: AmrGraph) -> SceneGraph:
 _POLL_MAX_MS = 2**31 - 1
 _READ_SIZE = 65536
 
+MAX_REPLY_BYTES = 16 * 2**20
+"""Most bytes ``ExternalAdapter`` holds of one reply line before it gives up
+on the child."""
+
 
 class AdapterError(RuntimeError):
     def __init__(self, message: str, raw: str | None = None):
@@ -215,7 +219,9 @@ class ExternalAdapter:
         whole exchange: writing the request and reading the reply line. A child
         that times out, exits or closes its input is reaped, and the next request
         starts a fresh one; an unterminated last line before the child's exit is
-        still a reply.
+        still a reply. A child that has written more than ``MAX_REPLY_BYTES``
+        with no line end is killed, and the request is a MalformedModelOutput
+        with no ``raw`` text.
         """
         line = line.rstrip("\n")
         if "\n" in line or "\r" in line:
@@ -237,9 +243,13 @@ class ExternalAdapter:
         scanned, end = 0, -1
         while end < 0:
             if not pending:
-                if (end := buffer.find(b"\n", scanned)) >= 0:
+                if (end := buffer.find(b"\n", scanned, MAX_REPLY_BYTES + 1)) >= 0:
                     break
                 scanned = len(buffer)
+            if len(buffer) > MAX_REPLY_BYTES:
+                proc.kill()
+                self.close()
+                raise MalformedModelOutput(f"model output line longer than {MAX_REPLY_BYTES} bytes")
             wait = deadline - time.monotonic()
             if wait <= 0:
                 proc.kill()
@@ -295,6 +305,7 @@ class ExternalAdapter:
             if self._proc.stdout is not None:
                 self._proc.stdout.close()
             self._proc = None
+            self._buffer.clear()  # a killed child's partial reply is freed now
 
     def __enter__(self) -> "ExternalAdapter":
         return self

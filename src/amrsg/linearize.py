@@ -10,10 +10,14 @@ in-order  (z2 / gold) :mod (z1 / retriever) :ARG1 (z0 / stand-01) :ARG2 (z3 / sn
 DFS keeps the PENMAN nesting (slash included). BFS and in-order drop the
 original nesting and wrap every node in its own parentheses. Each strategy
 walks the graph once and emits every unit (node, role, re-entrant variable
-or constant) twice: as a text piece, and as a token that is the same piece
-with the spaces around a node's '/' dropped. So DFS tokens look like
-``(z0/stand-01``, BFS/in-order tokens like ``(z0/stand-01)``, and a quoted
-constant is always one token, spaces and all.
+or constant) as a text piece; the text is the pieces joined with single
+spaces. Tokens are derived from the pieces on demand: a piece's token is the
+piece with its first ``" / "`` replaced by ``"/"``, unless the piece begins
+with a quoted string (``"`` or ``("``). Only a node's piece has ``" / "``
+outside quotes, and its first one follows the variable, so DFS tokens look
+like ``(z0/stand-01``, BFS/in-order tokens like ``(z0/stand-01)``, and a
+quoted concept or constant keeps its spaces, ``" / "`` included. A new
+kind of piece must keep this rule.
 """
 
 from __future__ import annotations
@@ -21,8 +25,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 
-from .amr import AmrGraph, children_index, penman_pieces
+from .amr import AmrGraph, children_index, penman_pieces, unreached_error
 
 
 class Strategy(str, Enum):
@@ -31,32 +36,48 @@ class Strategy(str, Enum):
     IN_ORDER = "inorder"
 
 
+_QUOTED = ('"', '("')
+# str.replace's other arguments for ``map``: endless, unchanging iterators
+_SLASH, _BARE, _ONCE = repeat(" / "), repeat("/"), repeat(1)
+
+
 @dataclass(frozen=True)
 class LinearizedSequence:
     strategy: Strategy
-    tokens: tuple[str, ...]
     text: str
+    pieces: tuple[str, ...]
 
-
-def _emit_node(graph: AmrGraph, var: str, texts: list[str], tokens: list[str]) -> None:
-    """BFS/in-order unit of a declared node: ``(var / concept)``."""
-    concept = graph.nodes[var]
-    texts.append(f"({var} / {concept})")
-    tokens.append(f"({var}/{concept})")
-
-
-def _emit_leaf(target: str, texts: list[str], tokens: list[str]) -> None:
-    """BFS/in-order unit of a re-entrant or constant target: ``(var)`` /
-    ``(literal)``."""
-    unit = f"({target})"
-    texts.append(unit)
-    tokens.append(unit)
+    @property
+    def tokens(self) -> tuple[str, ...]:
+        """The model-input tokens, derived from ``pieces`` by the module's rule."""
+        if '"' in self.text:
+            return tuple([p if p.startswith(_QUOTED) else p.replace(" / ", "/", 1) for p in self.pieces])
+        # no piece begins with a quoted string, so the rule maps every piece alike
+        return tuple(map(str.replace, self.pieces, _SLASH, _BARE, _ONCE))
 
 
 def linearize_dfs(graph: AmrGraph) -> LinearizedSequence:
     """Depth-first linearization: the canonical PENMAN string itself."""
-    texts, tokens = penman_pieces(graph)
-    return LinearizedSequence(Strategy.DFS, tuple(tokens), " ".join(texts))
+    pieces = penman_pieces(graph)
+    return LinearizedSequence(Strategy.DFS, " ".join(pieces), tuple(pieces))
+
+
+def _sequence(
+    strategy: Strategy, graph: AmrGraph, undeclared: set[str], pieces: list[str]
+) -> LinearizedSequence:
+    """The sequence of a BFS or in-order walk over ``children_index(graph)``,
+    which emits each node at most once and two pieces per edge it reaches:
+    it reached every edge, and so every node an edge reaches, exactly when it
+    emitted 2 * len(edges) + 1 pieces."""
+    if undeclared:
+        raise unreached_error(undeclared)
+    missed = len(graph.edges) - (len(pieces) - 1) // 2
+    if missed:
+        raise ValueError(
+            f"{missed} of {len(graph.edges)} edges never reached from the root:"
+            " the edges are out of attachment order"
+        )
+    return LinearizedSequence(strategy, " ".join(pieces), tuple(pieces))
 
 
 def linearize_bfs(graph: AmrGraph) -> LinearizedSequence:
@@ -64,23 +85,23 @@ def linearize_bfs(graph: AmrGraph) -> LinearizedSequence:
 
     Each dequeued node emits role + target unit for every outgoing edge in
     stored order; only tree-edge targets are enqueued. Re-entrant targets
-    emit ``(var)`` without re-declaring the concept.
+    emit ``(var)`` without re-declaring the concept. Raises ValueError for a
+    graph whose edges do not all hang from the root in attachment order.
     """
-    index = children_index(graph)
-    texts: list[str] = []
-    tokens: list[str] = []
-    _emit_node(graph, graph.root, texts, tokens)
-    queue = deque([graph.root])
+    index, undeclared = children_index(graph)
+    nodes = graph.nodes
+    root = graph.root
+    pieces = [f"({root} / {nodes[root]})"]
+    queue = deque([root])
     while queue:
         for role, target, declares in index.get(queue.popleft(), ()):
-            texts.append(role)
-            tokens.append(role)
+            pieces.append(role)
             if declares:
-                _emit_node(graph, target, texts, tokens)
+                pieces.append(f"({target} / {nodes[target]})")
                 queue.append(target)
             else:
-                _emit_leaf(target, texts, tokens)
-    return LinearizedSequence(Strategy.BFS, tuple(tokens), " ".join(texts))
+                pieces.append(f"({target})")
+    return _sequence(Strategy.BFS, graph, undeclared, pieces)
 
 
 def linearize_inorder(graph: AmrGraph) -> LinearizedSequence:
@@ -89,35 +110,34 @@ def linearize_inorder(graph: AmrGraph) -> LinearizedSequence:
     The first child's subtree is emitted, then the role of the edge up to the
     current node, then the node itself, then each remaining child as role +
     subtree. Re-entrant and constant children are leaves rendered as
-    ``(var)`` / ``(literal)``.
+    ``(var)`` / ``(literal)``. Raises ValueError for a graph whose edges do
+    not all hang from the root in attachment order.
     """
-    index = children_index(graph)
-    texts: list[str] = []
-    tokens: list[str] = []
+    index, undeclared = children_index(graph)
+    nodes = graph.nodes
+    pieces: list[str] = []
 
     def emit_child(target: str, declares: bool) -> None:
         if declares:
             emit(target)
         else:
-            _emit_leaf(target, texts, tokens)
+            pieces.append(f"({target})")
 
     def emit(var: str) -> None:
         children = index.get(var)
         if not children:
-            _emit_node(graph, var, texts, tokens)
+            pieces.append(f"({var} / {nodes[var]})")
             return
         first_role, first_target, first_declares = children[0]
         emit_child(first_target, first_declares)
-        texts.append(first_role)
-        tokens.append(first_role)
-        _emit_node(graph, var, texts, tokens)
+        pieces.append(first_role)
+        pieces.append(f"({var} / {nodes[var]})")
         for role, target, declares in children[1:]:
-            texts.append(role)
-            tokens.append(role)
+            pieces.append(role)
             emit_child(target, declares)
 
     emit(graph.root)
-    return LinearizedSequence(Strategy.IN_ORDER, tuple(tokens), " ".join(texts))
+    return _sequence(Strategy.IN_ORDER, graph, undeclared, pieces)
 
 
 _LINEARIZERS = {

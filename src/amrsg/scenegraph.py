@@ -169,39 +169,54 @@ def serialize_sg(sg: SceneGraph) -> str:
     return " ".join(groups)
 
 
+# One group's 1-3 fields, each without the whitespace around it, or one
+# character that starts no group. ``\s`` matches exactly the characters that
+# ``str.isspace`` accepts, so a field is what ``str.strip`` leaves of it.
+_FIELD = r"([^\s(),]+(?:\s+[^\s(),]+)*)"
+_GROUP_RE = re.compile(
+    rf"\(\s*{_FIELD}\s*(?:,\s*{_FIELD}\s*(?:,\s*{_FIELD}\s*)?)?\)|(\S)"
+)
+
+
+def _group_error(text: str, i: int) -> SgError:
+    """The error of the stray character or malformed group at offset ``i``."""
+    if text[i] != "(":
+        return UnbalancedParentheses(f"unexpected {text[i]!r} at offset {i}")
+    end = text.find(")", i + 1)
+    if end == -1:
+        return UnbalancedParentheses(f"unclosed group at offset {i}")
+    inner = text[i + 1 : end]
+    if "(" in inner:
+        return UnbalancedParentheses(f"nested group at offset {i}")
+    fields = inner.split(",")
+    if not all(f.strip() for f in fields):
+        return BadArity(f"empty field in group at offset {i}")
+    # a group of 1-3 non-empty fields matches the pattern, so this one has more
+    return BadArity(f"group with {len(fields)} fields at offset {i}")
+
+
 def parse_sg_text(text: str) -> SceneGraph:
-    """Inverse of serialize_sg up to ordering; arity dispatches tuple kind."""
+    """Inverse of serialize_sg up to ordering; arity dispatches tuple kind.
+
+    Raises UnbalancedParentheses for a stray character, an unclosed or a
+    nested group, and BadArity for an empty field or more than three, each
+    naming the offset of the first such character or group.
+    """
     objects: list[ObjectTuple] = []
     attributes: list[AttributeTuple] = []
     relations: list[RelationTuple] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c != "(":
-            raise UnbalancedParentheses(f"unexpected {c!r} at offset {i}")
-        end = text.find(")", i + 1)
-        if end == -1:
-            raise UnbalancedParentheses(f"unclosed group at offset {i}")
-        inner = text[i + 1 : end]
-        if "(" in inner:
-            raise UnbalancedParentheses(f"nested group at offset {i}")
-        fields = [f.strip() for f in inner.split(",")]
-        if "" in fields:
-            raise BadArity(f"empty field in group at offset {i}")
-        if len(fields) == 1:
-            objects.append(tuple.__new__(ObjectTuple, fields))
-        elif len(fields) == 2:
-            attributes.append(tuple.__new__(AttributeTuple, fields))
-        elif len(fields) == 3:
-            relations.append(tuple.__new__(RelationTuple, fields))
+    new = tuple.__new__
+    for a, b, c, _ in _GROUP_RE.findall(text):
+        if c:
+            relations.append(new(RelationTuple, (a, b, c)))
+        elif b:
+            attributes.append(new(AttributeTuple, (a, b)))
+        elif a:
+            objects.append(new(ObjectTuple, (a,)))
         else:
-            raise BadArity(f"group with {len(fields)} fields at offset {i}")
-        i = end + 1
-    # each field is stripped, non-empty, and free of ',' (split there), '(' (no
-    # nested group) and ')' (the group ends at the first one): the field rule
+            raise next(_group_error(text, m.start()) for m in _GROUP_RE.finditer(text) if m[4])
+    # each field is non-empty, has no whitespace around it and no '(', ')' or
+    # ',', by the pattern: the field rule
     return SceneGraph._unchecked(objects, attributes, relations)
 
 

@@ -10,7 +10,14 @@ from dataclasses import dataclass
 
 from amrsg.amr import AmrEdge, AmrGraph, children_index
 from amrsg.evaluate import f_score
-from amrsg.scenegraph import AttributeTuple, ObjectTuple, RelationTuple, SceneGraph
+from amrsg.scenegraph import (
+    AttributeTuple,
+    BadArity,
+    ObjectTuple,
+    RelationTuple,
+    SceneGraph,
+    UnbalancedParentheses,
+)
 
 CONCEPTS = [
     "dog", "cat", "snow", "tree", "person", "umbrella", "gold", "retriever", "car", "house",
@@ -115,7 +122,7 @@ def validate(graph: AmrGraph) -> list[Diagnostic]:
         if is_variable_token(e.target) and e.target not in graph.nodes:
             diags.append(Diagnostic("UndeclaredVariableReference", e.target))
     # reachability over all edges
-    index = children_index(graph)
+    index, _ = children_index(graph)
     seen = set()
     stack = [graph.root] if graph.root in graph.nodes else []
     while stack:
@@ -143,8 +150,9 @@ def reference_penman_pieces(graph: AmrGraph) -> tuple[list[str], list[str]]:
     """Reference DFS walk for ``amr.penman_pieces``: recursive, over each
     node's children from ``children_index``, declaring a node at its flagged
     edge. On a graph whose edges are out of textual order it drops nodes where
-    the implementation raises."""
-    index = children_index(graph)
+    the implementation raises. Builds texts and tokens apart, each by its own
+    f-string, so it checks ``LinearizedSequence.tokens`` as well."""
+    index, _ = children_index(graph)
     texts: list[str] = []
     tokens: list[str] = []
 
@@ -165,6 +173,104 @@ def reference_penman_pieces(graph: AmrGraph) -> tuple[list[str], list[str]]:
 
     emit(graph.root)
     return texts, tokens
+
+
+def reference_walk_pieces(graph: AmrGraph, strategy: str) -> tuple[list[str], list[str]]:
+    """Reference BFS (``strategy`` "bfs") or in-order ("inorder") walk: texts
+    and tokens built apart, a node as ``(var / concept)`` and ``(var/concept)``,
+    any other target as ``(target)`` in both. On a graph whose edges are out
+    of textual order it drops nodes where the implementation raises."""
+    index, _ = children_index(graph)
+    texts: list[str] = []
+    tokens: list[str] = []
+
+    def piece(text: str, token: str | None = None) -> None:
+        texts.append(text)
+        tokens.append(text if token is None else token)
+
+    def node(var: str) -> None:
+        piece(f"({var} / {graph.nodes[var]})", f"({var}/{graph.nodes[var]})")
+
+    def inorder(var: str) -> None:
+        children = index.get(var, [])
+        if not children:
+            node(var)
+        for k, (role, target, declares) in enumerate(children):
+            if k:
+                piece(role)
+            if declares:
+                inorder(target)
+            else:
+                piece(f"({target})")
+            if not k:
+                piece(role)
+                node(var)
+
+    if strategy == "inorder":
+        inorder(graph.root)
+        return texts, tokens
+    node(graph.root)
+    queue = [graph.root]
+    for var in queue:
+        for role, target, declares in index.get(var, ()):
+            piece(role)
+            if declares:
+                node(target)
+                queue.append(target)
+            else:
+                piece(f"({target})")
+    return texts, tokens
+
+
+QUOTED_SLASHES = ['"a / b"', '"(x / y"', '"/ c /"', '" / "', '"(p / q) / r"']
+
+
+def with_quoted_slashes(rng: random.Random, graph: AmrGraph) -> AmrGraph:
+    """``graph`` with about half its concepts and constants replaced by
+    quoted strings that hold ``" / "`` and ``"("``."""
+    nodes = {v: rng.choice(QUOTED_SLASHES) if rng.random() < 0.5 else c for v, c in graph.nodes.items()}
+    edges = tuple(
+        AmrEdge(e.source, e.role, rng.choice(QUOTED_SLASHES))
+        if e.target not in graph.nodes and rng.random() < 0.5
+        else e
+        for e in graph.edges
+    )
+    return AmrGraph(graph.root, nodes, edges)
+
+
+def reference_parse_sg_text(text: str) -> SceneGraph:
+    """Reference reader of the scene-graph wire grammar: a character loop
+    that finds each group's ')' and splits its inside at ','."""
+    objects: list[ObjectTuple] = []
+    attributes: list[AttributeTuple] = []
+    relations: list[RelationTuple] = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c != "(":
+            raise UnbalancedParentheses(f"unexpected {c!r} at offset {i}")
+        end = text.find(")", i + 1)
+        if end == -1:
+            raise UnbalancedParentheses(f"unclosed group at offset {i}")
+        inner = text[i + 1 : end]
+        if "(" in inner:
+            raise UnbalancedParentheses(f"nested group at offset {i}")
+        fields = [f.strip() for f in inner.split(",")]
+        if "" in fields:
+            raise BadArity(f"empty field in group at offset {i}")
+        if len(fields) == 1:
+            objects.append(ObjectTuple(*fields))
+        elif len(fields) == 2:
+            attributes.append(AttributeTuple(*fields))
+        elif len(fields) == 3:
+            relations.append(RelationTuple(*fields))
+        else:
+            raise BadArity(f"group with {len(fields)} fields at offset {i}")
+        i = end + 1
+    return SceneGraph(objects, attributes, relations)
 
 
 def multiset_intersection_size(g_tuples, r_tuples) -> int:

@@ -57,13 +57,15 @@ def test_parse_reentrancy():
     g = parse_penman(WANT_PENMAN)
     assert len(g.nodes) == 3
     assert len(g.edges) == 3
+    index, undeclared = children_index(g)
     reentrant = [
         (source, role, target)
-        for source, children in children_index(g).items()
+        for source, children in index.items()
         for role, target, declares in children
         if not declares
     ]
     assert reentrant == [("z2", ":ARG0", "z1")]
+    assert undeclared == set()
 
 
 def test_parse_constants():
@@ -226,7 +228,8 @@ def _dfs_first_visits(g: AmrGraph) -> set[AmrEdge]:
 def test_declaring_edges_span_each_parsed_graph_as_its_dfs_tree(seed):
     for variant, g in _parsed_variants(random.Random(seed)):
         assert validate(g) == [], variant
-        index = children_index(g)
+        index, undeclared = children_index(g)
+        assert undeclared == set(), variant
         declaring = [
             (source, role, target)
             for source, children in index.items()
@@ -252,7 +255,9 @@ def test_penman_pieces_match_the_recursive_reference(seed):
     rng = random.Random(seed)
     graphs = [("random_graph", random_graph(rng)), *_parsed_variants(rng)]
     for variant, g in graphs:
-        assert penman_pieces(g) == reference_penman_pieces(g), variant
+        texts, tokens = reference_penman_pieces(g)
+        assert penman_pieces(g) == texts, variant
+        assert linearize_dfs(g).tokens == tuple(tokens), variant
         assert parse_penman(serialize_penman(g)) == g, variant
 
 

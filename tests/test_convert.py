@@ -453,6 +453,53 @@ def test_adapter_timeout_holds_while_output_keeps_coming(tmp_path, monkeypatch):
         assert time.monotonic() - start < 1.5
 
 
+def test_adapter_reply_longer_than_the_cap_kills_the_child(tmp_path, monkeypatch):
+    cmd = _write_stub(
+        tmp_path,
+        "endless.py",
+        """
+        import sys
+        for line in sys.stdin:
+            if "flood" in line:
+                while True:
+                    sys.stdout.write("a" * 4096)
+                    sys.stdout.flush()
+            print("( dog )", flush=True)
+        """,
+    )
+    monkeypatch.setattr(convert, "MAX_REPLY_BYTES", 1 << 16)
+    with ExternalAdapter(cmd, timeout=10) as adapter:
+        assert adapter.request("(z0 / dog)") == "( dog )"
+        start = time.monotonic()
+        with pytest.raises(MalformedModelOutput, match=f"longer than {1 << 16} bytes") as info:
+            adapter.request("(z0 / flood)")
+        assert time.monotonic() - start < 5
+        assert info.value.raw is None
+        assert len(adapter._buffer) == 0  # the partial reply is freed, not kept until the next start
+        # a fresh child answers the next request
+        assert adapter.request("(z0 / dog)") == "( dog )"
+
+
+def test_adapter_reply_of_exactly_the_cap_comes_back(tmp_path, monkeypatch):
+    cmd = _write_stub(
+        tmp_path,
+        "exact.py",
+        """
+        import sys
+        for line in sys.stdin:
+            size = int(line)
+            sys.stdout.write("a" * size + "\\n")
+            sys.stdout.flush()
+        """,
+    )
+    monkeypatch.setattr(convert, "MAX_REPLY_BYTES", 1 << 16)
+    with ExternalAdapter(cmd, timeout=10) as adapter:
+        assert adapter.request(str(1 << 16)) == "a" * (1 << 16)
+        with pytest.raises(MalformedModelOutput):
+            adapter.request(str((1 << 16) + 1))
+        assert adapter.request("3") == "aaa"
+
+
 @pytest.fixture
 def cat(tmp_path):
     """A child that echoes its input as it reads it, before the line ends."""

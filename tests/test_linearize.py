@@ -2,16 +2,26 @@ import random
 from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from amrsg.amr import parse_penman
+from amrsg.amr import AmrEdge, AmrGraph, children_index, parse_penman
 from amrsg.linearize import (
+    LinearizedSequence,
     Strategy,
     linearize,
     linearize_bfs,
     linearize_dfs,
     linearize_inorder,
 )
-from helpers import FIG1_PENMAN, WANT_PENMAN, random_graph
+from helpers import (
+    FIG1_PENMAN,
+    WANT_PENMAN,
+    random_graph,
+    reference_penman_pieces,
+    reference_walk_pieces,
+    with_quoted_slashes,
+)
 
 BFS_TEXT = "(z0 / stand-01) :ARG1 (z1 / retriever) :ARG2 (z3 / snow) :mod (z2 / gold)"
 INORDER_TEXT = "(z2 / gold) :mod (z1 / retriever) :ARG1 (z0 / stand-01) :ARG2 (z3 / snow)"
@@ -172,6 +182,78 @@ def test_determinism():
     g = parse_penman(FIG1_PENMAN)
     for strategy in Strategy:
         assert linearize(g, strategy) == linearize(g, strategy)
+        assert hash(linearize(g, strategy)) == hash(linearize(g, strategy))
+
+
+@pytest.mark.parametrize(
+    "piece,token",
+    [
+        ("(z0 / dog", "(z0/dog"),
+        ("(z0 / dog))", "(z0/dog))"),
+        ("(z0 / dog)", "(z0/dog)"),
+        ('(x / "a / b"', '(x/"a / b"'),
+        ('(x / "a / b"))', '(x/"a / b"))'),
+        ('("a / b")', '("a / b")'),
+        ('"a / b"', '"a / b"'),
+        ('"a / b")', '"a / b")'),
+        ("(z1)", "(z1)"),
+        ("(3)", "(3)"),
+        ("z1))", "z1))"),
+        ("-", "-"),
+        (":ARG0", ":ARG0"),
+    ],
+)
+def test_token_of_each_kind_of_piece(piece, token):
+    assert LinearizedSequence(Strategy.DFS, piece, (piece,)).tokens == (token,)
+
+
+def _reference(g, strategy):
+    if strategy is Strategy.DFS:
+        return reference_penman_pieces(g)
+    return reference_walk_pieces(g, strategy.value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0))
+def test_texts_and_tokens_match_the_references(seed):
+    rng = random.Random(seed)
+    for g in (random_graph(rng), with_quoted_slashes(rng, random_graph(rng))):
+        for strategy in Strategy:
+            seq = linearize(g, strategy)
+            texts, tokens = _reference(g, strategy)
+            assert seq.strategy is strategy
+            assert seq.pieces == tuple(texts)
+            assert seq.text == " ".join(texts)
+            assert seq.tokens == tuple(tokens)
+
+
+# Edges out of attachment order: z1 and z2 are first reached from each other,
+# not from the root.
+_OUT_OF_ORDER = AmrGraph(
+    root="z0",
+    nodes={"z0": "dog", "z1": "cat", "z2": "tree"},
+    edges=(AmrEdge("z1", ":mod", "z2"), AmrEdge("z0", ":ARG0", "z2"), AmrEdge("z2", ":ARG1", "z1")),
+)
+_ISOLATED = AmrGraph(root="z0", nodes={"z0": "dog", "z1": "cat"}, edges=())
+
+
+@pytest.mark.parametrize("strategy", [Strategy.BFS, Strategy.IN_ORDER])
+@pytest.mark.parametrize(
+    "graph,message",
+    [
+        (_OUT_OF_ORDER, "2 of 3 edges never reached from the root: the edges are out of attachment order"),
+        (_ISOLATED, "nodes never reached from the root: z1"),
+    ],
+    ids=["out-of-order", "isolated-node"],
+)
+def test_bfs_and_inorder_refuse_a_graph_they_cannot_walk_whole(graph, message, strategy):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        linearize(graph, strategy)
+
+
+def test_children_index_reports_the_nodes_no_edge_reaches():
+    assert children_index(_ISOLATED) == ({}, {"z1"})
+    assert children_index(_OUT_OF_ORDER)[1] == set()
 
 
 def test_constants_wrapped_in_bfs_and_inorder():

@@ -23,7 +23,7 @@ from amrsg.scenegraph import (
     sg_to_json,
     to_tuples,
 )
-from helpers import normalize_oracle, random_graph, random_scene_graph
+from helpers import normalize_oracle, random_graph, random_scene_graph, reference_parse_sg_text
 
 
 @pytest.mark.parametrize(
@@ -113,6 +113,59 @@ def test_parse_unbalanced():
         parse_sg_text("( dog ")
     with pytest.raises(UnbalancedParentheses):
         parse_sg_text("dog )")
+
+
+@pytest.mark.parametrize(
+    "text,error,message",
+    [
+        ("( dog ) x", UnbalancedParentheses, "unexpected 'x' at offset 8"),
+        ("( dog ) )", UnbalancedParentheses, "unexpected ')' at offset 8"),
+        (" , ( dog )", UnbalancedParentheses, "unexpected ',' at offset 1"),
+        ("( dog ) ( cat", UnbalancedParentheses, "unclosed group at offset 8"),
+        ("( dog ) ( a ( b ) )", UnbalancedParentheses, "nested group at offset 8"),
+        ("( dog ) ( a ( b", UnbalancedParentheses, "unclosed group at offset 8"),
+        ("( dog ) ( a , , b )", BadArity, "empty field in group at offset 8"),
+        ("( dog ) ( a , )", BadArity, "empty field in group at offset 8"),
+        ("( dog ) ( )", BadArity, "empty field in group at offset 8"),
+        ("( dog ) ( a , b , c , d )", BadArity, "group with 4 fields at offset 8"),
+        ("( a , b , c , )", BadArity, "empty field in group at offset 0"),
+        ("\xa0\x1c(a)\u3000x", UnbalancedParentheses, "unexpected 'x' at offset 6"),
+    ],
+)
+def test_parse_error_class_message_and_offset(text, error, message):
+    with pytest.raises(SgError) as info:
+        parse_sg_text(text)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+# Texts of the wire grammar, with whitespace that str.strip removes but that
+# no ASCII space test sees, and stray delimiters.
+_WIRE_PIECE = st.sampled_from(
+    ["(", ")", ",", " ", "\x1c", "\xa0", "\u2028", "\t", "dog", "a b", "red car", "x"]
+)
+_WIRE_GROUP = st.lists(st.sampled_from(["dog", "a b", " cat ", "\xa0red\x1c", ""]), max_size=5).map(
+    lambda fields: "(" + ",".join(fields) + ")"
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.lists(_WIRE_GROUP | _WIRE_PIECE, max_size=12).map("".join)
+    | st.text(alphabet=st.sampled_from(" \t\n\x1c\xa0ab(),") | st.characters(), max_size=40)
+)
+def test_parse_matches_the_character_loop_reference(text):
+    try:
+        expected = reference_parse_sg_text(text)
+    except SgError as err:
+        with pytest.raises(SgError) as info:
+            parse_sg_text(text)
+        assert (type(info.value), str(info.value)) == (type(err), str(err))
+        return
+    parsed = parse_sg_text(text)
+    assert (parsed.objects, parsed.attributes, parsed.relations) == (
+        expected.objects, expected.attributes, expected.relations
+    )
 
 
 def test_roundtrip_property():
