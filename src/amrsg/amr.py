@@ -22,7 +22,6 @@ from typing import Iterator, NamedTuple
 
 _VAR_RE = re.compile(r"[a-z][a-zA-Z0-9]*$")
 _FRAME_RE = re.compile(r".+-[0-9][0-9]$")
-_NUMBER_RE = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?$")
 
 
 class PenmanError(ValueError):
@@ -298,12 +297,10 @@ _META_KEY_RE = re.compile(r"::([A-Za-z0-9_-]+)")
 
 
 def _parse_metadata_line(line: str, meta: dict[str, str]) -> None:
-    # "# ::id 42 ::snt Golden retriever standing in the snow"
-    body = line.lstrip("#").strip()
-    matches = list(_META_KEY_RE.finditer(body))
-    for i, m in enumerate(matches):
-        end = matches[i + 1].start() if i + 1 < len(matches) else len(body)
-        meta[m.group(1)] = body[m.end() : end].strip()
+    # "# ::id 42 ::snt Golden retriever" splits to ["", "id", " 42 ", "snt", " Golden retriever"]
+    parts = _META_KEY_RE.split(line.lstrip("#").strip())
+    for key, value in zip(parts[1::2], parts[2::2]):
+        meta[key] = value.strip()
 
 
 def iter_penman_blocks(text: str) -> Iterator[tuple[dict[str, str], str]]:

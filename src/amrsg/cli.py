@@ -227,9 +227,7 @@ def cmd_eval(generated_path, reference_path, per_region, out):
         _fail(*errors)
     if not generated:
         _fail("empty corpus")
-    report = evaluate_corpus(
-        [(rid, generated[rid], reference[rid]) for rid in sorted(generated)]
-    )
+    report = evaluate_corpus([(rid, sg, reference[rid]) for rid, sg in generated.items()])
     with _open_out(out) as fh:
         if per_region:
             for region_id, rep in report.per_region:

@@ -89,19 +89,16 @@ def convert_rules(graph: AmrGraph) -> SceneGraph:
     core: dict[str, list[tuple[int, str, str]]] = {}
     locative: dict[str, tuple[str, str]] = {}
     for source, role, target in graph.edges:
-        if target not in surface:  # a constant: never a core or locative child
-            if role in ATTRIBUTE_ROLES:
-                attr = normalize_or_none(unquote(target))
-                obj = surface[source]
-                if obj and attr:
-                    attributes.append(tuple.__new__(AttributeTuple, (obj, attr)))
-            continue
+        # a constant is never a key of ``lemmas``, nor a core or locative child
+        is_node = target in surface
         if role in ATTRIBUTE_ROLES and target not in lemmas:
-            attribute_values.add(target)
-            obj, attr = surface[source], surface[target]
+            if is_node:
+                attribute_values.add(target)
+            obj = surface[source]
+            attr = surface[target] if is_node else normalize_or_none(unquote(target))
             if obj and attr:
                 attributes.append(tuple.__new__(AttributeTuple, (obj, attr)))
-        if source in lemmas:
+        if is_node and source in lemmas:
             rank = _CORE_RANK.get(role)
             if rank is not None:
                 core.setdefault(source, []).append((rank, role, target))
@@ -155,6 +152,9 @@ _READ_SIZE = 65536
 MAX_REPLY_BYTES = 16 * 2**20
 """Most bytes ``ExternalAdapter`` holds of one reply line before it gives up
 on the child."""
+
+CLOSE_GRACE_S = 5.0
+"""Seconds ``ExternalAdapter.close`` gives the child to exit before it kills it."""
 
 
 class AdapterError(RuntimeError):
@@ -281,7 +281,6 @@ class ExternalAdapter:
 
     def _write(self, proc: subprocess.Popen, data: bytes | memoryview) -> int:
         """Write what the child's input pipe takes now; return the byte count."""
-        assert proc.stdin is not None
         try:
             return os.write(proc.stdin.fileno(), data)
         except BlockingIOError:
@@ -293,17 +292,16 @@ class ExternalAdapter:
 
     def close(self) -> None:
         if self._proc is not None:
-            if self._proc.stdin is not None:
-                try:
-                    self._proc.stdin.close()
-                except OSError:
-                    pass
             try:
-                self._proc.wait(timeout=5)
+                self._proc.stdin.close()
+            except OSError:
+                pass
+            try:
+                self._proc.wait(timeout=CLOSE_GRACE_S)
             except subprocess.TimeoutExpired:
                 self._proc.kill()
-            if self._proc.stdout is not None:
-                self._proc.stdout.close()
+                self._proc.wait()
+            self._proc.stdout.close()
             self._proc = None
             self._buffer.clear()  # a killed child's partial reply is freed now
 

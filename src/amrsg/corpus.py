@@ -116,12 +116,6 @@ def region_graph_from_json(data: dict) -> tuple[str, str, SceneGraph]:
     return json_id(data, "region_id"), image_id, sg_from_json(data["scene_graph"])
 
 
-def save_records(records: Iterable[RegionRecord], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record_to_json(record)) + "\n")
-
-
 # --- ungrounded-tuple filter -----------------------------------------------
 
 

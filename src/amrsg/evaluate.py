@@ -9,7 +9,6 @@ and a tuple on either side is used at most once.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -44,15 +43,11 @@ def match_tuples(g: Sequence[SgTuple], r: Sequence[SgTuple]) -> list[tuple[int, 
     in ``r`` and returns the pairs in ``g``-index order. Tuples of different
     kinds are never equal, so they never match.
     """
-    unused: dict[SgTuple, deque[int]] = {}
-    for j, t in enumerate(r):
-        unused.setdefault(t, deque()).append(j)
-    pairs = []
-    for i, t in enumerate(g):
-        js = unused.get(t)
-        if js:
-            pairs.append((i, js.popleft()))
-    return pairs
+    # each tuple's positions in ``r``, last first for ``pop``; one hash per tuple, none cached
+    unused: dict[SgTuple, list[int]] = {}
+    for j in range(len(r) - 1, -1, -1):
+        unused.setdefault(r[j], []).append(j)
+    return [(i, js.pop()) for i, t in enumerate(g) if (js := unused.get(t))]
 
 
 def f_score(g: SceneGraph, r: SceneGraph) -> EvalReport:

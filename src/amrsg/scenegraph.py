@@ -144,9 +144,7 @@ class SceneGraph:
         if not isinstance(other, SceneGraph):
             return NotImplemented
         # one multiset: tuples of different kinds never collide, their arities differ
-        return Counter(self.objects + self.attributes + self.relations) == Counter(
-            other.objects + other.attributes + other.relations
-        )
+        return Counter(to_tuples(self)) == Counter(to_tuples(other))
 
     def __repr__(self) -> str:
         return (
@@ -157,8 +155,8 @@ class SceneGraph:
 
 
 def to_tuples(sg: SceneGraph) -> list[SgTuple]:
-    """Flat multiset union of the three sections."""
-    return list(sg.objects) + list(sg.attributes) + list(sg.relations)
+    """Flat multiset union of the three sections: objects, attributes, relations."""
+    return [*sg.objects, *sg.attributes, *sg.relations]
 
 
 def serialize_sg(sg: SceneGraph) -> str:

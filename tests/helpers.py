@@ -3,12 +3,14 @@ oracles kept deliberately separate from the implementations they check."""
 
 from __future__ import annotations
 
+import json
 import random
 import re
 from collections import Counter
 from dataclasses import dataclass
 
 from amrsg.amr import AmrEdge, AmrGraph, children_index
+from amrsg.corpus import record_to_json
 from amrsg.evaluate import f_score
 from amrsg.scenegraph import (
     AttributeTuple,
@@ -271,6 +273,26 @@ def reference_parse_sg_text(text: str) -> SceneGraph:
             raise BadArity(f"group with {len(fields)} fields at offset {i}")
         i = end + 1
     return SceneGraph(objects, attributes, relations)
+
+
+def write_records(records, path) -> None:
+    """Write region records as a JSONL corpus, one ``record_to_json`` object a line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(record_to_json(record)) + "\n")
+
+
+def reference_match_tuples(g, r) -> list[tuple[int, int]]:
+    """Pairing oracle: the k-th occurrence of each tuple in ``g`` with its k-th
+    occurrence in ``r``, where ``r`` has one, in ``g``-index order."""
+    seen: Counter = Counter()
+    pairs = []
+    for i, t in enumerate(g):
+        positions = [j for j, u in enumerate(r) if u == t]
+        if seen[t] < len(positions):
+            pairs.append((i, positions[seen[t]]))
+        seen[t] += 1
+    return pairs
 
 
 def multiset_intersection_size(g_tuples, r_tuples) -> int:

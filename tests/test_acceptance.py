@@ -14,7 +14,7 @@ from click.testing import CliRunner
 from amrsg.amr import parse_penman, serialize_penman
 from amrsg.cli import cli
 from amrsg.convert import ExternalAdapter, convert_external, convert_rules
-from amrsg.corpus import RegionRecord, save_records
+from amrsg.corpus import RegionRecord
 from amrsg.evaluate import f_score, match_tuples
 from amrsg.linearize import (
     Strategy,
@@ -32,6 +32,7 @@ from helpers import (
     random_graph,
     random_scene_graph,
     random_tuple_multiset,
+    write_records,
 )
 from test_convert import brute_force_rules
 
@@ -254,7 +255,7 @@ def test_criterion_10_end_to_end_smoke(tmp_path):
     penman_path = tmp_path / "graphs.penman"
     penman_path.write_text("\n\n".join(penman_blocks) + "\n")
     ref_path = tmp_path / "reference.jsonl"
-    save_records(records, ref_path)
+    write_records(records, ref_path)
 
     runner = CliRunner()
     lin = runner.invoke(cli, ["linearize", str(penman_path), "--strategy", "dfs"])

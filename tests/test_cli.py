@@ -8,11 +8,11 @@ from click.testing import CliRunner
 
 from amrsg.amr import load_penman_file, parse_penman
 from amrsg.cli import cli
-from amrsg.corpus import RegionRecord, save_records
+from amrsg.corpus import RegionRecord
 from amrsg.linearize import Strategy, linearize
 from amrsg.retrieval import RetrievalIndex, save_index
 from amrsg.scenegraph import SceneGraph
-from helpers import FIG1_PENMAN
+from helpers import FIG1_PENMAN, write_records
 
 BFS_TEXT = "(z0 / stand-01) :ARG1 (z1 / retriever) :ARG2 (z3 / snow) :mod (z2 / gold)"
 
@@ -751,7 +751,7 @@ def test_retrieve_empty_queries(runner, tmp_path):
 
 def _corpus(tmp_path, records, name="corpus.jsonl"):
     path = tmp_path / name
-    save_records(records, path)
+    write_records(records, path)
     return str(path)
 
 

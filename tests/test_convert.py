@@ -2,6 +2,7 @@ import itertools
 import os
 import random
 import re
+import signal
 import sys
 import textwrap
 import threading
@@ -362,6 +363,28 @@ def test_adapter_timeout_is_above_0_and_at_most_timeout_max(timeout):
     with pytest.raises(ValueError):
         ExternalAdapter(["true"], timeout=timeout)
     ExternalAdapter(["true"], timeout=threading.TIMEOUT_MAX).close()
+
+
+def test_adapter_close_reaps_a_child_that_ignores_eof(tmp_path, monkeypatch):
+    cmd = _write_stub(
+        tmp_path,
+        "sleeper.py",
+        """
+        import sys, time
+        sys.stdin.readline()
+        print("( dog )", flush=True)
+        time.sleep(60)
+        """,
+    )
+    monkeypatch.setattr(convert, "CLOSE_GRACE_S", 0.2)
+    adapter = ExternalAdapter(cmd, timeout=10)
+    assert adapter.request("(z0 / dog)") == "( dog )"
+    proc = adapter._proc
+    start = time.monotonic()
+    adapter.close()
+    assert time.monotonic() - start < 5
+    # reaped: no "subprocess is still running" ResourceWarning when it is collected
+    assert proc.returncode == -signal.SIGKILL
 
 
 def test_adapter_reply_written_in_pieces_comes_back_whole(tmp_path):

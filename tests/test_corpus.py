@@ -15,10 +15,9 @@ from amrsg.corpus import (
     load_records,
     record_from_json,
     record_to_json,
-    save_records,
 )
 from amrsg.scenegraph import RelationTuple, SceneGraph
-from helpers import FIG1_PENMAN, variants
+from helpers import FIG1_PENMAN, variants, write_records
 from test_scenegraph import _ANY_FIELD, _RULE_FIELD
 
 
@@ -105,8 +104,8 @@ def test_save_load_roundtrip_byte_stable(tmp_path):
     ]
     first = tmp_path / "a.jsonl"
     second = tmp_path / "b.jsonl"
-    save_records(records, first)
-    save_records(load_records(first).records, second)
+    write_records(records, first)
+    write_records(load_records(first).records, second)
     assert first.read_bytes() == second.read_bytes()
 
 

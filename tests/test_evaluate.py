@@ -1,10 +1,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amrsg.evaluate import EmptyCorpus, evaluate_corpus, f_score, match_tuples
-from amrsg.scenegraph import ObjectTuple, RelationTuple, SceneGraph, to_tuples
-from helpers import multiset_intersection_size, random_scene_graph, random_tuple_multiset
+from amrsg.scenegraph import AttributeTuple, ObjectTuple, RelationTuple, SceneGraph, to_tuples
+from helpers import (
+    multiset_intersection_size,
+    random_scene_graph,
+    random_tuple_multiset,
+    reference_match_tuples,
+)
 
 
 def test_match_identity():
@@ -12,6 +19,31 @@ def test_match_identity():
     assert match_tuples([dog], [dog]) == [(0, 0)]
     # the k-th occurrence in g pairs with the k-th occurrence in r
     assert match_tuples([dog, dog], [dog, dog]) == [(0, 0), (1, 1)]
+
+
+_A, _B, _C = ObjectTuple("a"), ObjectTuple("b"), AttributeTuple("a", "red")
+
+
+@pytest.mark.parametrize(
+    "g, r, pairs",
+    [
+        ([_A, _B, _A], [_A, _A, _B], [(0, 0), (1, 2), (2, 1)]),
+        ([_B, _A, _A, _B], [_A, _B, _A, _B], [(0, 1), (1, 0), (2, 2), (3, 3)]),
+        ([_A, _A, _A], [_B, _A, _C, _A], [(0, 1), (1, 3)]),
+        ([_C, _A, _C, _B], [_A, _C, _B, _A, _C], [(0, 1), (1, 0), (2, 4), (3, 2)]),
+        ([_B, _B], [_A, _A], []),
+    ],
+)
+def test_match_pairs_kth_occurrence_with_kth(g, r, pairs):
+    assert match_tuples(g, r) == pairs == reference_match_tuples(g, r)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0))
+def test_match_equals_reference_pair_for_pair(seed):
+    rng = random.Random(seed)
+    g, r = random_tuple_multiset(rng), random_tuple_multiset(rng)
+    assert match_tuples(g, r) == reference_match_tuples(g, r)
 
 
 def test_match_one_to_one_enforced():

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import amrsg
 
 
@@ -9,3 +12,32 @@ def test_every_public_name_resolves():
 def test_test_only_names_are_not_public():
     assert "validate" not in amrsg.__all__
     assert not hasattr(amrsg, "validate")
+
+
+def _module_level_names(tree: ast.Module):
+    """Each name a module's top-level statements bind: definitions, imports and
+    every name of an assignment target, so ``_A, _B = ...`` gives two."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".")[0]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
+def test_every_private_module_name_is_read_in_its_module():
+    unused = []
+    for path in sorted(Path(amrsg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {
+            n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        for name in _module_level_names(tree):
+            private = name.startswith("_") and not name.endswith("__")
+            if private and name not in read:
+                unused.append(f"{path.name}:{name}")
+    assert unused == []
