@@ -76,8 +76,10 @@ class AmrGraph:
     declared where it is first attached, so the first edge into a node is its
     tree edge; the root has none. The tree edges form a spanning tree rooted at
     ``root``, and re-entrancies are the remaining variable-targeted edges.
-    ``parse_penman`` builds graphs in this order; ``serialize_penman`` raises
-    ValueError on a graph built by hand that breaks it.
+    ``parse_penman`` builds graphs in this order. Every walk checks it with
+    one rule: ``penman_pieces`` and ``children_index``, which the BFS and
+    in-order linearizations read, raise the same ValueError on a graph built
+    by hand that breaks it.
     """
 
     root: str
@@ -86,26 +88,38 @@ class AmrGraph:
     metadata: dict[str, str] = field(default_factory=dict, compare=False)
 
 
-def children_index(graph: AmrGraph) -> tuple[dict[str, list[tuple[str, str, bool]]], set[str]]:
+def children_index(graph: AmrGraph) -> dict[str, list[tuple[str, str, bool]]]:
     """Map each source variable to its outgoing edges in stored order, each as
     a plain (role, target, declares) tuple. ``declares`` marks the tree edge:
     the target is a node other than the root, and no earlier edge targets it.
-    Also returns the nodes other than the root that no edge targets, which no
-    walk from the root reaches. Callers build it once per walk; it is not kept
-    on the graph, so a loaded corpus does not hold one per graph."""
+    Checks the textual order as ``penman_pieces`` does, with its errors.
+    Callers build it once per walk; it is not kept on the graph, so a loaded
+    corpus does not hold one per graph."""
     index: dict[str, list[tuple[str, str, bool]]] = {}
+    open_nodes = [graph.root]  # the innermost last
     undeclared = graph.nodes.keys() - {graph.root}
     for source, role, target in graph.edges:
+        while open_nodes[-1] != source:
+            open_nodes.pop()
+            if not open_nodes:
+                raise _walk_error((source, role, target))
         declares = target in undeclared
         if declares:
             undeclared.remove(target)
+            open_nodes.append(target)
         index.setdefault(source, []).append((role, target, declares))
-    return index, undeclared
+    if undeclared:
+        raise _walk_error(undeclared)
+    return index
 
 
-def unreached_error(nodes: set[str]) -> ValueError:
-    """The error of a walk over a graph with ``nodes`` that no edge reaches."""
-    return ValueError(f"nodes never reached from the root: {', '.join(sorted(nodes))}")
+def _walk_error(fault: tuple[str, str, str] | set[str]) -> ValueError:
+    """The error of a walk over a graph that breaks textual order: ``fault`` is
+    the first (source, role, target) edge whose source is not open, or the
+    nodes that no edge reaches."""
+    if isinstance(fault, tuple):
+        return ValueError("edge {} {} {}: its source is not an open node".format(*fault))
+    return ValueError(f"nodes never reached from the root: {', '.join(sorted(fault))}")
 
 
 def is_frame(concept: str) -> bool:
@@ -144,8 +158,8 @@ def _offset(text: str, i: int) -> int:
 def parse_penman(text: str, metadata: dict[str, str] | None = None) -> AmrGraph:
     """Parse a single PENMAN expression into an AmrGraph.
 
-    Edge order follows textual attachment order, so the edge at each
-    variable's declaration point is the first edge into it. Raises a
+    Edges are stored in textual order, so the edge at each variable's
+    declaration point is the first edge into it. Raises a
     PenmanError subclass with a byte offset on any malformed input, and a
     PenmanError for nesting deeper than ``MAX_DEPTH``.
 
@@ -268,9 +282,7 @@ def penman_pieces(graph: AmrGraph) -> list[str]:
                 open_nodes.pop()
                 closed += 1
                 if not open_nodes:
-                    raise ValueError(
-                        f"edge {source} {role} {target}: its source is not an open node"
-                    )
+                    raise _walk_error((source, role, target))
             pieces[-1] += ")" * closed
         pieces.append(role)
         if target in undeclared:
@@ -280,7 +292,7 @@ def penman_pieces(graph: AmrGraph) -> list[str]:
         else:
             pieces.append(target)
     if undeclared:
-        raise unreached_error(undeclared)
+        raise _walk_error(undeclared)
     pieces[-1] += ")" * len(open_nodes)
     return pieces
 

@@ -188,7 +188,7 @@ def cmd_convert(input_path, engine, adapter, timeout, strategy, emit, out):
             sg = convert_external(linearize(graph, _STRATEGIES[strategy]), adapter_proc)
         if emit == "text":
             return serialize_sg(sg)
-        region_id = graph.metadata.get("id", str(i))
+        region_id = graph.metadata.get("id") or str(i)
         return json.dumps({"region_id": region_id, "scene_graph": sg_to_json(sg)})
 
     try:
@@ -262,7 +262,7 @@ def cmd_retrieve(index_path, queries_path, gold_path, ks, out):
         _fail("empty query set")
     results = []
     for region_id, image_id, sg in queries:
-        gold = gold_map.get(region_id) if gold_map else image_id
+        gold = gold_map.get(region_id) if gold_map is not None else image_id
         if not gold:
             _fail(f"no gold image id for query {region_id}")
         try:
@@ -271,15 +271,7 @@ def cmd_retrieve(index_path, queries_path, gold_path, ks, out):
             _fail(f"query {region_id}: {err}")
     metrics = aggregate_metrics(results, cutoffs)
     with _open_out(out) as fh:
-        fh.write(
-            json.dumps(
-                {
-                    "recall_at": {str(k): v for k, v in metrics["recall_at"].items()},
-                    "median_rank": metrics["median_rank"],
-                }
-            )
-            + "\n"
-        )
+        fh.write(json.dumps(metrics) + "\n")
     sys.exit(2 if skipped else 0)
 
 

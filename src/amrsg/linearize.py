@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
 
-from .amr import AmrGraph, children_index, penman_pieces, unreached_error
+from .amr import AmrGraph, children_index, penman_pieces
 
 
 class Strategy(str, Enum):
@@ -56,28 +56,13 @@ class LinearizedSequence:
         return tuple(map(str.replace, self.pieces, _SLASH, _BARE, _ONCE))
 
 
+def _sequence(strategy: Strategy, pieces: list[str]) -> LinearizedSequence:
+    return LinearizedSequence(strategy, " ".join(pieces), tuple(pieces))
+
+
 def linearize_dfs(graph: AmrGraph) -> LinearizedSequence:
     """Depth-first linearization: the canonical PENMAN string itself."""
-    pieces = penman_pieces(graph)
-    return LinearizedSequence(Strategy.DFS, " ".join(pieces), tuple(pieces))
-
-
-def _sequence(
-    strategy: Strategy, graph: AmrGraph, undeclared: set[str], pieces: list[str]
-) -> LinearizedSequence:
-    """The sequence of a BFS or in-order walk over ``children_index(graph)``,
-    which emits each node at most once and two pieces per edge it reaches:
-    it reached every edge, and so every node an edge reaches, exactly when it
-    emitted 2 * len(edges) + 1 pieces."""
-    if undeclared:
-        raise unreached_error(undeclared)
-    missed = len(graph.edges) - (len(pieces) - 1) // 2
-    if missed:
-        raise ValueError(
-            f"{missed} of {len(graph.edges)} edges never reached from the root:"
-            " the edges are out of attachment order"
-        )
-    return LinearizedSequence(strategy, " ".join(pieces), tuple(pieces))
+    return _sequence(Strategy.DFS, penman_pieces(graph))
 
 
 def linearize_bfs(graph: AmrGraph) -> LinearizedSequence:
@@ -85,10 +70,10 @@ def linearize_bfs(graph: AmrGraph) -> LinearizedSequence:
 
     Each dequeued node emits role + target unit for every outgoing edge in
     stored order; only tree-edge targets are enqueued. Re-entrant targets
-    emit ``(var)`` without re-declaring the concept. Raises ValueError for a
-    graph whose edges do not all hang from the root in attachment order.
+    emit ``(var)`` without re-declaring the concept. Raises ValueError for
+    exactly the graphs ``serialize_penman`` refuses, with its message.
     """
-    index, undeclared = children_index(graph)
+    index = children_index(graph)
     nodes = graph.nodes
     root = graph.root
     pieces = [f"({root} / {nodes[root]})"]
@@ -101,7 +86,7 @@ def linearize_bfs(graph: AmrGraph) -> LinearizedSequence:
                 queue.append(target)
             else:
                 pieces.append(f"({target})")
-    return _sequence(Strategy.BFS, graph, undeclared, pieces)
+    return _sequence(Strategy.BFS, pieces)
 
 
 def linearize_inorder(graph: AmrGraph) -> LinearizedSequence:
@@ -110,10 +95,10 @@ def linearize_inorder(graph: AmrGraph) -> LinearizedSequence:
     The first child's subtree is emitted, then the role of the edge up to the
     current node, then the node itself, then each remaining child as role +
     subtree. Re-entrant and constant children are leaves rendered as
-    ``(var)`` / ``(literal)``. Raises ValueError for a graph whose edges do
-    not all hang from the root in attachment order.
+    ``(var)`` / ``(literal)``. Raises ValueError for exactly the graphs
+    ``serialize_penman`` refuses, with its message.
     """
-    index, undeclared = children_index(graph)
+    index = children_index(graph)
     nodes = graph.nodes
     pieces: list[str] = []
 
@@ -137,7 +122,7 @@ def linearize_inorder(graph: AmrGraph) -> LinearizedSequence:
             emit_child(target, declares)
 
     emit(graph.root)
-    return _sequence(Strategy.IN_ORDER, graph, undeclared, pieces)
+    return _sequence(Strategy.IN_ORDER, pieces)
 
 
 _LINEARIZERS = {

@@ -8,8 +8,9 @@ import random
 import re
 from collections import Counter
 from dataclasses import dataclass
+from itertools import zip_longest
 
-from amrsg.amr import AmrEdge, AmrGraph, children_index
+from amrsg.amr import AmrEdge, AmrGraph
 from amrsg.corpus import record_to_json
 from amrsg.evaluate import f_score
 from amrsg.scenegraph import (
@@ -123,38 +124,55 @@ def validate(graph: AmrGraph) -> list[Diagnostic]:
             diags.append(Diagnostic("DanglingEdgeSource", e.source))
         if is_variable_token(e.target) and e.target not in graph.nodes:
             diags.append(Diagnostic("UndeclaredVariableReference", e.target))
-    # reachability over all edges
-    index, _ = children_index(graph)
-    seen = set()
-    stack = [graph.root] if graph.root in graph.nodes else []
-    while stack:
-        v = stack.pop()
-        if v in seen:
-            continue
-        seen.add(v)
-        for _, target, _ in index.get(v, ()):
-            if target in graph.nodes:
-                stack.append(target)
-    for v in graph.nodes:
-        if v not in seen:
-            diags.append(Diagnostic("UnreachableNode", v))
-    # attachment order: an edge leaves the root or a node an earlier edge reached,
-    # so each node's first incoming edge is its tree edge
-    attached = {graph.root}
+    # Textual order is the pre-order of a recursive walk from the root over
+    # each node's edges in stored order, which declares a node at its first
+    # visit. The walk visits exactly the nodes reachable from the root.
+    out: dict[str, list[AmrEdge]] = {}
     for e in graph.edges:
-        if e.source in graph.nodes and e.source not in attached:
-            diags.append(Diagnostic("EdgeBeforeSourceAttached", e.source))
-        attached.add(e.target)
+        out.setdefault(e.source, []).append(e)
+    visited = {graph.root}
+    walk: list[AmrEdge] = []
+
+    def visit(var: str) -> None:
+        for e in out.get(var, ()):
+            walk.append(e)
+            if e.target in graph.nodes and e.target not in visited:
+                visited.add(e.target)
+                visit(e.target)
+
+    if graph.root in graph.nodes:
+        visit(graph.root)
+    for v in graph.nodes:
+        if v not in visited:
+            diags.append(Diagnostic("UnreachableNode", v))
+    for stored, walked in zip_longest(graph.edges, walk):
+        if stored != walked:
+            diags.append(Diagnostic("EdgeOutOfTextualOrder", " ".join(stored)))
+            break
     return diags
+
+
+def _children(graph: AmrGraph) -> dict[str, list[tuple[str, str, bool]]]:
+    """Each node's outgoing edges in stored order as (role, target, declares),
+    where ``declares`` marks the first stored edge into a node other than the
+    root: the node's tree edge."""
+    first_in: dict[str, int] = {}
+    for i, e in enumerate(graph.edges):
+        first_in.setdefault(e.target, i)
+    index: dict[str, list[tuple[str, str, bool]]] = {}
+    for i, (source, role, target) in enumerate(graph.edges):
+        declares = first_in[target] == i and target in graph.nodes and target != graph.root
+        index.setdefault(source, []).append((role, target, declares))
+    return index
 
 
 def reference_penman_pieces(graph: AmrGraph) -> tuple[list[str], list[str]]:
     """Reference DFS walk for ``amr.penman_pieces``: recursive, over each
-    node's children from ``children_index``, declaring a node at its flagged
-    edge. On a graph whose edges are out of textual order it drops nodes where
-    the implementation raises. Builds texts and tokens apart, each by its own
+    node's edges in stored order, declaring a node at the first stored edge
+    into it. Meant for graphs in textual order, on which the implementation
+    does not raise. Builds texts and tokens apart, each by its own
     f-string, so it checks ``LinearizedSequence.tokens`` as well."""
-    index, _ = children_index(graph)
+    index = _children(graph)
     texts: list[str] = []
     tokens: list[str] = []
 
@@ -180,9 +198,10 @@ def reference_penman_pieces(graph: AmrGraph) -> tuple[list[str], list[str]]:
 def reference_walk_pieces(graph: AmrGraph, strategy: str) -> tuple[list[str], list[str]]:
     """Reference BFS (``strategy`` "bfs") or in-order ("inorder") walk: texts
     and tokens built apart, a node as ``(var / concept)`` and ``(var/concept)``,
-    any other target as ``(target)`` in both. On a graph whose edges are out
-    of textual order it drops nodes where the implementation raises."""
-    index, _ = children_index(graph)
+    any other target as ``(target)`` in both. Each node's tree edge is the
+    first stored edge into it. Meant for graphs in textual order, on which
+    the implementation does not raise."""
+    index = _children(graph)
     texts: list[str] = []
     tokens: list[str] = []
 

@@ -1,6 +1,7 @@
 import ast
 import random
 import re
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -57,7 +58,7 @@ def test_parse_reentrancy():
     g = parse_penman(WANT_PENMAN)
     assert len(g.nodes) == 3
     assert len(g.edges) == 3
-    index, undeclared = children_index(g)
+    index = children_index(g)  # does not raise: every node is reached in textual order
     reentrant = [
         (source, role, target)
         for source, children in index.items()
@@ -65,7 +66,6 @@ def test_parse_reentrancy():
         if not declares
     ]
     assert reentrant == [("z2", ":ARG0", "z1")]
-    assert undeclared == set()
 
 
 def test_parse_constants():
@@ -228,8 +228,7 @@ def _dfs_first_visits(g: AmrGraph) -> set[AmrEdge]:
 def test_declaring_edges_span_each_parsed_graph_as_its_dfs_tree(seed):
     for variant, g in _parsed_variants(random.Random(seed)):
         assert validate(g) == [], variant
-        index, undeclared = children_index(g)
-        assert undeclared == set(), variant
+        index = children_index(g)  # does not raise: every node is reached in textual order
         declaring = [
             (source, role, target)
             for source, children in index.items()
@@ -344,6 +343,10 @@ def test_nesting_deeper_than_max_depth_is_an_error(depth):
     assert text[info.value.offset :].startswith(f"(z{MAX_DEPTH} / n")
 
 
+# serialize_penman, children_index and the three linearizations
+_WALKS = [serialize_penman, children_index, *(partial(linearize, strategy=s) for s in Strategy)]
+
+
 def test_validate_valid_graph():
     assert validate(parse_penman(FIG1_PENMAN)) == []
 
@@ -366,9 +369,9 @@ def test_validate_unreachable_node():
     bad = AmrGraph(root=g.root, nodes=g.nodes, edges=edges)
     kinds = [(d.kind, d.subject) for d in validate(bad)]
     assert ("UnreachableNode", "z2") in kinds
-    for serialize in (serialize_penman, linearize_dfs):
+    for walk in _WALKS:
         with pytest.raises(ValueError, match="^nodes never reached from the root: z2$"):
-            serialize(bad)
+            walk(bad)
 
 
 def test_validate_edges_out_of_attachment_order():
@@ -384,10 +387,10 @@ def test_validate_edges_out_of_attachment_order():
         ),
     )
     kinds = [(d.kind, d.subject) for d in validate(bad)]
-    assert kinds == [("EdgeBeforeSourceAttached", "z1")]
-    for serialize in (serialize_penman, linearize_dfs):
+    assert kinds == [("EdgeOutOfTextualOrder", "z1 :mod z2")]
+    for walk in _WALKS:
         with pytest.raises(ValueError, match="^edge z1 :mod z2: its source is not an open node$"):
-            serialize(bad)
+            walk(bad)
 
 
 def test_serialize_refuses_edges_in_attachment_but_not_textual_order():
@@ -402,10 +405,11 @@ def test_serialize_refuses_edges_in_attachment_but_not_textual_order():
             AmrEdge("z1", ":mod", "z2"),
         ),
     )
-    assert validate(bad) == []
-    for serialize in (serialize_penman, linearize_dfs):
+    kinds = [(d.kind, d.subject) for d in validate(bad)]
+    assert kinds == [("EdgeOutOfTextualOrder", "z0 :ARG1 z3")]
+    for walk in _WALKS:
         with pytest.raises(ValueError, match="^edge z1 :mod z2: its source is not an open node$"):
-            serialize(bad)
+            walk(bad)
 
 
 def test_penman_blocks_with_metadata(tmp_path):
@@ -420,6 +424,7 @@ def test_penman_blocks_with_metadata(tmp_path):
     path.write_text(content, encoding="utf-8")
     blocks = list(iter_penman_blocks(content))
     assert len(blocks) == 2
+    assert list(iter_penman_blocks(content.rstrip("\n"))) == blocks  # no final line end
     assert blocks[0][0] == {"id": "r1", "snt": "Golden retriever standing in the snow"}
     graphs = load_penman_file(path)
     assert graphs[0].metadata["id"] == "r1"

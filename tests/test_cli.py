@@ -271,6 +271,15 @@ def test_convert_jsonl_emission_uses_metadata_ids(runner, tmp_path):
     assert ["retriever"] in data["scene_graph"]["objects"]
 
 
+def test_convert_jsonl_emission_falls_back_to_the_block_index_for_an_empty_id(runner, tmp_path):
+    path = _penman_file(tmp_path, ["# ::id\n(z0 / dog)", "# ::id   ::snt a cat\n(z0 / cat)", "(z0 / tree)"])
+    out = tmp_path / "generated.jsonl"
+    assert _invoke(runner, ["convert", path, "--emit", "jsonl", "--out", str(out)]).exit_code == 0
+    assert [json.loads(line)["region_id"] for line in out.read_text().splitlines()] == ["0", "1", "2"]
+    result = _invoke(runner, ["eval", str(out), str(out)])  # eval reads every line
+    assert (result.exit_code, result.stderr) == (0, "")
+
+
 def _eval_corpus_file(tmp_path, name, graphs):
     path = tmp_path / name
     from amrsg.scenegraph import sg_to_json
@@ -380,6 +389,18 @@ def test_retrieve_unknown_gold(runner, tmp_path):
     )
     result = _invoke(runner, ["retrieve", "--index", str(index_path), "--queries", str(queries_path)])
     assert result.exit_code == 1
+
+
+@pytest.mark.parametrize(
+    "gold,query", [("{}", "q1"), ('{"q1": "1"}', "q2")], ids=["empty-map", "one-query-mapped"]
+)
+def test_retrieve_gold_map_without_a_query_is_an_error(runner, tmp_path, gold, query):
+    gold_path = tmp_path / "gold.json"
+    gold_path.write_text(gold)
+    index, queries = str(_GOLDEN / "index.jsonl"), str(_GOLDEN / "queries.jsonl")
+    result = _invoke(runner, ["retrieve", "--index", index, "--queries", queries, "--gold", str(gold_path)])
+    assert (result.exit_code, result.stdout) == (1, "")
+    assert result.stderr == f"error: no gold image id for query {query}\n"
 
 
 @pytest.mark.parametrize(

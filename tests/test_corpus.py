@@ -54,13 +54,15 @@ def test_load_skips_malformed_with_position(tmp_path):
         + '{"image_id": "1", "region_id": "", "description": "a dog", "scene_graph": {}}\n'
         + '{"image_id": 1.5, "region_id": "r8", "description": "a dog", "scene_graph": {}}\n'
         + '{"image_id": 9, "region_id": "r9", "description": "a dog", "scene_graph": {}}\n'
+        + '{"image_id": "1", "region_id": "r10", "description": " \\t", "scene_graph": {}}\n'
     )
     result = load_records(path)
     assert [(r.image_id, r.region_id) for r in result.records] == [("1", "r1"), ("1", "r3"), ("9", "r9")]
-    assert result.skipped == 6
-    assert [lineno for lineno, _ in result.errors] == [2, 4, 5, 6, 7, 8]
+    assert result.skipped == 7
+    assert [lineno for lineno, _ in result.errors] == [2, 4, 5, 6, 7, 8, 10]
     assert "image_id is null" in result.errors[3][1]
     assert "region_id is \"\"" in result.errors[4][1]
+    assert result.errors[6][1] == "empty description"
 
 
 def test_load_skips_field_outside_the_wire_grammar(tmp_path):

@@ -1,11 +1,12 @@
 import random
-from collections import deque
+from collections import Counter, deque
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amrsg.amr import AmrEdge, AmrGraph, children_index, parse_penman
+from amrsg.amr import AmrEdge, AmrGraph, children_index, parse_penman, serialize_penman
 from amrsg.linearize import (
     LinearizedSequence,
     Strategy,
@@ -20,6 +21,7 @@ from helpers import (
     random_graph,
     reference_penman_pieces,
     reference_walk_pieces,
+    validate,
     with_quoted_slashes,
 )
 
@@ -235,16 +237,24 @@ _OUT_OF_ORDER = AmrGraph(
     edges=(AmrEdge("z1", ":mod", "z2"), AmrEdge("z0", ":ARG0", "z2"), AmrEdge("z2", ":ARG1", "z1")),
 )
 _ISOLATED = AmrGraph(root="z0", nodes={"z0": "dog", "z1": "cat"}, edges=())
+# Edges in attachment order only: z1's subtree was closed by z0's second edge,
+# so no PENMAN text gives this order.
+_ATTACHMENT_ONLY = AmrGraph(
+    root="z0",
+    nodes={"z0": "dog", "z1": "cat", "z2": "tree", "z3": "snow"},
+    edges=(AmrEdge("z0", ":ARG0", "z1"), AmrEdge("z0", ":ARG1", "z2"), AmrEdge("z1", ":mod", "z3")),
+)
 
 
 @pytest.mark.parametrize("strategy", [Strategy.BFS, Strategy.IN_ORDER])
 @pytest.mark.parametrize(
     "graph,message",
     [
-        (_OUT_OF_ORDER, "2 of 3 edges never reached from the root: the edges are out of attachment order"),
+        (_OUT_OF_ORDER, "edge z1 :mod z2: its source is not an open node"),
         (_ISOLATED, "nodes never reached from the root: z1"),
+        (_ATTACHMENT_ONLY, "edge z1 :mod z3: its source is not an open node"),
     ],
-    ids=["out-of-order", "isolated-node"],
+    ids=["out-of-order", "isolated-node", "attachment-only"],
 )
 def test_bfs_and_inorder_refuse_a_graph_they_cannot_walk_whole(graph, message, strategy):
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -252,8 +262,47 @@ def test_bfs_and_inorder_refuse_a_graph_they_cannot_walk_whole(graph, message, s
 
 
 def test_children_index_reports_the_nodes_no_edge_reaches():
-    assert children_index(_ISOLATED) == ({}, {"z1"})
-    assert children_index(_OUT_OF_ORDER)[1] == set()
+    with pytest.raises(ValueError, match="^nodes never reached from the root: z1$"):
+        children_index(_ISOLATED)
+    with pytest.raises(ValueError, match="^edge z1 :mod z2: its source is not an open node$"):
+        children_index(_OUT_OF_ORDER)
+
+
+def _refusal(walk, graph) -> str | None:
+    try:
+        walk(graph)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+def _hand_built(rng: random.Random) -> AmrGraph:
+    """A ``random_graph`` with its edges permuted, some dropped, or both."""
+    g = random_graph(rng)
+    edges = list(g.edges)
+    edit = rng.randrange(3)
+    if edit != 1:
+        rng.shuffle(edges)
+    if edit != 0:
+        edges = [e for e in edges if rng.random() < 0.8]
+    return AmrGraph(g.root, g.nodes, tuple(edges))
+
+
+def test_every_walk_refuses_exactly_the_graphs_serialize_penman_refuses():
+    rng = random.Random(31)
+    outcomes = Counter()
+    for _ in range(600):
+        g = _hand_built(rng)
+        refusal = _refusal(serialize_penman, g)
+        assert _refusal(children_index, g) == refusal, g
+        for strategy in Strategy:
+            assert _refusal(partial(linearize, strategy=strategy), g) == refusal, (strategy, g)
+        assert (validate(g) == []) == (refusal is None), (validate(g), refusal, g)
+        outcomes[refusal.partition(":")[0] if refusal else "accepted"] += 1
+    # many graphs of each outcome: accepted, an edge out of textual order, a node no edge reaches
+    assert outcomes.pop("accepted") > 100, outcomes
+    assert outcomes.pop("nodes never reached from the root") > 20, outcomes
+    assert sum(outcomes.values()) > 100, outcomes
 
 
 def test_constants_wrapped_in_bfs_and_inorder():

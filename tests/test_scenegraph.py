@@ -196,6 +196,7 @@ def test_multiset_semantics():
     sg = SceneGraph(objects=["a", "a"])
     assert to_tuples(sg) == [ObjectTuple("a"), ObjectTuple("a")]
     assert sg != SceneGraph(objects=["a"])
+    assert (SceneGraph(objects=["dog"]) == "dog") is False
 
 
 def test_tuple_count_invariant():
