@@ -37,7 +37,7 @@ import time
 from pathlib import Path
 from types import SimpleNamespace
 
-from corpus_stages import ROOT, load_amrsg, print_ratios, print_table
+from corpus_stages import ROOT, load_amrsg, load_baseline, print_ratios, print_table
 
 import gen  # noqa: E402  (bench/, put on sys.path by corpus_stages)
 import stub_model  # noqa: E402
@@ -90,10 +90,7 @@ def main() -> int:
     expected = [stub_model.render(stub_model.reply_tuples(text)) for text in texts]
     libs = [load_amrsg("amrsg")]
     if args.baseline is not None:
-        src = args.baseline.resolve() / "src"
-        if not (src / "amrsg" / "__init__.py").is_file():
-            parser.error(f"no amrsg package under {src}")
-        libs.append(load_amrsg("amrsg_baseline", src))
+        libs.append(load_baseline(parser, args.baseline))
     graphs = [[lib.parse_penman(text) for text in texts] for lib in libs]
 
     pin_to_one_cpu()  # before the children start, so they inherit it

@@ -64,7 +64,7 @@ STAGES = [
 
 
 def load_amrsg(name: str, src: Path | None = None) -> SimpleNamespace:
-    """The functions the stages call, from the ``amrsg`` package imported as
+    """The functions the scripts call, from the ``amrsg`` package imported as
     ``name``; with ``src``, from ``src/amrsg`` under that module name."""
     if src is not None:
         spec = importlib.util.spec_from_file_location(
@@ -73,9 +73,9 @@ def load_amrsg(name: str, src: Path | None = None) -> SimpleNamespace:
         package = importlib.util.module_from_spec(spec)
         sys.modules[name] = package
         spec.loader.exec_module(package)
-    amr, convert, corpus, evaluate, linearize, scenegraph = (
+    amr, convert, corpus, evaluate, linearize, retrieval, scenegraph = (
         importlib.import_module(f"{name}.{module}")
-        for module in ("amr", "convert", "corpus", "evaluate", "linearize", "scenegraph")
+        for module in ("amr", "convert", "corpus", "evaluate", "linearize", "retrieval", "scenegraph")
     )
     return SimpleNamespace(
         PenmanError=amr.PenmanError,
@@ -87,9 +87,21 @@ def load_amrsg(name: str, src: Path | None = None) -> SimpleNamespace:
         f_score=evaluate.f_score,
         linearize=linearize.linearize,
         Strategy=linearize.Strategy,
+        RetrievalIndex=retrieval.RetrievalIndex,
+        rank=retrieval.rank,
         parse_sg_text=scenegraph.parse_sg_text,
         serialize_sg=scenegraph.serialize_sg,
+        sg_from_json=scenegraph.sg_from_json,
     )
+
+
+def load_baseline(parser: argparse.ArgumentParser, checkout: Path) -> SimpleNamespace:
+    """``load_amrsg`` of ``checkout``'s ``src/amrsg`` as ``amrsg_baseline``;
+    a usage error if there is none."""
+    src = checkout.resolve() / "src"
+    if not (src / "amrsg" / "__init__.py").is_file():
+        parser.error(f"no amrsg package under {src}")
+    return load_amrsg("amrsg_baseline", src)
 
 
 def run_once(lib: SimpleNamespace, record) -> list[float]:
@@ -162,10 +174,7 @@ def main() -> int:
     lines = gen.corpus_input(args.seed, args.records).lines
     libs = [load_amrsg("amrsg")]
     if args.baseline is not None:
-        src = args.baseline.resolve() / "src"
-        if not (src / "amrsg" / "__init__.py").is_file():
-            parser.error(f"no amrsg package under {src}")
-        libs.append(load_amrsg("amrsg_baseline", src))
+        libs.append(load_baseline(parser, args.baseline))
     loaded = [load_records(lib, lines) for lib in libs]
     records, rejected = loaded[0]
     if any([r.region_id for r in other] != [r.region_id for r in records] for other, _ in loaded):

@@ -92,12 +92,13 @@ def children_index(graph: AmrGraph) -> dict[str, list[tuple[str, str, bool]]]:
     """Map each source variable to its outgoing edges in stored order, each as
     a plain (role, target, declares) tuple. ``declares`` marks the tree edge:
     the target is a node other than the root, and no earlier edge targets it.
-    Checks the textual order as ``penman_pieces`` does, with its errors.
+    Checks the graph as ``penman_pieces`` does, with its errors.
     Callers build it once per walk; it is not kept on the graph, so a loaded
     corpus does not hold one per graph."""
     index: dict[str, list[tuple[str, str, bool]]] = {}
+    nodes = graph.nodes
     open_nodes = [graph.root]  # the innermost last
-    undeclared = graph.nodes.keys() - {graph.root}
+    undeclared = nodes.keys() - {graph.root}
     for source, role, target in graph.edges:
         while open_nodes[-1] != source:
             open_nodes.pop()
@@ -107,16 +108,22 @@ def children_index(graph: AmrGraph) -> dict[str, list[tuple[str, str, bool]]]:
         if declares:
             undeclared.remove(target)
             open_nodes.append(target)
+        elif target not in nodes and _VAR_RE.match(target):
+            raise _walk_error((source, role, target), constant=True)
         index.setdefault(source, []).append((role, target, declares))
     if undeclared:
         raise _walk_error(undeclared)
     return index
 
 
-def _walk_error(fault: tuple[str, str, str] | set[str]) -> ValueError:
-    """The error of a walk over a graph that breaks textual order: ``fault`` is
-    the first (source, role, target) edge whose source is not open, or the
+def _walk_error(fault: tuple[str, str, str] | set[str], constant: bool = False) -> ValueError:
+    """The error of a walk over a graph that no PENMAN text gives: ``fault``
+    is the first (source, role, target) edge whose source is not open, or
+    with ``constant`` whose target is shaped like a variable but is not a
+    node (``parse_penman`` would read it as an undeclared reference), or the
     nodes that no edge reaches."""
+    if constant:
+        return ValueError("edge {} {} {}: its target is a variable that is not a node".format(*fault))
     if isinstance(fault, tuple):
         return ValueError("edge {} {} {}: its source is not an open node".format(*fault))
     return ValueError(f"nodes never reached from the root: {', '.join(sorted(fault))}")
@@ -268,7 +275,8 @@ def penman_pieces(graph: AmrGraph) -> list[str]:
     text's order: an edge whose source is not the innermost open node closes
     the nodes above its source, and a target is declared where it is first
     reached. Raises ValueError for an edge whose source is not open at that
-    point, and for a node that no edge reaches.
+    point, for a target shaped like a variable that is not a node, and for a
+    node that no edge reaches.
     """
     nodes = graph.nodes
     root = graph.root
@@ -289,6 +297,8 @@ def penman_pieces(graph: AmrGraph) -> list[str]:
             undeclared.remove(target)
             open_nodes.append(target)
             pieces.append(f"({target} / {nodes[target]}")
+        elif target not in nodes and _VAR_RE.match(target):
+            raise _walk_error((source, role, target), constant=True)
         else:
             pieces.append(target)
     if undeclared:

@@ -7,14 +7,17 @@ broken by ascending image id, so results are reproducible.
 
 ``RetrievalIndex`` builds an inverted tuple index once, so ``rank`` scores
 only the regions that share a tuple with the query; the rankings are those of
-running ``evaluate.f_score`` on every region.
+running ``evaluate.f_score`` on every region. ``rank`` pairs the image ids,
+in id order, with their scores and sorts the pairs once by score, descending;
+the sort is stable, so ties keep id order. The gold rank is the position of
+the gold image's pair in that ranking.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -102,12 +105,15 @@ def _image_scores(query: SceneGraph, index: RetrievalIndex) -> list[float]:
     equals ``f_score``'s exactly.
     """
     scores = [0.0] * len(index._sorted_ids)
-    wanted = Counter(to_tuples(query))
-    if not wanted:
+    tuples = to_tuples(query)
+    if not tuples:
         # both empty: F1 = 1; an empty query scores 0 on any other region
         for image in index._with_empty_region:
             scores[image] = 1.0
         return scores
+    wanted: dict[SgTuple, int] = {}  # each query tuple's multiplicity
+    for t in tuples:
+        wanted[t] = wanted.get(t, 0) + 1
     overlap: dict[int, int] = {}
     get = overlap.get
     for t, cap in wanted.items():
@@ -120,7 +126,7 @@ def _image_scores(query: SceneGraph, index: RetrievalIndex) -> list[float]:
             else:
                 continue
             overlap[number] = get(number, 0) + 1
-    g_size = sum(wanted.values())
+    g_size = len(tuples)
     sizes, owners = index._region_size, index._region_image
     for number, m in overlap.items():
         p = m / g_size
@@ -144,9 +150,9 @@ def rank(
         raise UnknownGoldImage(f"gold image {gold_image_id!r} not in index")
     scores = _image_scores(query, index)
     # image numbers follow image ids, and a stable sort keeps ties in that order
-    order = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
-    ranking = tuple(zip(map(index._sorted_ids.__getitem__, order), map(scores.__getitem__, order)))
-    return RankedResult(query_id, ranking, gold_image_id, order.index(gold) + 1)
+    ranking = tuple(sorted(zip(index._sorted_ids, scores), key=itemgetter(1), reverse=True))
+    gold_rank = ranking.index((gold_image_id, scores[gold])) + 1
+    return RankedResult(query_id, ranking, gold_image_id, gold_rank)
 
 
 def aggregate_metrics(results: Sequence[RankedResult], ks: Sequence[int] = (5, 10)) -> dict:

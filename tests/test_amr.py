@@ -362,6 +362,27 @@ def test_validate_undeclared_reference():
     assert ("UndeclaredVariableReference", "z9") in kinds
 
 
+def test_walks_refuse_a_target_shaped_like_a_variable_that_is_not_a_node():
+    # parse_penman reads "z9" as a reference to an undeclared variable, so no
+    # PENMAN text gives this graph, and serializing it would not round-trip
+    graph = AmrGraph("z0", {"z0": "dog"}, (AmrEdge("z0", ":mod", "z9"),))
+    with pytest.raises(UndeclaredVariableReference):
+        parse_penman("(z0 / dog :mod z9)")
+    assert [(d.kind, d.subject) for d in validate(graph)] == [("UndeclaredVariableReference", "z9")]
+    for walk in _WALKS:
+        with pytest.raises(ValueError, match="^edge z0 :mod z9: its target is a variable that is not a node$"):
+            walk(graph)
+
+
+@pytest.mark.parametrize("constant", ["-", "3", "-0.5", '"z9"', "Z9", '"(z0 / dog)"'])
+def test_walks_keep_a_constant_not_shaped_like_a_variable(constant):
+    graph = AmrGraph("z0", {"z0": "dog"}, (AmrEdge("z0", ":mod", constant),))
+    assert validate(graph) == []
+    assert parse_penman(serialize_penman(graph)) == graph
+    for walk in _WALKS:
+        walk(graph)
+
+
 def test_validate_unreachable_node():
     g = parse_penman(FIG1_PENMAN)
     # drop the tree edge z1 -:mod-> z2 entirely

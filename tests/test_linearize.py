@@ -305,6 +305,28 @@ def test_every_walk_refuses_exactly_the_graphs_serialize_penman_refuses():
     assert sum(outcomes.values()) > 100, outcomes
 
 
+def test_every_walk_refuses_an_edge_retargeted_to_a_variable_that_is_not_a_node():
+    rng = random.Random(37)
+    refused = 0
+    for _ in range(300):
+        g = random_graph(rng)
+        if not g.edges:
+            continue
+        edges = list(g.edges)
+        k = rng.randrange(len(edges))
+        edges[k] = edges[k]._replace(target="z99")
+        bad = AmrGraph(g.root, g.nodes, tuple(edges))
+        # the edges before it are as parsed, so the walks fail at this edge
+        message = "edge {} {} z99: its target is a variable that is not a node".format(*edges[k][:2])
+        assert _refusal(serialize_penman, bad) == message, bad
+        assert _refusal(children_index, bad) == message, bad
+        for strategy in Strategy:
+            assert _refusal(partial(linearize, strategy=strategy), bad) == message, (strategy, bad)
+        assert ("UndeclaredVariableReference", "z99") in [(d.kind, d.subject) for d in validate(bad)]
+        refused += 1
+    assert refused > 150
+
+
 def test_constants_wrapped_in_bfs_and_inorder():
     g = parse_penman("(z0 / car :mod (z1 / red) :quant 3)")
     assert ":quant (3)" in linearize_bfs(g).text

@@ -41,3 +41,9 @@ def test_every_private_module_name_is_read_in_its_module():
             if private and name not in read:
                 unused.append(f"{path.name}:{name}")
     assert unused == []
+
+
+def test_sources_parse_as_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10
+    for path in sorted(Path(amrsg.__file__).parent.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
