@@ -11,25 +11,16 @@ nothing is written. Each record goes through the stages of the
 ``corpus_pipeline`` workload in order: ``filter_ungrounded``, ``parse_penman``,
 the DFS, BFS and in-order linearizations with their tokens (which the
 workload reads, and which are built on demand), ``convert_rules``, ``serialize_sg``,
-``parse_sg_text`` and ``f_score``. Every stage keeps its best time per graph
-over ``--runs`` passes. Records whose AMR does not parse are left out of the
-table. Two columns follow: the median graph (the median of each stage's
-times, and of the totals), and the slowest 10% of graphs by total time (the
-mean of each stage over them). The passes run with the garbage collector
-off (``gc.collect()``, then ``gc.disable()``, enabled again afterwards):
-otherwise each collection is charged to whichever stage happens to trigger
-it, and a stage that allocates less moves time into the others. It is a
-measurement, not a test: nothing runs it automatically.
+``parse_sg_text`` and ``f_score``. Records whose AMR does not parse are left
+out of the table, and a baseline that accepts a different set of records is
+refused. It is a measurement, not a test.
 
-With ``--baseline <checkout>``, the ``amrsg`` of ``<checkout>/src`` is loaded
-too, under the module name ``amrsg_baseline``, and each of the ``--runs``
-rounds times one pass of each in the same process, the two alternating which
-goes first. The machine's speed drifts between runs, so this A/B in one
-process is the fair comparison of two versions. Each side keeps its own best
-time per graph and stage; the table gives both sides' median graph, the
-median over graphs of the per-graph ratio (this checkout / baseline), and
-that ratio for the means of the slowest 10% of graphs (by the baseline's
-totals).
+This module also holds what the measurement scripts share: ``load_amrsg``
+and ``load_sides``, which load this checkout's ``amrsg`` and, with
+``--baseline <checkout>``, the one of ``<checkout>/src`` as
+``amrsg_baseline``; ``best_of``, the one timing loop (see README.md,
+"Measuring"); and the options and table of this script and
+``adapter_roundtrip.py``.
 """
 
 from __future__ import annotations
@@ -42,8 +33,10 @@ import json
 import statistics
 import sys
 import time
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
+from typing import Callable
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
@@ -95,42 +88,89 @@ def load_amrsg(name: str, src: Path | None = None) -> SimpleNamespace:
     )
 
 
-def load_baseline(parser: argparse.ArgumentParser, checkout: Path) -> SimpleNamespace:
-    """``load_amrsg`` of ``checkout``'s ``src/amrsg`` as ``amrsg_baseline``;
-    a usage error if there is none."""
-    src = checkout.resolve() / "src"
-    if not (src / "amrsg" / "__init__.py").is_file():
-        parser.error(f"no amrsg package under {src}")
-    return load_amrsg("amrsg_baseline", src)
+def load_sides(parser: argparse.ArgumentParser, baseline: Path | None) -> list[SimpleNamespace]:
+    """The sides to time: this checkout's ``amrsg``, then with ``baseline``
+    the ``load_amrsg`` of its ``src/amrsg`` as ``amrsg_baseline`` (a usage
+    error if there is none)."""
+    sides = [load_amrsg("amrsg")]
+    if baseline is not None:
+        src = baseline.resolve() / "src"
+        if not (src / "amrsg" / "__init__.py").is_file():
+            parser.error(f"no amrsg package under {src}")
+        sides.append(load_amrsg("amrsg_baseline", src))
+    return sides
 
 
-def run_once(lib: SimpleNamespace, record) -> list[float]:
-    """One record through every stage of ``lib``; the seconds each stage took."""
+def best_of(passes: list[Callable[[], list[list[float]]]], runs: int) -> list[list[list[float]]]:
+    """Each side's best seconds per item and stage over ``runs`` rounds.
+
+    A pass times one side over every item and returns the seconds of each
+    stage per item. Each round calls every pass once, the sides alternating
+    which goes first, since the machine's speed drifts. The rounds run with
+    the garbage collector off, so that no stage is charged for a collection
+    that another stage's allocations set off."""
+    bests: list = [None] * len(passes)
+    gc.collect()
+    gc.disable()
+    try:
+        for run in range(runs):
+            for side in range(len(passes)) if run % 2 == 0 else reversed(range(len(passes))):
+                took = passes[side]()
+                bests[side] = took if run == 0 else [list(map(min, a, b)) for a, b in zip(bests[side], took)]
+    finally:
+        gc.enable()
+    return bests
+
+
+def parse_args(doc: str, items: str, default: int) -> tuple[argparse.ArgumentParser, argparse.Namespace]:
+    """The options of this script and ``adapter_roundtrip.py``: ``--seed``,
+    ``--<items>`` (how many graphs to generate), ``--runs`` and ``--baseline``."""
+    parser = argparse.ArgumentParser(description=doc.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=1, help="generator seed (default 1)")
+    parser.add_argument(
+        f"--{items}", type=int, default=default, help=f"{items} generated (default {default})"
+    )
+    parser.add_argument("--runs", type=int, default=9, help="passes; each graph keeps its best (default 9)")
+    parser.add_argument(
+        "--baseline", type=Path, metavar="CHECKOUT",
+        help="also time the amrsg of CHECKOUT/src, alternating passes, and print ratios",
+    )
+    args = parser.parse_args()
+    if getattr(args, items) < 1 or args.runs < 1:
+        parser.error(f"--{items} and --runs must be at least 1")
+    return parser, args
+
+
+def _run_pass(lib: SimpleNamespace, records: list) -> list[list[float]]:
+    """Every record through every stage of ``lib``; the seconds each stage took."""
     clock = time.perf_counter
     Strategy, linearize = lib.Strategy, lib.linearize
-    t0 = clock()
-    filtered = lib.filter_ungrounded(record)
-    t1 = clock()
-    graph = lib.parse_penman(record.amr)
-    t2 = clock()
-    linearize(graph, Strategy.DFS).tokens
-    t3 = clock()
-    linearize(graph, Strategy.BFS).tokens
-    t4 = clock()
-    linearize(graph, Strategy.IN_ORDER).tokens
-    t5 = clock()
-    sg = lib.convert_rules(graph)
-    t6 = clock()
-    text = lib.serialize_sg(sg)
-    t7 = clock()
-    parsed = lib.parse_sg_text(text)
-    t8 = clock()
-    lib.f_score(parsed, filtered.scene_graph)
-    t9 = clock()
-    return [t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4, t6 - t5, t7 - t6, t8 - t7, t9 - t8]
+    took = []
+    for record in records:
+        t0 = clock()
+        filtered = lib.filter_ungrounded(record)
+        t1 = clock()
+        graph = lib.parse_penman(record.amr)
+        t2 = clock()
+        linearize(graph, Strategy.DFS).tokens
+        t3 = clock()
+        linearize(graph, Strategy.BFS).tokens
+        t4 = clock()
+        linearize(graph, Strategy.IN_ORDER).tokens
+        t5 = clock()
+        sg = lib.convert_rules(graph)
+        t6 = clock()
+        text = lib.serialize_sg(sg)
+        t7 = clock()
+        parsed = lib.parse_sg_text(text)
+        t8 = clock()
+        lib.f_score(parsed, filtered.scene_graph)
+        t9 = clock()
+        took.append([t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4, t6 - t5, t7 - t6, t8 - t7, t9 - t8])
+    return took
 
 
-def load_records(lib: SimpleNamespace, lines: list[str]) -> tuple[list, int]:
+def _load_records(lib: SimpleNamespace, lines: list[str]) -> tuple[list, int]:
     """The records of ``lines`` whose AMR parses, and how many did not parse."""
     records, rejected = [], 0
     for line in lines:
@@ -147,86 +187,45 @@ def load_records(lib: SimpleNamespace, lines: list[str]) -> tuple[list, int]:
     return records, rejected
 
 
-def time_pass(lib: SimpleNamespace, records: list, best: list[list[float]]) -> None:
-    """One pass over ``records``; each graph keeps its best time per stage in ``best``."""
-    for times, record in zip(best, records):
-        times[:] = map(min, times, run_once(lib, record))
-
-
-def slowest_tenth(best: list[list[float]]) -> list[int]:
-    totals = [sum(times) for times in best]
-    return sorted(range(len(best)), key=totals.__getitem__)[-max(1, len(best) // 10) :]
-
-
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=1, help="generator seed (default 1)")
-    parser.add_argument("--records", type=int, default=500, help="records generated (default 500)")
-    parser.add_argument("--runs", type=int, default=9, help="passes; each graph keeps its best (default 9)")
-    parser.add_argument(
-        "--baseline", type=Path, metavar="CHECKOUT",
-        help="also time the amrsg of CHECKOUT/src, alternating passes, and print ratios",
-    )
-    args = parser.parse_args()
-    if args.records < 1 or args.runs < 1:
-        parser.error("--records and --runs must be at least 1")
-
+    parser, args = parse_args(__doc__, "records", 500)
+    libs = load_sides(parser, args.baseline)
     lines = gen.corpus_input(args.seed, args.records).lines
-    libs = [load_amrsg("amrsg")]
-    if args.baseline is not None:
-        libs.append(load_baseline(parser, args.baseline))
-    loaded = [load_records(lib, lines) for lib in libs]
+    loaded = [_load_records(lib, lines) for lib in libs]
     records, rejected = loaded[0]
     if any([r.region_id for r in other] != [r.region_id for r in records] for other, _ in loaded):
         parser.error("the baseline accepts a different set of records")
-
-    bests = [[[float("inf")] * len(STAGES) for _ in records] for _ in libs]
-    gc.collect()
-    gc.disable()
-    try:
-        for run in range(args.runs):
-            order = range(len(libs)) if run % 2 == 0 else reversed(range(len(libs)))
-            for side in order:
-                time_pass(libs[side], loaded[side][0], bests[side])
-    finally:
-        gc.enable()
-
-    print(
-        f"Python {sys.version.split()[0]}, seed {args.seed}, {len(records)} graphs "
-        f"({rejected} rejected records left out), best of {args.runs} runs per graph"
-    )
-    if args.baseline is None:
-        print_table(STAGES, bests[0])
-    else:
-        print(f"baseline: {args.baseline}")
-        print_ratios(STAGES, *bests)
+    bests = best_of([partial(_run_pass, lib, side) for lib, (side, _) in zip(libs, loaded)], args.runs)
+    print_table(args, STAGES, bests, f", {rejected} rejected records left out")
     return 0
 
 
-def print_table(stages: list[str], best: list[list[float]]) -> None:
-    totals = [sum(times) for times in best]
-    slowest = slowest_tenth(best)
-    print(f"{'stage':<20} {'median graph us':>16} {'slowest 10% us':>16}")
-    for s, stage in enumerate(stages):
-        median = statistics.median(times[s] for times in best)
-        tail = statistics.mean(best[k][s] for k in slowest)
-        print(f"{stage:<20} {median * 1e6:>16.1f} {tail * 1e6:>16.1f}")
-    total_median = statistics.median(totals)
-    total_tail = statistics.mean(totals[k] for k in slowest)
-    print(f"{'total':<20} {total_median * 1e6:>16.1f} {total_tail * 1e6:>16.1f}")
-
-
-def print_ratios(stages: list[str], best: list[list[float]], base: list[list[float]]) -> None:
-    slowest = slowest_tenth(base)
+def print_table(args: argparse.Namespace, stages: list[str], bests: list, note: str) -> None:
+    """A header ending in ``note``, then per stage and for the total: the
+    median graph and the mean of the slowest 10% of graphs by total time.
+    One side's table is in µs; with a baseline, it gives both sides' median
+    graph in µs, the median over graphs of the per-graph ratio (this
+    checkout / baseline), and that ratio for the means of the slowest 10% of
+    graphs (by the baseline's totals)."""
+    print(
+        f"Python {sys.version.split()[0]}, seed {args.seed}, {len(bests[0])} graphs, "
+        f"best of {args.runs} runs per graph{note}"
+    )
+    columns = [[*zip(*best), list(map(sum, best))] for best in bests]  # per side: each stage, then the total
+    totals = columns[-1][-1]  # the baseline's, if there is one
+    slowest = sorted(range(len(totals)), key=totals.__getitem__)[-max(1, len(totals) // 10) :]
+    if args.baseline is None:
+        print(f"{'stage':<20} {'median graph us':>16} {'slowest 10% us':>16}")
+        for stage, ours in zip(stages + ["total"], columns[0]):
+            tail = statistics.mean(ours[k] for k in slowest)
+            print(f"{stage:<20} {statistics.median(ours) * 1e6:>16.1f} {tail * 1e6:>16.1f}")
+        return
+    print(f"baseline: {args.baseline}")
     print(
         f"{'stage':<20} {'median graph us':>16} {'baseline us':>12}"
         f" {'median ratio':>13} {'slowest 10% ratio':>18}"
     )
-    columns = [[times[s] for times in best] for s in range(len(stages))]
-    base_columns = [[times[s] for times in base] for s in range(len(stages))]
-    columns.append([sum(times) for times in best])
-    base_columns.append([sum(times) for times in base])
-    for stage, ours, theirs in zip(stages + ["total"], columns, base_columns):
+    for stage, ours, theirs in zip(stages + ["total"], *columns):
         ratio = statistics.median(a / b for a, b in zip(ours, theirs))
         tail = sum(ours[k] for k in slowest) / sum(theirs[k] for k in slowest)
         print(

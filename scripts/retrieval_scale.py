@@ -1,4 +1,4 @@
-"""Time ``rank`` against brute-force scoring on large synthetic indices.
+"""Time ``rank`` on large synthetic indices and check its rankings.
 
 Usage, from the root of a checkout:
 
@@ -9,34 +9,31 @@ Usage, from the root of a checkout:
 Each size is a number of images with 5 regions each, made by the benchmark's
 generator (``bench/gen.retrieval_input``, seed 1). ``--bench-shape`` takes
 the sizes of the ``retrieval`` workload instead (its full scale in
-``bench/workloads.SCALES``: 50 images x 2 regions, 200 queries). For every
-query the script checks that ``rank`` returns the brute-force ranking in full
-(``score_image`` of ``tests/helpers.py`` on every image, sorted by score
-descending and image id), then prints ms/query of both and the speed-up. It
-exits 1 if a ranking differs. It is a measurement, not a test.
+``bench/workloads.SCALES``: 50 images x 2 regions, 200 queries). Each side
+builds one index per size, and every query keeps its best time over ``RUNS``
+rounds (``corpus_stages.best_of``). The line per size gives the mean
+ms/query, and with ``--baseline`` the baseline's too and the median over
+queries of the per-query ratio (this checkout / baseline).
 
-With ``--baseline <checkout>``, the ``amrsg`` of ``<checkout>/src`` is loaded
-too, under the module name ``amrsg_baseline`` (as ``corpus_stages.py`` does),
-and no brute force runs. Each size builds one index per side, and each of
-5 rounds times every query once on each side, the two alternating which goes
-first, with the garbage collector off. Every query keeps its best time per
-side. The line per size gives both sides' mean ms/query and the median over
-queries of the per-query ratio (this checkout / baseline). It checks that
-both sides return the same ranking and gold rank for every query, and the
-script exits 1 if they differ.
+Before the timed rounds, every ranking of this checkout is checked against
+brute-force scoring (``score_image`` of ``tests/helpers.py`` on every image,
+sorted by score descending and image id), and with ``--baseline`` both sides
+must give the same ranking and gold rank for every query. The script exits 1
+if a ranking differs. It is a measurement, not a test.
 """
 
 from __future__ import annotations
 
 import argparse
-import gc
 import statistics
 import sys
 import time
+from functools import partial
+from operator import attrgetter
 from pathlib import Path
 from types import SimpleNamespace
 
-from corpus_stages import ROOT, load_amrsg, load_baseline
+from corpus_stages import ROOT, best_of, load_sides
 
 import gen  # noqa: E402  (bench/, put on sys.path by corpus_stages)
 from workloads import SCALES  # noqa: E402
@@ -45,81 +42,51 @@ sys.path.insert(0, str(ROOT / "tests"))
 from helpers import brute_force_ranking  # noqa: E402
 
 REGIONS_PER_IMAGE = 5
-RUNS = 5  # rounds of an A/B comparison
+RUNS = 5  # rounds; every query keeps its best time per side
 
 
-def inputs(lib: SimpleNamespace, data) -> tuple[list, list]:
-    """The generated images and (query, gold image id) pairs as scene graphs of ``lib``."""
+def _inputs(lib: SimpleNamespace, data) -> tuple:
+    """``lib.rank``, the index of the generated images, and the (query, gold
+    image id) pairs, as objects of ``lib``."""
     images = [
         (image_id, [lib.sg_from_json(gen.sg_json(r)) for r in regions]) for image_id, regions in data.regions
     ]
     queries = [(lib.sg_from_json(gen.sg_json(sg)), gold) for _, sg, gold in data.queries]
-    return images, queries
+    return lib.rank, lib.RetrievalIndex(images), queries
 
 
-def measure(lib: SimpleNamespace, n_images: int, n_regions: int, n_queries: int) -> bool:
-    images, queries = inputs(lib, gen.retrieval_input(1, n_images, n_regions, n_queries))
-    start = time.perf_counter()
-    index = lib.RetrievalIndex(images)
-    build_s = time.perf_counter() - start
-    sparse_s = brute_s = 0.0
-    same = True
-    for query, gold in queries:
-        start = time.perf_counter()
-        result = lib.rank(query, index, gold)
-        sparse_s += time.perf_counter() - start
-        start = time.perf_counter()
-        expected = brute_force_ranking(query, index)
-        brute_s += time.perf_counter() - start
-        same = same and list(result.ranking) == expected
-    sparse_ms, brute_ms = sparse_s * 1e3 / len(queries), brute_s * 1e3 / len(queries)
-    print(
-        f"{n_images:>7} images x {n_regions}: build {build_s * 1e3:8.1f} ms | "
-        f"rank {sparse_ms:8.3f} ms/query | brute force {brute_ms:9.2f} ms/query | "
-        f"{brute_ms / sparse_ms:5.1f}x | rankings {'identical' if same else 'DIFFER'}"
-    )
-    return same
-
-
-def compare(libs: list[SimpleNamespace], n_images: int, n_regions: int, n_queries: int) -> bool:
-    """A/B of ``rank`` in one process: this checkout's ``libs[0]`` against the
-    baseline's ``libs[1]``."""
-    data = gen.retrieval_input(1, n_images, n_regions, n_queries)
-    sides = []
-    for lib in libs:
-        images, queries = inputs(lib, data)
-        sides.append((lib.rank, lib.RetrievalIndex(images), queries))
-    best = [[float("inf")] * len(data.queries) for _ in libs]
-    results: list[list] = [[], []]
+def _rank_pass(rank, index, queries: list) -> list[list[float]]:
+    """Every query through ``rank``; the seconds each took."""
     clock = time.perf_counter
-    gc.collect()
-    gc.disable()
-    try:
-        for run in range(RUNS):
-            for side in (0, 1) if run % 2 == 0 else (1, 0):
-                rank, index, queries = sides[side]
-                times = best[side]
-                for k, (query, gold) in enumerate(queries):
-                    start = clock()
-                    result = rank(query, index, gold)
-                    took = clock() - start
-                    if took < times[k]:
-                        times[k] = took
-                    if run == 0:
-                        results[side].append(result)
-    finally:
-        gc.enable()
+    took = []
+    for query, gold in queries:
+        start = clock()
+        rank(query, index, gold)
+        took.append([clock() - start])
+    return took
+
+
+def _measure(libs: list[SimpleNamespace], n_images: int, n_regions: int, n_queries: int) -> bool:
+    """Check and time ``rank`` of each side at one size; print its line, and
+    return whether the rankings are identical."""
+    data = gen.retrieval_input(1, n_images, n_regions, n_queries)
+    sides = [_inputs(lib, data) for lib in libs]
+    answers = [[rank(query, index, gold) for query, gold in queries] for rank, index, queries in sides]
+    _, index, queries = sides[0]
     same = all(
-        (ours.ranking, ours.gold_rank) == (theirs.ranking, theirs.gold_rank)
-        for ours, theirs in zip(*results)
+        list(result.ranking) == brute_force_ranking(query, index)
+        for result, (query, _) in zip(answers[0], queries)
     )
-    ours_ms, theirs_ms = (statistics.mean(times) * 1e3 for times in best)
-    ratio = statistics.median(a / b for a, b in zip(*best))
-    print(
-        f"{n_images:>7} images x {n_regions}: rank {ours_ms:8.4f} ms/query | "
-        f"baseline {theirs_ms:8.4f} ms/query | median query ratio {ratio:6.3f} | "
-        f"rankings {'identical' if same else 'DIFFER'}"
-    )
+    key = attrgetter("ranking", "gold_rank")
+    same = same and all(list(map(key, side)) == list(map(key, answers[0])) for side in answers[1:])
+    bests = best_of([partial(_rank_pass, *side) for side in sides], RUNS)
+    best = [[took for (took,) in times] for times in bests]  # one stage per query
+    line = f"{n_images:>7} images x {n_regions}: rank {statistics.mean(best[0]) * 1e3:8.4f} ms/query"
+    if len(best) == 2:
+        ratio = statistics.median(a / b for a, b in zip(*best))
+        line += f" | baseline {statistics.mean(best[1]) * 1e3:8.4f} ms/query"
+        line += f" | median query ratio {ratio:6.3f}"
+    print(f"{line} | rankings {'identical' if same else 'DIFFER'}")
     return same
 
 
@@ -133,7 +100,7 @@ def main() -> int:
     )
     parser.add_argument(
         "--baseline", type=Path, metavar="CHECKOUT",
-        help="time rank against the amrsg of CHECKOUT/src, alternating rounds, and print ratios",
+        help="also time rank of the amrsg of CHECKOUT/src, alternating rounds, and print ratios",
     )
     args = parser.parse_args()
     if args.bench_shape:
@@ -147,18 +114,14 @@ def main() -> int:
     if min(sizes + [queries]) < 1:
         parser.error("sizes and --queries must be at least 1")
 
-    libs = [load_amrsg("amrsg")]
-    if args.baseline is None:
-        print(f"Python {sys.version.split()[0]}, {queries} queries per size")
-        ok = [measure(libs[0], n, regions, queries) for n in sizes]
-    else:
-        libs.append(load_baseline(parser, args.baseline))
-        print(
-            f"Python {sys.version.split()[0]}, {queries} queries per size, "
-            f"best of {RUNS} runs per query, garbage collector off"
-        )
+    libs = load_sides(parser, args.baseline)
+    print(
+        f"Python {sys.version.split()[0]}, {queries} queries per size, "
+        f"best of {RUNS} runs per query, garbage collector off"
+    )
+    if args.baseline is not None:
         print(f"baseline: {args.baseline}")
-        ok = [compare(libs, n, regions, queries) for n in sizes]
+    ok = [_measure(libs, n, regions, queries) for n in sizes]
     return 0 if all(ok) else 1
 
 

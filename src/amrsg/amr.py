@@ -108,6 +108,8 @@ def children_index(graph: AmrGraph) -> dict[str, list[tuple[str, str, bool]]]:
         if declares:
             undeclared.remove(target)
             open_nodes.append(target)
+            if len(open_nodes) > MAX_DEPTH:
+                raise _walk_error(target)
         elif target not in nodes and _VAR_RE.match(target):
             raise _walk_error((source, role, target), constant=True)
         index.setdefault(source, []).append((role, target, declares))
@@ -116,12 +118,15 @@ def children_index(graph: AmrGraph) -> dict[str, list[tuple[str, str, bool]]]:
     return index
 
 
-def _walk_error(fault: tuple[str, str, str] | set[str], constant: bool = False) -> ValueError:
+def _walk_error(fault: tuple[str, str, str] | set[str] | str, constant: bool = False) -> ValueError:
     """The error of a walk over a graph that no PENMAN text gives: ``fault``
     is the first (source, role, target) edge whose source is not open, or
     with ``constant`` whose target is shaped like a variable but is not a
     node (``parse_penman`` would read it as an undeclared reference), or the
-    nodes that no edge reaches."""
+    nodes that no edge reaches, or the first node declared deeper than
+    ``MAX_DEPTH`` levels, whose text ``parse_penman`` refuses."""
+    if isinstance(fault, str):
+        return ValueError(f"node {fault}: nesting deeper than {MAX_DEPTH} levels")
     if constant:
         return ValueError("edge {} {} {}: its target is a variable that is not a node".format(*fault))
     if isinstance(fault, tuple):
@@ -148,8 +153,8 @@ _TOKEN_RE = re.compile(r'[()/]|"[^"\\]*(?:\\[\s\S][^"\\]*)*"|"|:[^()/ \t\r\n]*|[
 _PUNCTUATION = "()/:"  # first characters of the tokens that are neither atom nor literal
 
 MAX_DEPTH = 200
-"""Deepest node nesting ``parse_penman`` accepts; the root is level 1. It keeps
-the recursive walk over a parsed graph (``linearize_inorder``) well inside
+"""Deepest node nesting ``parse_penman`` and every walk accept; the root is
+level 1. It keeps the recursive walk (``linearize_inorder``) well inside
 Python's default recursion limit."""
 
 
@@ -275,8 +280,9 @@ def penman_pieces(graph: AmrGraph) -> list[str]:
     text's order: an edge whose source is not the innermost open node closes
     the nodes above its source, and a target is declared where it is first
     reached. Raises ValueError for an edge whose source is not open at that
-    point, for a target shaped like a variable that is not a node, and for a
-    node that no edge reaches.
+    point, for a target shaped like a variable that is not a node, for a
+    node declared deeper than ``MAX_DEPTH`` levels, and for a node that no
+    edge reaches.
     """
     nodes = graph.nodes
     root = graph.root
@@ -296,6 +302,8 @@ def penman_pieces(graph: AmrGraph) -> list[str]:
         if target in undeclared:
             undeclared.remove(target)
             open_nodes.append(target)
+            if len(open_nodes) > MAX_DEPTH:
+                raise _walk_error(target)
             pieces.append(f"({target} / {nodes[target]}")
         elif target not in nodes and _VAR_RE.match(target):
             raise _walk_error((source, role, target), constant=True)

@@ -67,7 +67,7 @@ class RetrievalIndex:
             image = self._image_number[image_id]
             for region in regions:
                 number = len(sizes)
-                tuples = region.objects + region.attributes + region.relations
+                tuples = to_tuples(region)
                 for t in tuples:
                     numbers = get(t)
                     if numbers is None:

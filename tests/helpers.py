@@ -10,7 +10,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import zip_longest
 
-from amrsg.amr import AmrEdge, AmrGraph
+from amrsg.amr import MAX_DEPTH, AmrEdge, AmrGraph
 from amrsg.corpus import record_to_json
 from amrsg.evaluate import f_score
 from amrsg.scenegraph import (
@@ -124,24 +124,29 @@ def validate(graph: AmrGraph) -> list[Diagnostic]:
             diags.append(Diagnostic("DanglingEdgeSource", e.source))
         if is_variable_token(e.target) and e.target not in graph.nodes:
             diags.append(Diagnostic("UndeclaredVariableReference", e.target))
-    # Textual order is the pre-order of a recursive walk from the root over
+    # Textual order is the pre-order of a depth-first walk from the root over
     # each node's edges in stored order, which declares a node at its first
-    # visit. The walk visits exactly the nodes reachable from the root.
+    # visit. The walk visits exactly the nodes reachable from the root. A node
+    # it would declare below level MAX_DEPTH (the root is level 1) ends the
+    # check, as it ends parse_penman.
     out: dict[str, list[AmrEdge]] = {}
     for e in graph.edges:
         out.setdefault(e.source, []).append(e)
     visited = {graph.root}
     walk: list[AmrEdge] = []
-
-    def visit(var: str) -> None:
-        for e in out.get(var, ()):
-            walk.append(e)
-            if e.target in graph.nodes and e.target not in visited:
-                visited.add(e.target)
-                visit(e.target)
-
-    if graph.root in graph.nodes:
-        visit(graph.root)
+    # the remaining edges of each node on the walk's path, the root's first
+    path = [iter(out.get(graph.root, ()))] if graph.root in graph.nodes else []
+    while path:
+        e = next(path[-1], None)
+        if e is None:
+            path.pop()
+            continue
+        walk.append(e)
+        if e.target in graph.nodes and e.target not in visited:
+            visited.add(e.target)
+            if len(path) == MAX_DEPTH:
+                return diags + [Diagnostic("NestingTooDeep", e.target)]
+            path.append(iter(out.get(e.target, ())))
     for v in graph.nodes:
         if v not in visited:
             diags.append(Diagnostic("UnreachableNode", v))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amrsg.amr import AmrEdge, AmrGraph, children_index, parse_penman, serialize_penman
+from amrsg.amr import MAX_DEPTH, AmrEdge, AmrGraph, children_index, parse_penman, serialize_penman
 from amrsg.linearize import (
     LinearizedSequence,
     Strategy,
@@ -325,6 +325,35 @@ def test_every_walk_refuses_an_edge_retargeted_to_a_variable_that_is_not_a_node(
         assert ("UndeclaredVariableReference", "z99") in [(d.kind, d.subject) for d in validate(bad)]
         refused += 1
     assert refused > 150
+
+
+TOO_DEEP = f"node z{MAX_DEPTH}: nesting deeper than {MAX_DEPTH} levels"
+
+
+@pytest.mark.parametrize(
+    "length, refusal",
+    [(MAX_DEPTH, None), (MAX_DEPTH + 1, TOO_DEEP), (1000, TOO_DEEP)],
+    ids=["max_depth", "max_depth_plus_1", "1000"],
+)
+def test_every_walk_refuses_a_chain_deeper_than_max_depth(length, refusal):
+    """A hand-built chain ``z0 :mod z1 :mod ...`` of ``length`` nested nodes:
+    every walk accepts exactly the chains that round-trip through
+    ``parse_penman``, and refuses a deeper one with one ValueError, never a
+    RecursionError."""
+    chain = AmrGraph(
+        "z0",
+        {f"z{i}": "n" for i in range(length)},
+        tuple(AmrEdge(f"z{i}", ":mod", f"z{i + 1}") for i in range(length - 1)),
+    )
+    assert _refusal(serialize_penman, chain) == refusal
+    assert _refusal(children_index, chain) == refusal
+    for strategy in Strategy:
+        assert _refusal(partial(linearize, strategy=strategy), chain) == refusal, strategy
+    if refusal is None:
+        assert validate(chain) == []
+        assert parse_penman(serialize_penman(chain)) == chain
+    else:
+        assert [(d.kind, d.subject) for d in validate(chain)] == [("NestingTooDeep", f"z{MAX_DEPTH}")]
 
 
 def test_constants_wrapped_in_bfs_and_inorder():

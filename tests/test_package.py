@@ -30,8 +30,9 @@ def _module_level_names(tree: ast.Module):
 
 
 def test_every_private_module_name_is_read_in_its_module():
+    scripts = Path(__file__).resolve().parent.parent / "scripts"
     unused = []
-    for path in sorted(Path(amrsg.__file__).parent.glob("*.py")):
+    for path in sorted([*Path(amrsg.__file__).parent.glob("*.py"), *scripts.glob("*.py")]):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         read = {
             n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)

@@ -13,3 +13,16 @@ def test_retrieval_scale_runs_and_finds_the_rankings_identical(baseline):
     done = subprocess.run(command, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert "rankings identical" in done.stdout, done.stdout
+
+
+@pytest.mark.parametrize("baseline", [[], ["--baseline", str(ROOT)]], ids=["plain", "baseline"])
+@pytest.mark.parametrize(
+    "script, size",
+    [("corpus_stages.py", ["--records", "20"]), ("adapter_roundtrip.py", ["--graphs", "10"])],
+    ids=["corpus_stages", "adapter_roundtrip"],
+)
+def test_stage_script_runs_and_prints_a_total_row(script, size, baseline):
+    command = [sys.executable, str(ROOT / "scripts" / script), *size, "--runs", "2", *baseline]
+    done = subprocess.run(command, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert any(line.split()[:1] == ["total"] for line in done.stdout.splitlines()), done.stdout
