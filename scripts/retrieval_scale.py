@@ -42,7 +42,7 @@ sys.path.insert(0, str(ROOT / "tests"))
 from helpers import brute_force_ranking  # noqa: E402
 
 REGIONS_PER_IMAGE = 5
-RUNS = 5  # rounds; every query keeps its best time per side
+RUNS = 25  # rounds; every query keeps its best time per side
 
 
 def _inputs(lib: SimpleNamespace, data) -> tuple:

@@ -33,6 +33,7 @@ from .corpus import (
     corpus_stats,
     filter_ungrounded,
     json_id,
+    parse_json,
     read_jsonl,
     record_from_json,
     record_to_json,
@@ -47,7 +48,7 @@ from .retrieval import (
     load_index,
     rank,
 )
-from .scenegraph import GRAMMAR_VERSION, json_typed, serialize_sg, sg_to_json
+from .scenegraph import GRAMMAR_VERSION, serialize_sg, sg_to_json
 
 ADAPTER_ENV_VAR = "AMRSG_ADAPTER"
 
@@ -80,14 +81,13 @@ def _read_text(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _read_json(path: str, shape: type):
-    """The JSON document in ``path``; ValueError unless its top level is a ``shape``."""
-    return json_typed(json.loads(_read_text(path)), shape, "top level")
+def _read_json(path: str, shape: type, parse: Callable[..., T]) -> T:
+    """``parse`` of the JSON document in ``path``, whose top level must be a ``shape``."""
+    return parse_json(_read_text(path), shape, "top level", parse)
 
 
 def _read_gold(path: str) -> dict[str, str]:
-    gold = _read_json(path, dict)
-    return {region_id: json_id(gold, region_id) for region_id in gold}
+    return _read_json(path, dict, lambda gold: {rid: json_id(gold, rid) for rid in gold})
 
 
 def _read_lines(path: str, parse: Callable[[dict], T]) -> tuple[list[T], int]:
@@ -311,7 +311,7 @@ def cmd_stats(corpus_path, filtered):
 @click.option("--out", default="-", help="Output corpus path ('-' for stdout).")
 def cmd_vg_convert(vg_path, out):
     """Convert Visual Genome region-graph JSON into the corpus JSONL format."""
-    records = _load(lambda path: convert_vg_regions(_read_json(path, list)), vg_path)
+    records = _load(partial(_read_json, shape=list, parse=convert_vg_regions), vg_path)
     with _open_out(out) as fh:
         for record in records:
             fh.write(json.dumps(record_to_json(record)) + "\n")

@@ -213,15 +213,12 @@ class ExternalAdapter:
         """Send one line, return the raw response line (newline stripped).
 
         A line with a line break inside is refused: the child would read it as
-        two requests and every later reply would be off by one. Lines are UTF-8; a
-        reply that is not, or that has a carriage return other than in a CRLF end,
-        is a MalformedModelOutput, and the child is kept. The timeout covers the
-        whole exchange: writing the request and reading the reply line. A child
-        that times out, exits or closes its input is reaped, and the next request
-        starts a fresh one; an unterminated last line before the child's exit is
-        still a reply. A child that has written more than ``MAX_REPLY_BYTES``
-        with no line end is killed, and the request is a MalformedModelOutput
-        with no ``raw`` text.
+        two requests and every later reply would be off by one. The timeout
+        covers the whole exchange, waiting for a child's exit after its output
+        closes included. A failed exchange kills and reaps the child, and the
+        next request starts a fresh one. A reply that is not UTF-8, or that has
+        a carriage return other than in a CRLF end, fails only its request: the
+        child is kept.
         """
         line = line.rstrip("\n")
         if "\n" in line or "\r" in line:
@@ -229,45 +226,49 @@ class ExternalAdapter:
         if self._proc is None:
             self._start()
         proc = self._proc
-        assert proc is not None and proc.stdin is not None and proc.stdout is not None
         deadline = time.monotonic() + self.timeout
         # Both pipes are used through their raw fds, never the buffered files,
         # so poll sees every byte that has not been taken yet.
         in_fd, out_fd, buffer = proc.stdin.fileno(), proc.stdout.fileno(), self._buffer
         data = (line + "\n").encode("utf-8")
-        # What the pipe does not take at once is written from the poll loop,
-        # which keeps reading meanwhile: the child may be blocked on its reply.
-        pending = memoryview(data)[self._write(proc, data) :]
-        if pending:
-            self._poll.register(in_fd, select.POLLOUT)
         scanned, end = 0, -1
-        while end < 0:
-            if not pending:
-                if (end := buffer.find(b"\n", scanned, MAX_REPLY_BYTES + 1)) >= 0:
-                    break
-                scanned = len(buffer)
-            if len(buffer) > MAX_REPLY_BYTES:
-                proc.kill()
-                self.close()
-                raise MalformedModelOutput(f"model output line longer than {MAX_REPLY_BYTES} bytes")
-            wait = deadline - time.monotonic()
-            if wait <= 0:
-                proc.kill()
-                self.close()
-                raise AdapterTimeout(f"no response within {self.timeout}s from {self.command!r}")
-            for fd, _ in self._poll.poll(min(wait * 1000, _POLL_MAX_MS)):
-                if fd == in_fd:
-                    pending = pending[self._write(proc, pending) :]
-                    if not pending:
-                        self._poll.unregister(in_fd)
-                elif chunk := os.read(out_fd, _READ_SIZE):
-                    buffer += chunk
-                elif buffer and not pending:  # an unterminated last line, then EOF
-                    end = len(buffer)
-                else:
-                    code = proc.wait()
-                    self.close()
-                    raise AdapterCrashed(f"adapter {self.command!r} exited with status {code}")
+        try:
+            # What the pipe does not take at once is written from the poll loop,
+            # which reads meanwhile: the child may be blocked on its reply.
+            pending = memoryview(data)[self._write(data) :]
+            if pending:
+                self._poll.register(in_fd, select.POLLOUT)
+            while end < 0:
+                if not pending:
+                    if (end := buffer.find(b"\n", scanned, MAX_REPLY_BYTES + 1)) >= 0:
+                        break
+                    scanned = len(buffer)
+                if len(buffer) > MAX_REPLY_BYTES:
+                    raise MalformedModelOutput(f"model output line longer than {MAX_REPLY_BYTES} bytes")
+                wait = deadline - time.monotonic()
+                if wait <= 0:
+                    raise AdapterTimeout(f"no response within {self.timeout}s from {self.command!r}")
+                for fd, _ in self._poll.poll(min(wait * 1000, _POLL_MAX_MS)):
+                    if fd == in_fd:
+                        pending = pending[self._write(pending) :]
+                        if not pending:
+                            self._poll.unregister(in_fd)
+                    elif chunk := os.read(out_fd, _READ_SIZE):
+                        buffer += chunk
+                    elif buffer and not pending:  # an unterminated last line, then EOF
+                        end = len(buffer)
+                    else:
+                        try:
+                            code = proc.wait(deadline - time.monotonic())
+                        except subprocess.TimeoutExpired:
+                            raise AdapterTimeout(
+                                f"no response within {self.timeout}s from {self.command!r}"
+                            ) from None
+                        raise AdapterCrashed(f"adapter {self.command!r} exited with status {code}")
+        except AdapterError:
+            proc.kill()
+            self.close()
+            raise
         response = buffer[:end].removesuffix(b"\r")
         del buffer[: end + 1]
         try:
@@ -279,15 +280,13 @@ class ExternalAdapter:
             raise MalformedModelOutput("model output is not one UTF-8 line", raw=text)
         return text
 
-    def _write(self, proc: subprocess.Popen, data: bytes | memoryview) -> int:
+    def _write(self, data: bytes | memoryview) -> int:
         """Write what the child's input pipe takes now; return the byte count."""
         try:
-            return os.write(proc.stdin.fileno(), data)
+            return os.write(self._proc.stdin.fileno(), data)
         except BlockingIOError:
             return 0
         except OSError:  # BrokenPipeError, ...
-            proc.kill()
-            self.close()
             raise AdapterCrashed(f"adapter {self.command!r} closed its input")
 
     def close(self) -> None:

@@ -82,6 +82,16 @@ def record_from_json(data: dict) -> RegionRecord:
     return RegionRecord(image_id, region_id, description, sg_from_json(data["scene_graph"]), amr)
 
 
+def parse_json(text: str, shape: type, what: str, parse: Callable[..., T]) -> T:
+    """``parse`` of the JSON value in ``text``, which must be a ``shape`` (``what``
+    names it in the error). A value nested too deep for the decoder, or for a
+    message that quotes it, is a ValueError, as malformed JSON is."""
+    try:
+        return parse(json_typed(json.loads(text), shape, what))
+    except RecursionError:
+        raise ValueError("JSON nested too deep") from None
+
+
 def read_jsonl(
     path: str | Path, parse: Callable[[dict], T]
 ) -> tuple[list[T], list[tuple[int, str]]]:
@@ -95,7 +105,7 @@ def read_jsonl(
             if not line.strip():
                 continue
             try:
-                items.append(parse(json_typed(json.loads(line), dict, "line")))
+                items.append(parse_json(line, dict, "line", parse))
             except KeyError as err:
                 errors.append((lineno, f"missing key {err.args[0]!r}"))
             except (TypeError, ValueError) as err:  # SgError is a ValueError

@@ -477,10 +477,16 @@ def _record_line(**fields) -> str:
 
 
 def _run_on_bad_file(runner, tmp_path, content, args):
-    """``args`` run with BAD holding ``content``, INDEX a one-image index and
-    QUERIES one query of that image; returns the result and BAD's path."""
+    """``args`` run with BAD holding ``content`` (text, bytes, or a directory for
+    None), INDEX a one-image index and QUERIES one query of that image; returns
+    the result and BAD's path."""
     paths = {name: tmp_path / name.lower() for name in ("BAD", "INDEX", "QUERIES")}
-    paths["BAD"].write_text(content)
+    if content is None:
+        paths["BAD"].mkdir()
+    elif isinstance(content, bytes):
+        paths["BAD"].write_bytes(content)
+    else:
+        paths["BAD"].write_text(content)
     save_index(RetrievalIndex([("img1", [SceneGraph(objects=["a"])])]), paths["INDEX"])
     query = {"region_id": "q1", "image_id": "img1", "scene_graph": {}}
     paths["QUERIES"].write_text(json.dumps(query) + "\n")
@@ -626,6 +632,68 @@ def test_a_wrong_json_type_has_one_message_form(runner, tmp_path, content, args,
     assert result.exit_code in (1, 2)
     assert message.replace("BAD", str(bad)) in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def _deep_json(depth: int) -> dict[str, str]:
+    """One line of JSON nested ``depth`` deep, as an array and as an object."""
+    return {
+        "deep-array": "[" * depth + "]" * depth + "\n",
+        "deep-object": '{"a": ' * depth + "1" + "}" * depth + "\n",
+    }
+
+
+# Every command that reads a file, with BAD in each file slot it has
+_READERS = [
+    ["linearize", "BAD"],
+    ["convert", "BAD"],
+    ["eval", "BAD", "QUERIES"],
+    ["eval", "QUERIES", "BAD"],
+    _BAD_INDEX,
+    ["retrieve", "--index", "INDEX", "--queries", "BAD"],
+    ["retrieve", "--index", "INDEX", "--queries", "QUERIES", "--gold", "BAD"],
+    ["export", "BAD"],
+    ["stats", "BAD"],
+    ["vg-convert", "BAD"],
+]
+_HOSTILE = {**_deep_json(1000), "not-utf8": b"\xff\xfe(\x80\n", "directory": None, "empty": ""}
+_HOSTILE_CASES = [
+    pytest.param(content, args, id=f"{' '.join(args)}-{name}")
+    for args in _READERS
+    for name, content in _HOSTILE.items()
+] + [pytest.param("(" * 5000 + "\n", args, id=f"{args[0]}-deep-penman") for args in _READERS[:2]]
+
+
+@pytest.mark.parametrize("content,args", _HOSTILE_CASES)
+def test_no_command_shows_a_traceback_on_a_hostile_input(runner, tmp_path, content, args):
+    # _invoke lets any exception but SystemExit escape, failing the test
+    result, _ = _run_on_bad_file(runner, tmp_path, content, args)
+    assert result.exit_code in (0, 1, 2)
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "args,message,exit_code",
+    [
+        (["stats", "BAD"], "warning: BAD:1: JSON nested too deep", 2),
+        (["export", "BAD"], "warning: BAD:1: JSON nested too deep", 2),
+        (["eval", "BAD", "QUERIES"], "warning: BAD:1: JSON nested too deep", 1),
+        (["retrieve", "--index", "INDEX", "--queries", "BAD"], "warning: BAD:1: JSON nested too deep", 1),
+        (_BAD_INDEX, "error: cannot load index BAD: line 1: JSON nested too deep", 1),
+        (
+            ["retrieve", "--index", "INDEX", "--queries", "QUERIES", "--gold", "BAD"],
+            "error: cannot load gold mapping BAD: JSON nested too deep",
+            1,
+        ),
+        (["vg-convert", "BAD"], "error: cannot read BAD: JSON nested too deep", 1),
+    ],
+    ids=["stats", "export", "eval", "retrieve-queries", "retrieve-index", "retrieve-gold", "vg-convert"],
+)
+@pytest.mark.parametrize("shape", ["deep-array", "deep-object"])
+def test_json_nested_too_deep_is_one_reason(runner, tmp_path, args, message, exit_code, shape):
+    # deeper than the decoder goes at any default recursion limit
+    result, bad = _run_on_bad_file(runner, tmp_path, _deep_json(100_000)[shape], args)
+    assert result.exit_code == exit_code
+    assert message.replace("BAD", str(bad)) in result.stderr.splitlines()
 
 
 def _vg_dog_on_mat() -> list:

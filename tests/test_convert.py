@@ -593,6 +593,75 @@ def test_adapter_unterminated_last_line_is_a_reply(tmp_path):
         assert adapter.request("(z0 / dog)") == "( dog )"
 
 
+def test_adapter_that_closes_its_output_and_keeps_running_times_out(tmp_path):
+    # The first child closes its stdout and sleeps: the wait for its exit
+    # status is bounded by the request's deadline too.
+    cmd = _write_stub(
+        tmp_path,
+        "mute.py",
+        """
+        import os, sys, time
+        marker = sys.argv[1]
+        if not os.path.exists(marker):
+            open(marker, "w").close()
+            os.close(1)
+            time.sleep(30)
+        for line in sys.stdin:
+            print("( dog )", flush=True)
+        """,
+    )
+    with ExternalAdapter(cmd + [str(tmp_path / "started")], timeout=0.5) as adapter:
+        start = time.monotonic()
+        with pytest.raises(AdapterTimeout):
+            adapter.request("(z0 / dog)")
+        assert time.monotonic() - start < 1
+        assert adapter.request("(z0 / dog)") == "( dog )"
+
+
+# (how the child fails, the request line, the timeout, the error and its message)
+CHILD_FAILURES = [
+    ("silent", "(z0 / dog)", 0.5, AdapterTimeout, "no response within 0.5s"),
+    ("overlong", "(z0 / dog)", 10, MalformedModelOutput, "longer than 1024 bytes"),
+    ("exit", "(z0 / dog)", 10, AdapterCrashed, "exited with status 3"),
+    ("closed-input", "(z0 / " + "d" * (1 << 20) + ")", 10, AdapterCrashed, "closed its input"),
+    ("closed-output", "(z0 / dog)", 0.5, AdapterTimeout, "no response within 0.5s"),
+]
+
+
+@pytest.mark.parametrize(
+    "mode, line, timeout, error, message", CHILD_FAILURES, ids=[row[0] for row in CHILD_FAILURES]
+)
+def test_every_failed_exchange_reaps_the_child(tmp_path, monkeypatch, mode, line, timeout, error, message):
+    cmd = _write_stub(
+        tmp_path,
+        "failing.py",
+        """
+        import os, sys, time
+        mode = sys.argv[1]
+        if mode == "closed-input":
+            os.close(0)
+        elif mode == "closed-output":
+            os.close(1)
+        else:
+            sys.stdin.readline()
+            if mode == "exit":
+                sys.exit(3)
+            if mode == "overlong":
+                sys.stdout.write("a" * 4096)
+                sys.stdout.flush()
+        time.sleep(30)
+        """,
+    )
+    monkeypatch.setattr(convert, "MAX_REPLY_BYTES", 1024)
+    with ExternalAdapter(cmd + [mode], timeout=timeout) as adapter:
+        adapter._start()
+        proc = adapter._proc
+        with pytest.raises(error, match=message):
+            adapter.request(line)
+        assert adapter._proc is None
+        assert proc.returncode is not None
+
+
 @pytest.mark.parametrize("missing", [True, False], ids=["not-found", "a-directory"])
 def test_adapter_that_cannot_start_is_a_crash(tmp_path, missing):
     command = [str(tmp_path / "missing" if missing else tmp_path)]

@@ -13,6 +13,7 @@ from amrsg.corpus import (
     corpus_stats,
     filter_ungrounded,
     load_records,
+    parse_json,
     record_from_json,
     record_to_json,
 )
@@ -82,6 +83,15 @@ def test_load_skips_field_outside_the_wire_grammar(tmp_path):
 def test_load_missing_file():
     with pytest.raises(FileNotFoundError):
         load_records("/nonexistent/corpus.jsonl")
+
+
+def test_recursion_while_parsing_a_json_value_is_nested_too_deep():
+    # as when a message quotes a value the decoder took but json.dumps cannot
+    def parse(value):
+        raise RecursionError("maximum recursion depth exceeded while encoding a JSON object")
+
+    with pytest.raises(ValueError, match="^JSON nested too deep$"):
+        parse_json('{"image_id": [[1]]}', dict, "line", parse)
 
 
 def test_load_record_with_amr(tmp_path):
