@@ -14,8 +14,13 @@ the load, the bytes retained per graph, and the source lines whose
 allocations are retained, largest first, each with the line that called it.
 A last line counts the strings the graphs store (node keys, concepts, edge
 sources, roles and targets): how many references, how many distinct objects
-and how many distinct values. It is a measurement, not a test: nothing runs
-it automatically.
+and how many distinct values.
+
+The file is read one block at a time, so the peak exceeds the retained
+memory only by one block and the file's read buffer: at seed 1 with 2,000
+graphs (Python 3.11.7) it reads retained 3.63 MB and peak 3.65 MB, where
+reading the whole file first gave a peak of 4.95 MB. It is a measurement,
+not a test; ``tests/test_scripts.py`` only checks that it runs, on 50 graphs.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 _VAR_RE = re.compile(r"[a-z][a-zA-Z0-9]*$")
 _FRAME_RE = re.compile(r".+-[0-9][0-9]$")
@@ -333,17 +333,19 @@ def _parse_metadata_line(line: str, meta: dict[str, str]) -> None:
         meta[key] = value.strip()
 
 
-def iter_penman_blocks(text: str) -> Iterator[tuple[dict[str, str], str]]:
-    """Yield (metadata, penman_text) per blank-line-separated block.
-
-    Lines starting with '#' carry ``::key value`` metadata pairs. Lines end
-    only at LF, CRLF or CR, as in universal newlines mode; ``str.splitlines``
-    would also break a string literal at U+2028, U+0085, form feed and the
-    like, which ``parse_penman`` keeps.
-    """
+def iter_penman_blocks(lines: Iterable[str]) -> Iterator[tuple[dict[str, str], str]]:
+    """Yield (metadata, penman_text) per blank-line-separated block of ``lines``,
+    holding one block at a time; lines starting with '#' carry ``::key value``
+    metadata. ``lines`` are those of a text file opened in universal newlines
+    mode (``open(path, encoding="utf-8")``), which ends a line only at LF, CRLF
+    or CR; ``str.splitlines`` would also break a string literal at U+2028,
+    U+0085, form feed and the like, which ``parse_penman`` keeps. A ``str`` is
+    a TypeError: iterating it would give one line per character."""
+    if isinstance(lines, str):
+        raise TypeError("iter_penman_blocks takes lines, not a str")
     meta: dict[str, str] = {}
     body: list[str] = []
-    for line in text.replace("\r\n", "\n").replace("\r", "\n").split("\n"):
+    for line in lines:
         stripped = line.strip()
         if not stripped:
             if body:
@@ -353,12 +355,12 @@ def iter_penman_blocks(text: str) -> Iterator[tuple[dict[str, str], str]]:
         if stripped.startswith("#"):
             _parse_metadata_line(stripped, meta)
         else:
-            body.append(line)
+            body.append(line.rstrip("\n"))
     if body:
         yield meta, "\n".join(body)
 
 
 def load_penman_file(path: str | Path) -> list[AmrGraph]:
     """Parse every graph in a UTF-8 PENMAN file, metadata attached."""
-    text = Path(path).read_text(encoding="utf-8")
-    return [parse_penman(block, metadata=meta) for meta, block in iter_penman_blocks(text)]
+    with open(path, encoding="utf-8") as lines:
+        return [parse_penman(block, metadata=meta) for meta, block in iter_penman_blocks(lines)]

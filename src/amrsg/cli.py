@@ -77,13 +77,9 @@ def _open_out(path: str):
     return _load(partial(click.open_file, mode="w", encoding="utf-8"), path, "write")
 
 
-def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
-
-
 def _read_json(path: str, shape: type, parse: Callable[..., T]) -> T:
     """``parse`` of the JSON document in ``path``, whose top level must be a ``shape``."""
-    return parse_json(_read_text(path), shape, "top level", parse)
+    return parse_json(Path(path).read_text(encoding="utf-8"), shape, "top level", parse)
 
 
 def _read_gold(path: str) -> dict[str, str]:
@@ -100,25 +96,28 @@ def _read_lines(path: str, parse: Callable[[dict], T]) -> tuple[list[T], int]:
     return items, len(errors)
 
 
-def _write_each_graph(
-    input_path: str, out: str, render: Callable[[AmrGraph, int], str]
-) -> NoReturn:
+def _write_each_graph(input_path: str, out: str, render: Callable[[AmrGraph, int], str]) -> NoReturn:
     """Write ``render(graph, i)`` as one line for each graph ``i`` of a PENMAN
-    file, then exit. A graph that does not parse, or that ``render`` rejects, is
-    reported on stderr as ``error: graph <i>: <reason>`` and the exit code is 2."""
-    blocks = iter_penman_blocks(_load(_read_text, input_path))
-    failures = 0
-    with _open_out(out) as fh:
-        for i, (meta, text) in enumerate(blocks):
-            try:
-                line = render(parse_penman(text, meta), i)
-                if "\n" in line or "\r" in line:
-                    raise ValueError("the output line would contain a line break")
-            except (ValueError, AdapterError) as err:  # PenmanError is a ValueError
-                click.echo(f"error: graph {i}: {err}", err=True)
-                failures += 1
-                continue
-            fh.write(line + "\n")
+    file, read one block at a time, then exit. A graph that does not parse, or
+    that ``render`` rejects, is reported as ``error: graph <i>: <reason>``, exit
+    2. A byte that is not UTF-8 exits 1 after the graphs read before it, naming
+    the last one, not the decoder's position in its read chunk."""
+    failures, i = 0, -1
+    with _load(partial(open, encoding="utf-8"), input_path) as lines, _open_out(out) as fh:
+        try:
+            for i, (meta, text) in enumerate(iter_penman_blocks(lines)):
+                try:
+                    line = render(parse_penman(text, meta), i)
+                    if "\n" in line or "\r" in line:
+                        raise ValueError("the output line would contain a line break")
+                except (ValueError, AdapterError) as err:  # PenmanError is a ValueError
+                    click.echo(f"error: graph {i}: {err}", err=True)
+                    failures += 1
+                    continue
+                fh.write(line + "\n")
+        except UnicodeDecodeError as err:
+            where = f"after graph {i}" if i >= 0 else "before graph 0"
+            _fail(f"cannot read {input_path}: not UTF-8 ({err.reason}) {where}")
     sys.exit(2 if failures else 0)
 
 

@@ -65,7 +65,9 @@ def json_id(data: dict, key: str) -> str:
     value = data[key]
     if isinstance(value, str) and value or isinstance(value, int) and not isinstance(value, bool):
         return str(value)
-    raise ValueError(f"{key} is {json.dumps(value)}, not a non-empty string or an integer")
+    text = json.dumps(value)
+    quoted = text if len(text) <= 60 else text[:60] + "…"
+    raise ValueError(f"{key} is {quoted}, not a non-empty string or an integer")
 
 
 def optional_json_id(data: dict, key: str) -> str:

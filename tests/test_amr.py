@@ -1,7 +1,12 @@
 import ast
+import gc
+import importlib
+import io
 import random
 import re
+import tracemalloc
 from functools import partial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -443,13 +448,51 @@ def test_penman_blocks_with_metadata(tmp_path):
     )
     path = tmp_path / "graphs.penman"
     path.write_text(content, encoding="utf-8")
-    blocks = list(iter_penman_blocks(content))
+    blocks = list(iter_penman_blocks(io.StringIO(content)))
     assert len(blocks) == 2
-    assert list(iter_penman_blocks(content.rstrip("\n"))) == blocks  # no final line end
+    assert list(iter_penman_blocks(io.StringIO(content.rstrip("\n")))) == blocks  # no final line end
     assert blocks[0][0] == {"id": "r1", "snt": "Golden retriever standing in the snow"}
     graphs = load_penman_file(path)
     assert graphs[0].metadata["id"] == "r1"
     assert graphs[1].nodes == {"z0": "dog"}
+
+
+def test_penman_blocks_come_before_the_lines_after_them_are_read():
+    def lines():
+        yield "# ::id r1\n"
+        yield "(z0 / dog\n"
+        yield "  :mod (z1 / big))\n"
+        yield "\n"
+        raise AssertionError("read past the first block's blank line")
+
+    blocks = iter_penman_blocks(lines())
+    assert next(blocks) == ({"id": "r1"}, "(z0 / dog\n  :mod (z1 / big))")
+    with pytest.raises(AssertionError, match="read past"):
+        next(blocks)
+
+
+def test_penman_blocks_refuse_a_str():
+    # iterating a str would give one line per character
+    with pytest.raises(TypeError, match="not a str"):
+        next(iter_penman_blocks("(z0 / dog)\n"))
+
+
+def test_loading_a_penman_file_holds_little_more_than_its_graphs(tmp_path, monkeypatch):
+    # the reader holds one block at a time, not the file's text and every line of it
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    gen = importlib.import_module("gen")
+    path = tmp_path / "graphs.penman"
+    path.write_text(gen.adapter_input(1, 300).penman, encoding="utf-8")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        graphs = load_penman_file(path)
+        gc.collect()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(graphs) == 300
+    assert peak - retained < 64 * 1024, (retained, peak)
 
 
 def test_multiline_penman_block():

@@ -194,6 +194,51 @@ def test_file_input_keeps_a_line_separator_inside_a_literal(runner, tmp_path, ch
     assert log.read_bytes() == request.encode("utf-8")
 
 
+_LINE_END_FILE = (
+    "# ::id r1\n(z0 / want-01\n    :ARG0 (z1 / dog)\n    :ARG1 (z2 / eat-01 :ARG0 z1))\n"
+    "\n\n# ::id r2 ::snt a cat\n(z0 / cat :mod (z1 / \"big one\"))\n\n(z0 / tree)\n"
+)
+
+
+@pytest.mark.parametrize("command", [["linearize"], ["convert", "--emit", "jsonl"]], ids=["linearize", "convert"])
+@pytest.mark.parametrize(
+    "ends",
+    [["\n"], ["\r\n"], ["\r"], ["\r\n", "\n", "\r"]],  # no CR then LF in the mixed cycle: that is one CRLF
+    ids=["LF", "CRLF", "CR", "mixed"],
+)
+def test_every_line_end_reads_as_lf(runner, tmp_path, command, ends):
+    lines = _LINE_END_FILE.split("\n")[:-1]
+    content = "".join(line + ends[k % len(ends)] for k, line in enumerate(lines))
+    lf_path, path = tmp_path / "lf.penman", tmp_path / "graphs.penman"
+    lf_path.write_bytes(_LINE_END_FILE.encode())
+    path.write_bytes(content.encode())
+    expected = _invoke(runner, [command[0], str(lf_path), *command[1:]])
+    assert expected.exit_code == 0 and len(expected.stdout.splitlines()) == 3
+    result = _invoke(runner, [command[0], str(path), *command[1:]])
+    assert result.exit_code == 0, result.stderr
+    assert result.stdout == expected.stdout
+
+
+@pytest.mark.parametrize("command", ["linearize", "convert"])
+def test_a_byte_that_is_not_utf8_past_the_first_read_exits_1_after_the_graphs_before_it(
+    runner, tmp_path, command
+):
+    blocks = [f"# ::id r{i}\n(z0 / dog :mod (z1 / big-{i}))" for i in range(600)]
+    good = ("\n\n".join(blocks) + "\n\n").encode()
+    assert len(good) > 3 * 8192  # past the first read chunks
+    path = tmp_path / "graphs.penman"
+    path.write_bytes(good + b"(z0 / \xff)\n")
+    result = _invoke(runner, [command, str(path)])
+    assert result.exit_code == 1
+    written = result.stdout.splitlines()
+    assert len(written) > 8192 // len(blocks[0])  # the graphs of the first read chunk at least
+    path.write_bytes(good)
+    assert written == _invoke(runner, [command, str(path)]).stdout.splitlines()[: len(written)]
+    # no position: the decoder counts it from the start of its read chunk, not of the file
+    message = f"not UTF-8 (invalid start byte) after graph {len(written) - 1}"
+    assert result.stderr == f"error: cannot read {path}: {message}\n"
+
+
 def test_convert_external_restarts_an_exited_adapter(runner, tmp_path):
     stub = tmp_path / "stub.py"
     stub.write_text(
@@ -694,6 +739,24 @@ def test_json_nested_too_deep_is_one_reason(runner, tmp_path, args, message, exi
     result, bad = _run_on_bad_file(runner, tmp_path, _deep_json(100_000)[shape], args)
     assert result.exit_code == exit_code
     assert message.replace("BAD", str(bad)) in result.stderr.splitlines()
+
+
+def _nested(depth: int) -> list:
+    value: list = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize("value", [_nested(900), [0] * 200_000], ids=["900-deep", "200000-long"])
+def test_a_long_id_value_is_quoted_cut_short(runner, tmp_path, value):
+    record = {"image_id": value, "region_id": "r1", "description": "a dog", "scene_graph": {}}
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    result = _invoke(runner, ["stats", str(path)])
+    assert result.exit_code == 2
+    quoted = json.dumps(value)[:60] + "…"
+    assert result.stderr == f"warning: {path}:1: image_id is {quoted}, not a non-empty string or an integer\n"
 
 
 def _vg_dog_on_mat() -> list:

@@ -26,3 +26,10 @@ def test_stage_script_runs_and_prints_a_total_row(script, size, baseline):
     done = subprocess.run(command, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert any(line.split()[:1] == ["total"] for line in done.stdout.splitlines()), done.stdout
+
+
+def test_graph_memory_runs_and_prints_retained_and_peak():
+    command = [sys.executable, str(ROOT / "scripts" / "graph_memory.py"), "--graphs", "50", "--top", "1"]
+    done = subprocess.run(command, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert any(line.startswith("retained ") and " peak " in line for line in done.stdout.splitlines()), done.stdout
