@@ -361,6 +361,12 @@ def iter_penman_blocks(lines: Iterable[str]) -> Iterator[tuple[dict[str, str], s
 
 
 def load_penman_file(path: str | Path) -> list[AmrGraph]:
-    """Parse every graph in a UTF-8 PENMAN file, metadata attached."""
+    """Parse every graph in a UTF-8 PENMAN file, metadata attached. A byte that
+    is not UTF-8 is a ValueError naming the path and its offset in the file."""
     with open(path, encoding="utf-8") as lines:
-        return [parse_penman(block, metadata=meta) for meta, block in iter_penman_blocks(lines)]
+        try:
+            return [parse_penman(block, metadata=meta) for meta, block in iter_penman_blocks(lines)]
+        except UnicodeDecodeError as err:
+            # the decoder counts from the start of the chunk it was given, the last one read
+            offset = lines.buffer.tell() - len(err.object) + err.start
+            raise ValueError(f"{path}: not UTF-8 ({err.reason}) at byte {offset}") from None

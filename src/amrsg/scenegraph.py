@@ -16,6 +16,7 @@ so every scene graph survives ``parse_sg_text(serialize_sg(sg))``.
 from __future__ import annotations
 
 import re
+import sys
 from collections import Counter
 from typing import Iterable, NamedTuple, Sequence, Union
 
@@ -94,6 +95,8 @@ class SceneGraph:
     equality per section; insertion order is otherwise irrelevant. Raises
     SgError for a field that breaks the wire grammar's field rule.
     """
+
+    __slots__ = ("objects", "attributes", "relations")
 
     def __init__(
         self,
@@ -198,19 +201,21 @@ def parse_sg_text(text: str) -> SceneGraph:
 
     Raises UnbalancedParentheses for a stray character, an unclosed or a
     nested group, and BadArity for an empty field or more than three, each
-    naming the offset of the first such character or group.
+    naming the offset of the first such character or group. Each field is
+    stored interned (``sys.intern``), so equal fields across graphs are one
+    object.
     """
     objects: list[ObjectTuple] = []
     attributes: list[AttributeTuple] = []
     relations: list[RelationTuple] = []
-    new = tuple.__new__
+    new, intern = tuple.__new__, sys.intern
     for a, b, c, _ in _GROUP_RE.findall(text):
         if c:
-            relations.append(new(RelationTuple, (a, b, c)))
+            relations.append(new(RelationTuple, (intern(a), intern(b), intern(c))))
         elif b:
-            attributes.append(new(AttributeTuple, (a, b)))
+            attributes.append(new(AttributeTuple, (intern(a), intern(b))))
         elif a:
-            objects.append(new(ObjectTuple, (a,)))
+            objects.append(new(ObjectTuple, (intern(a),)))
         else:
             raise next(_group_error(text, m.start()) for m in _GROUP_RE.finditer(text) if m[4])
     # each field is non-empty, has no whitespace around it and no '(', ')' or
@@ -250,16 +255,29 @@ _SECTIONS = {"objects": ObjectTuple, "attributes": AttributeTuple, "relations": 
 
 
 def sg_from_json(data: dict) -> SceneGraph:
-    """Inverse of sg_to_json; SgError for any other JSON value."""
+    """Inverse of sg_to_json; SgError for any other JSON value. Stores each
+    field interned, as ``parse_sg_text`` does."""
     json_typed(data, dict, "scene graph", SgError)
     sections = []
     for key, kind in _SECTIONS.items():
         items, arity = data.get(key, []), len(kind._fields)
-        # one pass, then compare counts; tuple.__new__ is NamedTuple._make without its overhead
-        section = isinstance(items, list) and [
-            tuple.__new__(kind, t) for t in items if isinstance(t, list) and len(t) == arity
-        ]
-        if section is False or len(section) != len(items):
+        # a list comprehension costs less per item than all() over a generator
+        shaped = isinstance(items, list) and [t for t in items if isinstance(t, list) and len(t) == arity]
+        if shaped is False or len(shaped) != len(items):
             raise SgError(f"{key} is not a list of {arity}-field arrays")
-        sections.append(section)
-    return SceneGraph(*sections)
+        sections.append(items)
+    objects, attributes, relations = sections
+    new, intern = tuple.__new__, sys.intern
+    try:  # intern takes only an exact str
+        objs = [new(ObjectTuple, (intern(a),)) for a, in objects]
+        attrs = [new(AttributeTuple, (intern(a), intern(b))) for a, b in attributes]
+        rels = [new(RelationTuple, (intern(a), intern(b), intern(c))) for a, b, c in relations]
+    except TypeError:
+        pass
+    else:  # the field rule, once per distinct field
+        fields = set().union(*objs, *attrs, *rels)
+        if all(f and f == f.strip() and "(" not in f and ")" not in f and "," not in f for f in fields):
+            return SceneGraph._unchecked(objs, attrs, rels)
+    # the checked constructor gives the error of the first bad field, or keeps
+    # a str subclass as given
+    return SceneGraph(*([new(kind, t) for t in items] for kind, items in zip(_SECTIONS.values(), sections)))

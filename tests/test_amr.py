@@ -495,6 +495,24 @@ def test_loading_a_penman_file_holds_little_more_than_its_graphs(tmp_path, monke
     assert peak - retained < 64 * 1024, (retained, peak)
 
 
+@pytest.mark.parametrize(
+    "offset, before",
+    [(100, b""), (8192, b""), (8193, "\u00e9".encode()), (23695, b"")],
+    ids=["first_chunk", "chunk_boundary", "after_a_character_split_across_the_boundary", "deep"],
+)
+def test_load_penman_file_names_the_file_offset_of_a_byte_that_is_not_utf8(tmp_path, offset, before):
+    # the file is read in chunks of 8,192 bytes; a comment line runs up to the bad byte
+    head = b"(z0 / dog)\n\n# "
+    data = head + b"x" * (offset - len(head) - len(before)) + before + b"\xff\n\n(z1 / cat)\n"
+    assert data.index(b"\xff") == offset
+    path = tmp_path / "graphs.penman"
+    path.write_bytes(data)
+    with pytest.raises(ValueError) as info:
+        load_penman_file(path)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"{path}: not UTF-8 (invalid start byte) at byte {offset}"
+
+
 def test_multiline_penman_block():
     text = "(z0 / want-01\n    :ARG0 (z1 / dog)\n    :ARG1 (z2 / eat-01 :ARG0 z1))"
     g = parse_penman(text)

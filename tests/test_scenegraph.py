@@ -1,12 +1,14 @@
 import random
 from itertools import cycle
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amrsg.convert import convert_rules
-from amrsg.corpus import RegionRecord, filter_ungrounded
+from amrsg.corpus import RegionRecord, filter_ungrounded, load_records
+from amrsg.retrieval import load_index
 from amrsg.scenegraph import (
     AttributeTuple,
     BadArity,
@@ -24,6 +26,8 @@ from amrsg.scenegraph import (
     to_tuples,
 )
 from helpers import normalize_oracle, random_graph, random_scene_graph, reference_parse_sg_text
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.mark.parametrize(
@@ -343,6 +347,81 @@ def test_arbitrary_json_gives_a_scene_graph_or_sg_error(data):
     except SgError:
         return
     assert sg_from_json(sg_to_json(sg)) == sg
+
+
+_RULE = "a field is a non-empty string with no surrounding whitespace and no '(', ')' or ','"
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"objects": [[1]]}, f"field 1 of (1,): {_RULE}"),
+        ({"objects": [[None]]}, f"field None of (None,): {_RULE}"),
+        ({"relations": [["dog", None, "mat"]]}, f"field None of ('dog', None, 'mat'): {_RULE}"),
+        ({"objects": [[""]]}, f"field '' of ('',): {_RULE}"),
+        ({"objects": [[" dog"]]}, f"field ' dog' of (' dog',): {_RULE}"),
+        ({"attributes": [["dog", "red\t"]]}, f"field 'red\\t' of ('dog', 'red\\t'): {_RULE}"),
+        ({"objects": [["a (b"]]}, f"field 'a (b' of ('a (b',): {_RULE}"),
+        ({"objects": [["a)"]]}, f"field 'a)' of ('a)',): {_RULE}"),
+        ({"relations": [["dog", "on, in", "mat"]]}, f"field 'on, in' of ('dog', 'on, in', 'mat'): {_RULE}"),
+        # the first bad field in the order objects, attributes, relations
+        ({"objects": [["dog"], [" cat"]], "attributes": [["dog", 1]]}, f"field ' cat' of (' cat',): {_RULE}"),
+        ({"objects": "dog"}, "objects is not a list of 1-field arrays"),
+        ({"objects": [["dog", "cat"]]}, "objects is not a list of 1-field arrays"),
+        ({"attributes": None}, "attributes is not a list of 2-field arrays"),
+        ({"attributes": [["dog"]]}, "attributes is not a list of 2-field arrays"),
+        ({"relations": {}}, "relations is not a list of 3-field arrays"),
+        ({"relations": [["dog", "on"]]}, "relations is not a list of 3-field arrays"),
+        # a shape error in any section comes before a bad field in any section
+        ({"objects": [[1]], "relations": [["dog", "on"]]}, "relations is not a list of 3-field arrays"),
+        ([], "scene graph is a JSON array, not an object"),
+    ],
+)
+def test_sg_from_json_errors(data, message):
+    with pytest.raises(SgError) as info:
+        sg_from_json(data)
+    assert str(info.value) == message
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sections(_ANY_FIELD | st.none() | st.integers()))
+def test_sg_from_json_gives_what_the_checked_constructor_gives(sections):
+    def outcome(build):
+        try:
+            sg = build()
+        except SgError as err:
+            return str(err)
+        return sg.objects, sg.attributes, sg.relations
+
+    objects, attributes, relations = sections
+    data = {"objects": [[o] for o in objects], "attributes": [*map(list, attributes)], "relations": [*map(list, relations)]}
+    assert outcome(lambda: sg_from_json(data)) == outcome(lambda: SceneGraph(*sections))
+
+
+def test_sg_from_json_keeps_a_str_subclass_field_as_given():
+    class Name(str):
+        pass
+
+    sg = sg_from_json({"objects": [[Name("dog")]], "attributes": [["dog", "red"]]})
+    assert sg == SceneGraph(["dog"], [("dog", "red")])
+    assert type(sg.objects[0].name) is Name and type(sg.attributes[0].object) is str
+    with pytest.raises(SgError, match="field 'dog ' of"):
+        sg_from_json({"objects": [[Name("dog ")]]})
+
+
+def test_readers_store_each_distinct_field_once():
+    # the fields of every graph the three readers return, across all of them
+    graphs = [r.scene_graph for r in load_records(GOLDEN / "corpus.jsonl").records]
+    graphs += [sg for _, regions in load_index(GOLDEN / "index.jsonl").images for sg in regions]
+    graphs += [parse_sg_text(serialize_sg(sg)) for sg in graphs]
+    fields = [f for sg in graphs for t in to_tuples(sg) for f in t]
+    assert len(fields) > 2 * len(set(fields))
+    assert len({id(f) for f in fields}) == len(set(fields))
+
+
+def test_scene_graph_has_no_instance_dict():
+    with pytest.raises(AttributeError):
+        SceneGraph(["dog"]).extra = 1
 
 
 def _assert_in_field_rule(sg: SceneGraph) -> None:

@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -28,8 +29,26 @@ def test_stage_script_runs_and_prints_a_total_row(script, size, baseline):
     assert any(line.split()[:1] == ["total"] for line in done.stdout.splitlines()), done.stdout
 
 
+GRAPH_MEMORY = [sys.executable, str(ROOT / "scripts" / "graph_memory.py"), "--records", "50", "--graphs", "50"]
+
+
 def test_graph_memory_runs_and_prints_retained_and_peak():
-    command = [sys.executable, str(ROOT / "scripts" / "graph_memory.py"), "--graphs", "50", "--top", "1"]
-    done = subprocess.run(command, capture_output=True, text=True, timeout=120)
+    done = subprocess.run([*GRAPH_MEMORY, "--top", "1"], capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert any(line.startswith("retained ") and " peak " in line for line in done.stdout.splitlines()), done.stdout
+    lines = done.stdout.splitlines()
+    assert sum(line.startswith("retained ") and " peak " in line for line in lines) == 2, done.stdout
+    # the fields of 50 records' scene graphs, one object per distinct value
+    [fields] = [line for line in lines if line.startswith("stored scene-graph fields: ")]
+    references, objects, values = re.fullmatch(
+        r"stored scene-graph fields: ([\d,]+) references, ([\d,]+) objects, ([\d,]+) distinct values", fields
+    ).groups()
+    assert int(references.replace(",", "")) > int(objects.replace(",", "")) == int(values.replace(",", ""))
+
+
+def test_graph_memory_exits_quietly_when_its_reader_leaves_early():
+    child = subprocess.Popen(GRAPH_MEMORY, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    child.stdout.close()  # before the first line is written
+    stderr = child.stderr.read().decode()
+    child.stderr.close()
+    assert child.wait(timeout=120) == 1
+    assert stderr == ""
