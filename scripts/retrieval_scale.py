@@ -12,8 +12,10 @@ the sizes of the ``retrieval`` workload instead (its full scale in
 ``bench/workloads.SCALES``: 50 images x 2 regions, 200 queries). Each side
 builds one index per size, and every query keeps its best time over ``RUNS``
 rounds (``corpus_stages.best_of``). The line per size gives the mean
-ms/query, and with ``--baseline`` the baseline's too and the median over
-queries of the per-query ratio (this checkout / baseline).
+ms/query and the MB that one round's results hold together, as tracemalloc
+counts them outside the timed rounds; with ``--baseline``, the baseline's
+too, and the median over queries of the per-query ratio (this checkout /
+baseline).
 
 Before the timed rounds, every ranking of this checkout is checked against
 brute-force scoring (``score_image`` of ``tests/helpers.py`` on every image,
@@ -28,6 +30,7 @@ import argparse
 import statistics
 import sys
 import time
+import tracemalloc
 from functools import partial
 from operator import attrgetter
 from pathlib import Path
@@ -66,12 +69,23 @@ def _rank_pass(rank, index, queries: list) -> list[list[float]]:
     return took
 
 
+def _held_results(rank, index, queries: list) -> tuple[list, float]:
+    """One round's results, and the MB that they hold together."""
+    tracemalloc.start()
+    try:
+        results = [rank(query, index, gold) for query, gold in queries]
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return results, held / 2**20
+
+
 def _measure(libs: list[SimpleNamespace], n_images: int, n_regions: int, n_queries: int) -> bool:
     """Check and time ``rank`` of each side at one size; print its line, and
     return whether the rankings are identical."""
     data = gen.retrieval_input(1, n_images, n_regions, n_queries)
     sides = [_inputs(lib, data) for lib in libs]
-    answers = [[rank(query, index, gold) for query, gold in queries] for rank, index, queries in sides]
+    answers, held = zip(*(_held_results(*side) for side in sides))
     _, index, queries = sides[0]
     same = all(
         list(result.ranking) == brute_force_ranking(query, index)
@@ -82,9 +96,10 @@ def _measure(libs: list[SimpleNamespace], n_images: int, n_regions: int, n_queri
     bests = best_of([partial(_rank_pass, *side) for side in sides], RUNS)
     best = [[took for (took,) in times] for times in bests]  # one stage per query
     line = f"{n_images:>7} images x {n_regions}: rank {statistics.mean(best[0]) * 1e3:8.4f} ms/query"
+    line += f", results {held[0]:7.3f} MB"
     if len(best) == 2:
         ratio = statistics.median(a / b for a, b in zip(*best))
-        line += f" | baseline {statistics.mean(best[1]) * 1e3:8.4f} ms/query"
+        line += f" | baseline {statistics.mean(best[1]) * 1e3:8.4f} ms/query, results {held[1]:7.3f} MB"
         line += f" | median query ratio {ratio:6.3f}"
     print(f"{line} | rankings {'identical' if same else 'DIFFER'}")
     return same

@@ -41,13 +41,7 @@ from .corpus import (
 )
 from .evaluate import evaluate_corpus
 from .linearize import Strategy, linearize
-from .retrieval import (
-    RetrievalIndex,
-    UnknownGoldImage,
-    aggregate_metrics,
-    load_index,
-    rank,
-)
+from .retrieval import UnknownGoldImage, load_index, metrics_from_ranks, rank
 from .scenegraph import GRAMMAR_VERSION, serialize_sg, sg_to_json
 
 ADAPTER_ENV_VAR = "AMRSG_ADAPTER"
@@ -94,6 +88,13 @@ def _read_lines(path: str, parse: Callable[[dict], T]) -> tuple[list[T], int]:
     for lineno, message in errors:
         click.echo(f"warning: {path}:{lineno}: {message}", err=True)
     return items, len(errors)
+
+
+def _duplicate_ids(path: str, graphs: list[tuple]) -> list[str]:
+    """``duplicate region ids in <path>: <ids>`` if a region id of ``graphs`` repeats."""
+    counts = Counter(region_id for region_id, _, _ in graphs)
+    duplicates = sorted(rid for rid, n in counts.items() if n > 1)
+    return [f"duplicate region ids in {path}: {', '.join(duplicates)}"] if duplicates else []
 
 
 def _write_each_graph(input_path: str, out: str, render: Callable[[AmrGraph, int], str]) -> NoReturn:
@@ -208,10 +209,7 @@ def cmd_eval(generated_path, reference_path, per_region, out):
     for path in (generated_path, reference_path):
         graphs, skipped_here = _read_lines(path, region_graph_from_json)
         skipped += skipped_here
-        counts = Counter(region_id for region_id, _, _ in graphs)
-        duplicates = sorted(rid for rid, n in counts.items() if n > 1)
-        if duplicates:
-            errors.append(f"duplicate region ids in {path}: {', '.join(duplicates)}")
+        errors += _duplicate_ids(path, graphs)
         corpora.append({region_id: sg for region_id, _, sg in graphs})
     if errors:
         _fail(*errors)
@@ -247,6 +245,7 @@ def cmd_retrieve(index_path, queries_path, gold_path, ks, out):
     """Rank images for every query region and report Recall@k / median rank.
 
     Malformed query lines are skipped with a warning; the run then exits 2.
+    A region id that two query lines share is an error, as in ``eval``.
     """
     try:
         cutoffs = [int(k) for k in ks.split(",") if k.strip()]
@@ -259,16 +258,18 @@ def cmd_retrieve(index_path, queries_path, gold_path, ks, out):
     queries, skipped = _read_lines(queries_path, region_graph_from_json)
     if not queries:
         _fail("empty query set")
-    results = []
+    if duplicates := _duplicate_ids(queries_path, queries):
+        _fail(*duplicates)
+    gold_ranks = []  # a ranking is dropped as soon as its gold rank is read
     for region_id, image_id, sg in queries:
         gold = gold_map.get(region_id) if gold_map is not None else image_id
         if not gold:
             _fail(f"no gold image id for query {region_id}")
         try:
-            results.append(rank(sg, index, gold, query_id=region_id))
+            gold_ranks.append(rank(sg, index, gold, query_id=region_id).gold_rank)
         except UnknownGoldImage as err:
             _fail(f"query {region_id}: {err}")
-    metrics = aggregate_metrics(results, cutoffs)
+    metrics = metrics_from_ranks(gold_ranks, cutoffs)
     with _open_out(out) as fh:
         fh.write(json.dumps(metrics) + "\n")
     sys.exit(2 if skipped else 0)

@@ -7,10 +7,13 @@ broken by ascending image id, so results are reproducible.
 
 ``RetrievalIndex`` builds an inverted tuple index once, so ``rank`` scores
 only the regions that share a tuple with the query; the rankings are those of
-running ``evaluate.f_score`` on every region. ``rank`` pairs the image ids,
-in id order, with their scores and sorts the pairs once by score, descending;
-the sort is stable, so ties keep id order. The gold rank is the position of
-the gold image's pair in that ranking.
+running ``evaluate.f_score`` on every region. The index also holds one
+``(image id, 0.0)`` pair per image, in id order, and a query's pairs start
+as those: only an image that scores builds a pair of its own, so rankings
+share every zero-score pair. ``rank`` sorts the pairs once by score,
+descending; the sort is stable, so ties keep id order. The gold rank is the
+position of the gold image's pair in that ranking. ``metrics_from_ranks``
+needs only the gold ranks, so a caller may keep those and drop the rankings.
 """
 
 from __future__ import annotations
@@ -37,12 +40,15 @@ class RetrievalIndex:
     """Immutable collection of (image id, region scene graphs), plus the
     inverted tuple index that ``rank`` reads, built once here.
 
-    Images are numbered in image id order, regions in index order.
+    Images are numbered in image id order, and regions image by image in
+    that order: postings then list images roughly in number order, and so
+    ``rank`` makes its pairs roughly in that order, which measured faster on
+    large indices (``scripts/retrieval_scale.py``).
     ``_postings`` maps each tuple to the numbers of the regions holding it, a
     region once per occurrence, so a region's repeats are adjacent.
     ``_region_size`` and ``_region_image`` give each region's tuple count and
     image number; ``_with_empty_region`` numbers the images with an empty
-    region.
+    region. ``_zero_pairs`` is each image's ``(image id, 0.0)``, by number.
     """
 
     def __init__(self, images: Sequence[tuple[str, Sequence[SceneGraph]]]):
@@ -57,14 +63,14 @@ class RetrievalIndex:
             (image_id, tuple(regions)) for image_id, regions in images
         )
         self._sorted_ids = sorted(seen)
+        self._zero_pairs = tuple((image_id, 0.0) for image_id in self._sorted_ids)
         self._image_number = {image_id: k for k, image_id in enumerate(self._sorted_ids)}
         postings: dict[SgTuple, list[int]] = {}
         get = postings.get
         sizes: list[int] = []
         owners: list[int] = []
         empty: list[int] = []
-        for image_id, regions in self.images:
-            image = self._image_number[image_id]
+        for image, (_, regions) in enumerate(sorted(self.images, key=itemgetter(0))):
             for region in regions:
                 number = len(sizes)
                 tuples = to_tuples(region)
@@ -95,8 +101,9 @@ class RankedResult:
     gold_rank: int  # 1-based
 
 
-def _image_scores(query: SceneGraph, index: RetrievalIndex) -> list[float]:
-    """Every image's best region F1, by image number.
+def _image_scores(query: SceneGraph, index: RetrievalIndex) -> list[tuple[str, float]]:
+    """Every image's (image id, best region F1), by image number; an image
+    that scores 0 keeps the index's own pair.
 
     Only regions on the query tuples' postings are scored; every other region
     shares no tuple with the query and scores 0. A region's overlap is the
@@ -104,13 +111,13 @@ def _image_scores(query: SceneGraph, index: RetrievalIndex) -> list[float]:
     multiplicity. F1 uses ``f_score``'s float expression, so each score
     equals ``f_score``'s exactly.
     """
-    scores = [0.0] * len(index._sorted_ids)
+    ids, pairs = index._sorted_ids, list(index._zero_pairs)
     tuples = to_tuples(query)
     if not tuples:
         # both empty: F1 = 1; an empty query scores 0 on any other region
         for image in index._with_empty_region:
-            scores[image] = 1.0
-        return scores
+            pairs[image] = (ids[image], 1.0)
+        return pairs
     wanted: dict[SgTuple, int] = {}  # each query tuple's multiplicity
     for t in tuples:
         wanted[t] = wanted.get(t, 0) + 1
@@ -128,6 +135,7 @@ def _image_scores(query: SceneGraph, index: RetrievalIndex) -> list[float]:
             overlap[number] = get(number, 0) + 1
     g_size = len(tuples)
     sizes, owners = index._region_size, index._region_image
+    scores = [0.0] * len(pairs)  # each image's best F1 so far: cheaper to read than its pair's
     for number, m in overlap.items():
         p = m / g_size
         rec = m / sizes[number]
@@ -135,7 +143,8 @@ def _image_scores(query: SceneGraph, index: RetrievalIndex) -> list[float]:
         image = owners[number]
         if f1 > scores[image]:
             scores[image] = f1
-    return scores
+            pairs[image] = (ids[image], f1)
+    return pairs
 
 
 def rank(
@@ -148,22 +157,28 @@ def rank(
     gold = index._image_number.get(gold_image_id)
     if gold is None:
         raise UnknownGoldImage(f"gold image {gold_image_id!r} not in index")
-    scores = _image_scores(query, index)
-    # image numbers follow image ids, and a stable sort keeps ties in that order
-    ranking = tuple(sorted(zip(index._sorted_ids, scores), key=itemgetter(1), reverse=True))
-    gold_rank = ranking.index((gold_image_id, scores[gold])) + 1
-    return RankedResult(query_id, ranking, gold_image_id, gold_rank)
+    pairs = _image_scores(query, index)
+    gold_pair = pairs[gold]
+    # pairs start in image id order, and a stable sort keeps ties in that order
+    pairs.sort(key=itemgetter(1), reverse=True)
+    ranking = tuple(pairs)
+    return RankedResult(query_id, ranking, gold_image_id, ranking.index(gold_pair) + 1)
 
 
-def aggregate_metrics(results: Sequence[RankedResult], ks: Sequence[int] = (5, 10)) -> dict:
+def metrics_from_ranks(gold_ranks: Sequence[int], ks: Sequence[int] = (5, 10)) -> dict:
     """Recall@k per cutoff plus median rank (lower middle for even counts)."""
-    if not results:
+    if not gold_ranks:
         raise EmptyResults("no ranked results to aggregate")
-    ranks = sorted(res.gold_rank for res in results)
+    ranks = sorted(gold_ranks)
     n = len(ranks)
     median = ranks[(n - 1) // 2]
     recall_at = {k: sum(1 for r in ranks if r <= k) / n for k in ks}
     return {"recall_at": recall_at, "median_rank": median}
+
+
+def aggregate_metrics(results: Sequence[RankedResult], ks: Sequence[int] = (5, 10)) -> dict:
+    """``metrics_from_ranks`` of the results' gold ranks."""
+    return metrics_from_ranks([res.gold_rank for res in results], ks)
 
 
 # --- index file format -----------------------------------------------------

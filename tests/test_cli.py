@@ -448,6 +448,16 @@ def test_retrieve_gold_map_without_a_query_is_an_error(runner, tmp_path, gold, q
     assert result.stderr == f"error: no gold image id for query {query}\n"
 
 
+def test_retrieve_duplicate_query_region_id_is_an_error(runner, tmp_path):
+    # counted twice, the query would weigh double in Recall@k and the median rank
+    lines = (_GOLDEN / "queries.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    queries = tmp_path / "queries.jsonl"
+    queries.write_text("".join(lines + lines[:1]), encoding="utf-8")
+    result = _invoke(runner, ["retrieve", "--index", str(_GOLDEN / "index.jsonl"), "--queries", str(queries)])
+    assert (result.exit_code, result.stdout) == (1, "")
+    assert result.stderr == f"error: duplicate region ids in {queries}: q1\n"
+
+
 @pytest.mark.parametrize(
     "bad_line",
     [

@@ -12,6 +12,7 @@ from amrsg.retrieval import (
     UnknownGoldImage,
     aggregate_metrics,
     load_index,
+    metrics_from_ranks,
     rank,
     save_index,
 )
@@ -147,6 +148,44 @@ def test_empty_query_scores_images_with_an_empty_region():
     assert rank(SceneGraph(), index, "a").ranking == (("b", 1.0), ("c", 1.0), ("a", 0.0))
 
 
+@pytest.mark.parametrize(
+    "query, gold, gold_rank",
+    [
+        (_sg("dog"), "a", 3),  # scored 0: after both scored images, first by id
+        (_sg("dog"), "c", 4),
+        (_sg("dog"), "d", 2),
+        (SceneGraph(), "a", 3),  # an empty query scores only images with an empty region
+        (SceneGraph(), "b", 1),
+        (SceneGraph(), "c", 2),
+        (SceneGraph(), "d", 4),
+    ],
+)
+def test_gold_rank_of_a_zero_score_or_empty_query_gold(query, gold, gold_rank):
+    index = RetrievalIndex(
+        [("b", [_sg("dog"), SceneGraph()]), ("a", [_sg("cat")]), ("d", [_sg("dog", "x")]), ("c", [SceneGraph()])]
+    )
+    result = rank(query, index, gold)
+    assert result.gold_rank == gold_rank
+    assert result.ranking[gold_rank - 1][0] == gold
+
+
+def test_rankings_share_the_index_zero_score_pairs_and_nothing_else():
+    rng = random.Random(83)
+    words = [f"w{i}" for i in range(20)]
+    index = RetrievalIndex(
+        [(f"img{i:02d}", [_sg(*rng.sample(words, 2)) for _ in range(2)]) for i in range(30)]
+    )
+    own_pair = {pair[0]: pair for pair in index._zero_pairs}
+    rankings = [rank(_sg(*rng.sample(words, 2)), index, "img00").ranking for _ in range(2)]
+    for ranking in rankings:
+        zeros = [pair for pair in ranking if pair[1] == 0.0]
+        assert zeros and all(pair is own_pair[pair[0]] for pair in zeros)
+    scored = [{id(pair) for pair in ranking if pair[1] > 0.0} for ranking in rankings]
+    assert scored[0] and scored[1]
+    assert not scored[0] & scored[1]
+    assert not (scored[0] | scored[1]) & {id(pair) for pair in index._zero_pairs}
+
+
 def test_repeated_query_tuple_counts_up_to_the_region_count():
     # ("dog", "dog") overlaps ("dog") once (P = 1/2, R = 1) and
     # ("dog", "dog", "cat") twice (P = 1, R = 2/3)
@@ -197,8 +236,19 @@ def test_recall_monotone_and_total():
 
 
 def test_aggregate_empty():
-    with pytest.raises(EmptyResults):
+    with pytest.raises(EmptyResults, match="no ranked results to aggregate"):
         aggregate_metrics([], ks=[5])
+    with pytest.raises(EmptyResults, match="no ranked results to aggregate"):
+        metrics_from_ranks([], ks=[5])
+
+
+def test_aggregate_metrics_is_metrics_from_ranks_of_the_gold_ranks():
+    rng = random.Random(89)
+    for _ in range(20):
+        ranks = [rng.randint(1, 60) for _ in range(rng.randint(1, 25))]
+        results = [RankedResult(f"q{i}", (), "g", r) for i, r in enumerate(ranks)]
+        ks = sorted(rng.sample(range(1, 61), 3))
+        assert aggregate_metrics(results, ks) == metrics_from_ranks([r.gold_rank for r in results], ks)
 
 
 def test_index_file_roundtrip(tmp_path):

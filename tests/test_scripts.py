@@ -14,6 +14,10 @@ def test_retrieval_scale_runs_and_finds_the_rankings_identical(baseline):
     done = subprocess.run(command, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert "rankings identical" in done.stdout, done.stdout
+    # the MB that one round's results hold, for each side
+    [line] = [line for line in done.stdout.splitlines() if line.lstrip().startswith("20 images x 5:")]
+    held = re.findall(r"results +(\d+\.\d{3}) MB", line)
+    assert len(held) == 1 + bool(baseline) and all(float(mb) > 0 for mb in held), line
 
 
 @pytest.mark.parametrize("baseline", [[], ["--baseline", str(ROOT)]], ids=["plain", "baseline"])
