@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -65,9 +65,8 @@ def unquote(text: str) -> str:
     return text
 
 
-@dataclass(frozen=True)
 class AmrGraph:
-    """Immutable AMR graph.
+    """Immutable AMR graph: ``AmrGraph(root, nodes, edges, metadata={})``.
 
     ``edges`` are stored in textual order, the depth-first pre-order of the
     PENMAN text: each edge leaves the root or a node declared earlier whose
@@ -80,12 +79,92 @@ class AmrGraph:
     one rule: ``penman_pieces`` and ``children_index``, which the BFS and
     in-order linearizations read, raise the same ValueError on a graph built
     by hand that breaks it.
+
+    The edges are kept as one flat tuple of their fields, ``(source, role,
+    target, source, role, target, ...)``, so a loaded graph holds no object
+    per edge; ``iter_edges`` reads them, and only this module knows the
+    format. The constructor takes ``edges`` as any iterable of edges of three
+    strings each (``AmrEdge``s, plain tuples or lists), and raises a
+    ValueError naming the first edge that is not one. Equality ignores
+    ``metadata``; assigning to an attribute raises AttributeError.
     """
 
-    root: str
-    nodes: dict[str, str]
-    edges: tuple[AmrEdge, ...]
-    metadata: dict[str, str] = field(default_factory=dict, compare=False)
+    __slots__ = ("root", "nodes", "_edge_fields", "metadata")
+
+    def __init__(
+        self,
+        root: str,
+        nodes: dict[str, str],
+        edges: Iterable[tuple[str, str, str]],
+        metadata: dict[str, str] | None = None,
+    ):
+        fields: list[str] = []
+        for i, edge in enumerate(edges):
+            if not (
+                isinstance(edge, (tuple, list))
+                and len(edge) == 3
+                and all(isinstance(f, str) for f in edge)
+            ):
+                raise ValueError(f"edge {i} {edge!r}: an edge is three strings, (source, role, target)")
+            fields += edge
+        self._init_slots(root, nodes, tuple(fields), {} if metadata is None else metadata)
+
+    @classmethod
+    def _from_edge_fields(
+        cls, root: str, nodes: dict[str, str], fields: tuple[str, ...], metadata: dict[str, str]
+    ) -> AmrGraph:
+        """A graph whose flat edge fields its caller built itself, so they are
+        not checked again."""
+        graph = cls.__new__(cls)
+        graph._init_slots(root, nodes, fields, metadata)
+        return graph
+
+    def _init_slots(
+        self, root: str, nodes: dict[str, str], fields: tuple[str, ...], metadata: dict[str, str]
+    ) -> None:
+        setattr_ = object.__setattr__
+        setattr_(self, "root", root)
+        setattr_(self, "nodes", nodes)
+        setattr_(self, "_edge_fields", fields)
+        setattr_(self, "metadata", metadata)
+
+    @property
+    def edges(self) -> tuple[AmrEdge, ...]:
+        """The edges as ``AmrEdge``s in stored order. The tuple and its edges
+        are built anew on each access, one object per edge; a walk reads
+        ``iter_edges`` instead."""
+        return tuple(map(_new_edge, iter_edges(self)))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: an AmrGraph is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: an AmrGraph is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.root, self.nodes, self._edge_fields) == (other.root, other.nodes, other._edge_fields)
+
+    def __repr__(self) -> str:
+        return (
+            f"AmrGraph(root={self.root!r}, nodes={self.nodes!r}, edges={self.edges!r}, "
+            f"metadata={self.metadata!r})"
+        )
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, since assignment raises
+        return self.__class__, (self.root, self.nodes, self.edges, self.metadata)
+
+
+_new_edge = partial(tuple.__new__, AmrEdge)  # an AmrEdge without NamedTuple's Python-level __new__
+
+
+def iter_edges(graph: AmrGraph) -> Iterator[tuple[str, str, str]]:
+    """The graph's edges in stored order, each as a plain (source, role,
+    target) tuple read from the flat fields, with no ``AmrEdge`` built."""
+    it = iter(graph._edge_fields)
+    return zip(it, it, it)
 
 
 def children_index(graph: AmrGraph) -> dict[str, list[tuple[str, str, bool]]]:
@@ -99,7 +178,7 @@ def children_index(graph: AmrGraph) -> dict[str, list[tuple[str, str, bool]]]:
     nodes = graph.nodes
     open_nodes = [graph.root]  # the innermost last
     undeclared = nodes.keys() - {graph.root}
-    for source, role, target in graph.edges:
+    for source, role, target in iter_edges(graph):
         while open_nodes[-1] != source:
             open_nodes.pop()
             if not open_nodes:
@@ -191,12 +270,11 @@ def parse_penman(text: str, metadata: dict[str, str] | None = None) -> AmrGraph:
     end = len(text)
     tokens.append("")  # end of input
     nodes: dict[str, str] = {}
-    edges: list[AmrEdge] = []
+    fields: list[str] = []  # the edges' flat fields, three per edge
     stack: list[str] = []  # variables of the open nodes, root first
     role: str | None = ""  # while tokens[i] opens a node: its tree edge's role
     intern = sys.intern
     is_variable = _VAR_RE.match
-    new = tuple.__new__  # builds an AmrEdge without NamedTuple's Python-level __new__
     i = 0
     while True:
         token = tokens[i]
@@ -227,7 +305,7 @@ def parse_penman(text: str, metadata: dict[str, str] | None = None) -> AmrGraph:
             var = intern(var)
             nodes[var] = intern(concept)
             if stack:
-                edges.append(new(AmrEdge, (stack[-1], role, var)))
+                fields += (stack[-1], role, var)
             stack.append(var)
             role = None
             i += 4
@@ -258,16 +336,11 @@ def parse_penman(text: str, metadata: dict[str, str] | None = None) -> AmrGraph:
                     raise UnbalancedParentheses("missing edge target", end)
                 if target[0] in _PUNCTUATION:
                     raise PenmanError(f"invalid edge target {target!r}", _offset(text, i + 1))
-            edges.append(new(AmrEdge, (stack[-1], intern(token), intern(target))))
+            fields += (stack[-1], intern(token), intern(target))
             i += 2
     if tokens[i]:
         raise UnbalancedParentheses(f"trailing content {tokens[i]!r}", _offset(text, i))
-    return AmrGraph(
-        root=next(iter(nodes)),
-        nodes=nodes,
-        edges=tuple(edges),
-        metadata=dict(metadata or {}),
-    )
+    return AmrGraph._from_edge_fields(next(iter(nodes)), nodes, tuple(fields), dict(metadata or {}))
 
 
 def penman_pieces(graph: AmrGraph) -> list[str]:
@@ -276,7 +349,7 @@ def penman_pieces(graph: AmrGraph) -> list[str]:
 
     A piece is a node's ``(var / concept``, a role, a bare variable at a
     re-entrancy or a constant; closing parentheses attach to the piece
-    before them. One pass over ``graph.edges`` in stored order, which is the
+    before them. One pass over the stored edges, in their order, which is the
     text's order: an edge whose source is not the innermost open node closes
     the nodes above its source, and a target is declared where it is first
     reached. Raises ValueError for an edge whose source is not open at that
@@ -289,7 +362,7 @@ def penman_pieces(graph: AmrGraph) -> list[str]:
     pieces = [f"({root} / {nodes[root]}"]
     open_nodes = [root]  # the innermost last
     undeclared = nodes.keys() - {root}
-    for source, role, target in graph.edges:
+    for source, role, target in iter_edges(graph):
         if source != open_nodes[-1]:
             closed = 0
             while open_nodes[-1] != source:
@@ -330,7 +403,7 @@ def _parse_metadata_line(line: str, meta: dict[str, str]) -> None:
     # "# ::id 42 ::snt Golden retriever" splits to ["", "id", " 42 ", "snt", " Golden retriever"]
     parts = _META_KEY_RE.split(line.lstrip("#").strip())
     for key, value in zip(parts[1::2], parts[2::2]):
-        meta[key] = value.strip()
+        meta[sys.intern(key)] = value.strip()  # the graphs of a file share each key
 
 
 def iter_penman_blocks(lines: Iterable[str]) -> Iterator[tuple[dict[str, str], str]]:

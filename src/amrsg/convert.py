@@ -22,6 +22,7 @@ from .amr import (
     AmrGraph,
     PenmanError,
     is_frame,
+    iter_edges,
     parse_penman,
     unquote,
 )
@@ -88,7 +89,7 @@ def convert_rules(graph: AmrGraph) -> SceneGraph:
     attribute_values = set()
     core: dict[str, list[tuple[int, str, str]]] = {}
     locative: dict[str, tuple[str, str]] = {}
-    for source, role, target in graph.edges:
+    for source, role, target in iter_edges(graph):
         # a constant is never a key of ``lemmas``, nor a core or locative child
         is_node = target in surface
         if role in ATTRIBUTE_ROLES and target not in lemmas:

@@ -1,7 +1,9 @@
 import ast
+import copy
 import gc
 import importlib
 import io
+import pickle
 import random
 import re
 import tracemalloc
@@ -517,3 +519,80 @@ def test_multiline_penman_block():
     text = "(z0 / want-01\n    :ARG0 (z1 / dog)\n    :ARG1 (z2 / eat-01 :ARG0 z1))"
     g = parse_penman(text)
     assert serialize_penman(g) == WANT_PENMAN
+
+
+# --- the graph's storage and public surface ----------------------------------
+
+
+def test_a_parsed_graph_holds_no_object_per_edge():
+    g = parse_penman(FIG1_PENMAN)
+    assert len(g.edges) == 3
+    assert not hasattr(g, "__dict__")
+    # what the graph refers to, and what that refers to in turn: strings, the
+    # two dicts, one flat tuple of the edges' nine fields, and no edge object
+    held = gc.get_referents(g)
+    held += [x for h in held if isinstance(h, tuple) for x in gc.get_referents(h)]
+    assert not [h for h in held if isinstance(h, AmrEdge) or (isinstance(h, tuple) and len(h) == 3)], held
+
+
+def test_a_graph_rebuilt_from_its_public_fields_equals_it():
+    rng = random.Random(43)
+    for _ in range(200):
+        g = random_graph(rng)
+        assert AmrGraph(g.root, g.nodes, g.edges) == g
+        plain = AmrGraph(g.root, g.nodes, [tuple(e) for e in g.edges])
+        assert plain == g
+        assert plain.edges == g.edges
+        assert all(type(e) is AmrEdge for e in plain.edges)
+        assert type(g.edges) is tuple
+        assert AmrGraph(g.root, g.nodes, g.edges, metadata={"id": "other"}) == g  # metadata is not compared
+        assert repr(g) == f"AmrGraph(root={g.root!r}, nodes={g.nodes!r}, edges={g.edges!r}, metadata={{}})"
+        if g.edges:
+            assert "edges=(AmrEdge(source=" in repr(g)
+            edges = list(g.edges)
+            edges[-1] = edges[-1]._replace(role=":other")
+            assert AmrGraph(g.root, g.nodes, edges) != g
+
+
+def test_a_graph_is_immutable_and_survives_pickle_and_copy():
+    g = parse_penman(FIG1_PENMAN, metadata={"id": "r1"})
+    for name in ("root", "nodes", "edges", "metadata", "other"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(g, name, None)
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(g, name)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(g)
+    for again in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
+        assert again == g
+        assert again.edges == g.edges
+        assert again.metadata == {"id": "r1"}
+
+
+@pytest.mark.parametrize(
+    "edge, shown",
+    [
+        (("z0", ":mod"), "('z0', ':mod')"),
+        (("z0", ":mod", 3), "('z0', ':mod', 3)"),
+        (("z0", ":mod", "z1", "z2"), "('z0', ':mod', 'z1', 'z2')"),
+        (None, "None"),
+        ("z0 :mod z1", "'z0 :mod z1'"),
+    ],
+    ids=["two_fields", "int_target", "four_fields", "none", "str"],
+)
+def test_a_hand_built_edge_that_is_not_three_strings_is_a_value_error(edge, shown):
+    # it used to fail only later, in serialize_penman, with an unpacking or type error
+    edges = [AmrEdge("z0", ":ARG0", "z1"), edge]
+    with pytest.raises(ValueError) as info:
+        AmrGraph("z0", {"z0": "dog", "z1": "cat"}, edges)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"edge 1 {shown}: an edge is three strings, (source, role, target)"
+
+
+def test_loaded_graphs_share_each_metadata_key(tmp_path):
+    path = tmp_path / "graphs.penman"
+    path.write_text("# ::id r1 ::snt A dog\n(z0 / dog)\n\n# ::id r2 ::snt A cat\n(z0 / cat)\n", encoding="utf-8")
+    first, second = load_penman_file(path)
+    assert first.metadata == {"id": "r1", "snt": "A dog"}
+    for a, b in zip(first.metadata, second.metadata, strict=True):
+        assert a is b, a

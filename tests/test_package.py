@@ -2,6 +2,7 @@ import ast
 from pathlib import Path
 
 import amrsg
+from amrsg.amr import AmrGraph
 
 
 def test_every_public_name_resolves():
@@ -48,3 +49,29 @@ def test_sources_parse_as_python_3_10():
     # pyproject.toml declares requires-python >= 3.10
     for path in sorted(Path(amrsg.__file__).parent.glob("*.py")):
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+def test_only_amr_names_the_private_members_of_amr_graph():
+    # the edges' flat storage, and what builds a graph from it, stay behind
+    # amr.py: every other module reads the edges through ``graph.edges`` or
+    # ``amr.iter_edges``
+    private = {name for name in vars(AmrGraph) if name.startswith("_") and not name.endswith("__")}
+    assert private
+    root = Path(__file__).resolve().parent.parent
+    package = Path(amrsg.__file__).parent
+    paths = [*package.glob("*.py"), *(p for d in ("tests", "scripts", "bench") for p in (root / d).glob("*.py"))]
+    assert package / "amr.py" in paths and len(paths) > 20
+    named = []
+    for path in sorted(paths):
+        if path == package / "amr.py":
+            continue
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = (
+                n.attr if isinstance(n, ast.Attribute)
+                else n.id if isinstance(n, ast.Name)
+                else n.value if isinstance(n, ast.Constant) and isinstance(n.value, str)
+                else None
+            )
+            if name in private:
+                named.append(f"{path.relative_to(root)}:{n.lineno}: {name}")
+    assert named == []

@@ -47,6 +47,10 @@ def test_graph_memory_runs_and_prints_retained_and_peak():
         r"stored scene-graph fields: ([\d,]+) references, ([\d,]+) objects, ([\d,]+) distinct values", fields
     ).groups()
     assert int(references.replace(",", "")) > int(objects.replace(",", "")) == int(values.replace(",", ""))
+    # the bytes the 50 graphs retain per edge
+    [per_edge] = [line for line in lines if line.endswith(" bytes retained per edge")]
+    edges, per_edge_bytes = re.fullmatch(r"([\d,]+) edges, ([\d,]+) bytes retained per edge", per_edge).groups()
+    assert int(edges.replace(",", "")) > 50 and int(per_edge_bytes.replace(",", "")) > 0
 
 
 def test_graph_memory_exits_quietly_when_its_reader_leaves_early():
