@@ -15,7 +15,6 @@ numbers, or ``-``, kept as their text.
 from __future__ import annotations
 
 import re
-import sys
 from functools import partial
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
@@ -75,18 +74,22 @@ class AmrGraph:
     declared where it is first attached, so the first edge into a node is its
     tree edge; the root has none. The tree edges form a spanning tree rooted at
     ``root``, and re-entrancies are the remaining variable-targeted edges.
-    ``parse_penman`` builds graphs in this order. Every walk checks it with
-    one rule: ``penman_pieces`` and ``children_index``, which the BFS and
-    in-order linearizations read, raise the same ValueError on a graph built
-    by hand that breaks it.
+
+    ``parse_penman`` builds graphs in this order, and the constructor checks a
+    graph built by hand against the same rule, in one pass over the edges, so
+    every graph round-trips through ``serialize_penman`` and the walks trust it
+    and never raise. Its ValueError names the first fault: a root that is not
+    a node, a symbol the lexer would not read back as one token of its kind,
+    an edge that is not three strings or whose source is no longer open, a
+    node deeper than ``MAX_DEPTH``, a target shaped like a variable that is
+    not a node, or unreached nodes. ``edges`` may be any iterable of
+    ``AmrEdge``s, plain tuples or lists.
 
     The edges are kept as one flat tuple of their fields, ``(source, role,
     target, source, role, target, ...)``, so a loaded graph holds no object
     per edge; ``iter_edges`` reads them, and only this module knows the
-    format. The constructor takes ``edges`` as any iterable of edges of three
-    strings each (``AmrEdge``s, plain tuples or lists), and raises a
-    ValueError naming the first edge that is not one. Equality ignores
-    ``metadata``; assigning to an attribute raises AttributeError.
+    format. Equality ignores ``metadata``; assigning to an attribute raises
+    AttributeError.
     """
 
     __slots__ = ("root", "nodes", "_edge_fields", "metadata")
@@ -98,7 +101,16 @@ class AmrGraph:
         edges: Iterable[tuple[str, str, str]],
         metadata: dict[str, str] | None = None,
     ):
+        if root not in nodes:
+            raise ValueError(f"root {root!r} is not a node")
+        for var, concept in nodes.items():
+            if not (_is_one_token(var) and _VAR_RE.match(var)):
+                raise ValueError(f"node {var!r}: not a variable")
+            if not _is_atom_or_literal(concept):
+                raise ValueError(f"concept {concept!r}: not one atom or string literal")
         fields: list[str] = []
+        open_nodes = [root]  # the innermost last
+        undeclared = nodes.keys() - {root}
         for i, edge in enumerate(edges):
             if not (
                 isinstance(edge, (tuple, list))
@@ -106,15 +118,33 @@ class AmrGraph:
                 and all(isinstance(f, str) for f in edge)
             ):
                 raise ValueError(f"edge {i} {edge!r}: an edge is three strings, (source, role, target)")
+            source, role, target = edge
+            while open_nodes[-1] != source:
+                open_nodes.pop()
+                if not open_nodes:
+                    raise ValueError(f"edge {source} {role} {target}: its source is not an open node")
+            if not (_is_one_token(role) and role[0] == ":" and len(role) > 1):
+                raise ValueError(f"role {role!r}: not one role")
+            if target in undeclared:  # the first edge into a node declares it
+                undeclared.remove(target)
+                open_nodes.append(target)
+                if len(open_nodes) > MAX_DEPTH:
+                    raise ValueError(f"node {target}: nesting deeper than {MAX_DEPTH} levels")
+            elif target not in nodes and not _is_atom_or_literal(target):
+                raise ValueError(f"constant {target!r}: not one atom or string literal")
+            elif target not in nodes and _VAR_RE.match(target):  # parse_penman: an undeclared reference
+                raise ValueError("edge {} {} {}: its target is a variable that is not a node".format(*edge))
             fields += edge
+        if undeclared:
+            raise ValueError(f"nodes never reached from the root: {', '.join(sorted(undeclared))}")
         self._init_slots(root, nodes, tuple(fields), {} if metadata is None else metadata)
 
     @classmethod
     def _from_edge_fields(
         cls, root: str, nodes: dict[str, str], fields: tuple[str, ...], metadata: dict[str, str]
     ) -> AmrGraph:
-        """A graph whose flat edge fields its caller built itself, so they are
-        not checked again."""
+        """A graph whose caller built its parts to the PENMAN grammar, which
+        enforces what the constructor checks, so they are not checked again."""
         graph = cls.__new__(cls)
         graph._init_slots(root, nodes, fields, metadata)
         return graph
@@ -171,46 +201,15 @@ def children_index(graph: AmrGraph) -> dict[str, list[tuple[str, str, bool]]]:
     """Map each source variable to its outgoing edges in stored order, each as
     a plain (role, target, declares) tuple. ``declares`` marks the tree edge:
     the target is a node other than the root, and no earlier edge targets it.
-    Checks the graph as ``penman_pieces`` does, with its errors.
     Callers build it once per walk; it is not kept on the graph, so a loaded
     corpus does not hold one per graph."""
     index: dict[str, list[tuple[str, str, bool]]] = {}
-    nodes = graph.nodes
-    open_nodes = [graph.root]  # the innermost last
-    undeclared = nodes.keys() - {graph.root}
+    undeclared = graph.nodes.keys() - {graph.root}
     for source, role, target in iter_edges(graph):
-        while open_nodes[-1] != source:
-            open_nodes.pop()
-            if not open_nodes:
-                raise _walk_error((source, role, target))
         declares = target in undeclared
-        if declares:
-            undeclared.remove(target)
-            open_nodes.append(target)
-            if len(open_nodes) > MAX_DEPTH:
-                raise _walk_error(target)
-        elif target not in nodes and _VAR_RE.match(target):
-            raise _walk_error((source, role, target), constant=True)
+        undeclared.discard(target)
         index.setdefault(source, []).append((role, target, declares))
-    if undeclared:
-        raise _walk_error(undeclared)
     return index
-
-
-def _walk_error(fault: tuple[str, str, str] | set[str] | str, constant: bool = False) -> ValueError:
-    """The error of a walk over a graph that no PENMAN text gives: ``fault``
-    is the first (source, role, target) edge whose source is not open, or
-    with ``constant`` whose target is shaped like a variable but is not a
-    node (``parse_penman`` would read it as an undeclared reference), or the
-    nodes that no edge reaches, or the first node declared deeper than
-    ``MAX_DEPTH`` levels, whose text ``parse_penman`` refuses."""
-    if isinstance(fault, str):
-        return ValueError(f"node {fault}: nesting deeper than {MAX_DEPTH} levels")
-    if constant:
-        return ValueError("edge {} {} {}: its target is a variable that is not a node".format(*fault))
-    if isinstance(fault, tuple):
-        return ValueError("edge {} {} {}: its source is not an open node".format(*fault))
-    return ValueError(f"nodes never reached from the root: {', '.join(sorted(fault))}")
 
 
 def is_frame(concept: str) -> bool:
@@ -230,11 +229,25 @@ def is_frame(concept: str) -> bool:
 # a role, anything else an atom. Offsets are found again only for an error.
 _TOKEN_RE = re.compile(r'[()/]|"[^"\\]*(?:\\[\s\S][^"\\]*)*"|"|:[^()/ \t\r\n]*|[^()/ \t\r\n]+')
 _PUNCTUATION = "()/:"  # first characters of the tokens that are neither atom nor literal
+_SYMBOLS: dict[str, str] = {}  # each string a parsed graph stores, by value
+
+
+def _is_one_token(symbol: object) -> bool:
+    """True when the lexer reads ``symbol`` back as exactly one token: the
+    alternative of ``_TOKEN_RE`` that ``findall`` takes at its start spans it
+    whole. A lone '"' is none, since it opens an unterminated literal."""
+    m = isinstance(symbol, str) and _TOKEN_RE.match(symbol)
+    return bool(m) and m.end() == len(symbol) and symbol != '"'
+
+
+def _is_atom_or_literal(symbol: object) -> bool:  # a concept or a constant
+    return _is_one_token(symbol) and symbol[0] not in _PUNCTUATION
+
 
 MAX_DEPTH = 200
-"""Deepest node nesting ``parse_penman`` and every walk accept; the root is
-level 1. It keeps the recursive walk (``linearize_inorder``) well inside
-Python's default recursion limit."""
+"""Deepest node nesting ``parse_penman`` and the ``AmrGraph`` constructor
+accept; the root is level 1. It keeps the recursive walk
+(``linearize_inorder``) well inside Python's default recursion limit."""
 
 
 def _offset(text: str, i: int) -> int:
@@ -250,15 +263,15 @@ def parse_penman(text: str, metadata: dict[str, str] | None = None) -> AmrGraph:
     """Parse a single PENMAN expression into an AmrGraph.
 
     Edges are stored in textual order, so the edge at each variable's
-    declaration point is the first edge into it. Raises a
-    PenmanError subclass with a byte offset on any malformed input, and a
-    PenmanError for nesting deeper than ``MAX_DEPTH``.
+    declaration point is the first edge into it. Raises a PenmanError subclass
+    with a byte offset on any malformed input, and a PenmanError for nesting
+    deeper than ``MAX_DEPTH``.
 
-    Every string the graph keeps (variables, concepts, roles, constants) is
-    passed through ``sys.intern`` where it is stored, so the graphs of a
-    corpus share one object per symbol and a re-entrant edge's target is the
-    very key in ``nodes``. CPython 3.11 frees an interned string once nothing
-    holds it, so a long-running process does not keep its vocabulary.
+    Every string the graph keeps is the one object per value that ``_SYMBOLS``
+    holds for the life of the process, so graphs share their symbols and a
+    re-entrant edge's target is the very key in ``nodes``. With ``sys.intern``
+    a symbol freed with its last graph is added back at the next parse, and
+    that churn resizes the interpreter's interned table.
     """
     tokens = _TOKEN_RE.findall(text)
     if '"' in tokens:
@@ -273,7 +286,7 @@ def parse_penman(text: str, metadata: dict[str, str] | None = None) -> AmrGraph:
     fields: list[str] = []  # the edges' flat fields, three per edge
     stack: list[str] = []  # variables of the open nodes, root first
     role: str | None = ""  # while tokens[i] opens a node: its tree edge's role
-    intern = sys.intern
+    symbol = _SYMBOLS.setdefault
     is_variable = _VAR_RE.match
     i = 0
     while True:
@@ -302,8 +315,8 @@ def parse_penman(text: str, metadata: dict[str, str] | None = None) -> AmrGraph:
                 raise DuplicateVariableDeclaration(
                     f"variable {var!r} declared twice", _offset(text, i + 1)
                 )
-            var = intern(var)
-            nodes[var] = intern(concept)
+            var = symbol(var, var)
+            nodes[var] = symbol(concept, concept)
             if stack:
                 fields += (stack[-1], role, var)
             stack.append(var)
@@ -323,7 +336,7 @@ def parse_penman(text: str, metadata: dict[str, str] | None = None) -> AmrGraph:
         else:
             target = tokens[i + 1]
             if target == "(":
-                role = intern(token)
+                role = symbol(token, token)
                 i += 1
                 continue
             if target not in nodes:  # not a re-entrancy, so it must be a constant
@@ -336,7 +349,7 @@ def parse_penman(text: str, metadata: dict[str, str] | None = None) -> AmrGraph:
                     raise UnbalancedParentheses("missing edge target", end)
                 if target[0] in _PUNCTUATION:
                     raise PenmanError(f"invalid edge target {target!r}", _offset(text, i + 1))
-            fields += (stack[-1], intern(token), intern(target))
+            fields += (stack[-1], symbol(token, token), symbol(target, target))
             i += 2
     if tokens[i]:
         raise UnbalancedParentheses(f"trailing content {tokens[i]!r}", _offset(text, i))
@@ -352,10 +365,7 @@ def penman_pieces(graph: AmrGraph) -> list[str]:
     before them. One pass over the stored edges, in their order, which is the
     text's order: an edge whose source is not the innermost open node closes
     the nodes above its source, and a target is declared where it is first
-    reached. Raises ValueError for an edge whose source is not open at that
-    point, for a target shaped like a variable that is not a node, for a
-    node declared deeper than ``MAX_DEPTH`` levels, and for a node that no
-    edge reaches.
+    reached.
     """
     nodes = graph.nodes
     root = graph.root
@@ -364,26 +374,16 @@ def penman_pieces(graph: AmrGraph) -> list[str]:
     undeclared = nodes.keys() - {root}
     for source, role, target in iter_edges(graph):
         if source != open_nodes[-1]:
-            closed = 0
-            while open_nodes[-1] != source:
-                open_nodes.pop()
-                closed += 1
-                if not open_nodes:
-                    raise _walk_error((source, role, target))
-            pieces[-1] += ")" * closed
+            k = open_nodes.index(source) + 1
+            pieces[-1] += ")" * (len(open_nodes) - k)
+            del open_nodes[k:]
         pieces.append(role)
         if target in undeclared:
             undeclared.remove(target)
             open_nodes.append(target)
-            if len(open_nodes) > MAX_DEPTH:
-                raise _walk_error(target)
             pieces.append(f"({target} / {nodes[target]}")
-        elif target not in nodes and _VAR_RE.match(target):
-            raise _walk_error((source, role, target), constant=True)
         else:
             pieces.append(target)
-    if undeclared:
-        raise _walk_error(undeclared)
     pieces[-1] += ")" * len(open_nodes)
     return pieces
 
@@ -403,7 +403,7 @@ def _parse_metadata_line(line: str, meta: dict[str, str]) -> None:
     # "# ::id 42 ::snt Golden retriever" splits to ["", "id", " 42 ", "snt", " Golden retriever"]
     parts = _META_KEY_RE.split(line.lstrip("#").strip())
     for key, value in zip(parts[1::2], parts[2::2]):
-        meta[sys.intern(key)] = value.strip()  # the graphs of a file share each key
+        meta[_SYMBOLS.setdefault(key, key)] = value.strip()  # the graphs of a file share each key
 
 
 def iter_penman_blocks(lines: Iterable[str]) -> Iterator[tuple[dict[str, str], str]]:

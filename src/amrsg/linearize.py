@@ -70,8 +70,7 @@ def linearize_bfs(graph: AmrGraph) -> LinearizedSequence:
 
     Each dequeued node emits role + target unit for every outgoing edge in
     stored order; only tree-edge targets are enqueued. Re-entrant targets
-    emit ``(var)`` without re-declaring the concept. Raises ValueError for
-    exactly the graphs ``serialize_penman`` refuses, with its message.
+    emit ``(var)`` without re-declaring the concept.
     """
     index = children_index(graph)
     nodes = graph.nodes
@@ -95,8 +94,7 @@ def linearize_inorder(graph: AmrGraph) -> LinearizedSequence:
     The first child's subtree is emitted, then the role of the edge up to the
     current node, then the node itself, then each remaining child as role +
     subtree. Re-entrant and constant children are leaves rendered as
-    ``(var)`` / ``(literal)``. Raises ValueError for exactly the graphs
-    ``serialize_penman`` refuses, with its message.
+    ``(var)`` / ``(literal)``.
     """
     index = children_index(graph)
     nodes = graph.nodes

@@ -177,6 +177,7 @@ _FIELD = r"([^\s(),]+(?:\s+[^\s(),]+)*)"
 _GROUP_RE = re.compile(
     rf"\(\s*{_FIELD}\s*(?:,\s*{_FIELD}\s*(?:,\s*{_FIELD}\s*)?)?\)|(\S)"
 )
+_INTERNED: set[str] = set()  # every field the two readers interned; see parse_sg_text
 
 
 def _group_error(text: str, i: int) -> SgError:
@@ -202,8 +203,8 @@ def parse_sg_text(text: str) -> SceneGraph:
     Raises UnbalancedParentheses for a stray character, an unclosed or a
     nested group, and BadArity for an empty field or more than three, each
     naming the offset of the first such character or group. Each field is
-    stored interned (``sys.intern``), so equal fields across graphs are one
-    object.
+    stored interned (``sys.intern``) and kept in ``_INTERNED``, so equal
+    fields across graphs are one object that is never freed and interned again.
     """
     objects: list[ObjectTuple] = []
     attributes: list[AttributeTuple] = []
@@ -218,6 +219,7 @@ def parse_sg_text(text: str) -> SceneGraph:
             objects.append(new(ObjectTuple, (intern(a),)))
         else:
             raise next(_group_error(text, m.start()) for m in _GROUP_RE.finditer(text) if m[4])
+    _INTERNED.update(*objects, *attributes, *relations)
     # each field is non-empty, has no whitespace around it and no '(', ')' or
     # ',', by the pattern: the field rule
     return SceneGraph._unchecked(objects, attributes, relations)
@@ -277,6 +279,7 @@ def sg_from_json(data: dict) -> SceneGraph:
     else:  # the field rule, once per distinct field
         fields = set().union(*objs, *attrs, *rels)
         if all(f and f == f.strip() and "(" not in f and ")" not in f and "," not in f for f in fields):
+            _INTERNED.update(fields)
             return SceneGraph._unchecked(objs, attrs, rels)
     # the checked constructor gives the error of the first bad field, or keeps
     # a str subclass as given

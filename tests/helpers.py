@@ -9,6 +9,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from itertools import zip_longest
+from typing import NamedTuple
 
 from amrsg.amr import MAX_DEPTH, AmrEdge, AmrGraph
 from amrsg.corpus import record_to_json
@@ -114,7 +115,17 @@ class Diagnostic:
         return f"{self.kind}({self.subject})"
 
 
-def validate(graph: AmrGraph) -> list[Diagnostic]:
+class GraphParts(NamedTuple):
+    """A graph's raw parts, which ``AmrGraph(*parts)`` checks and may refuse.
+    The oracles below read them as they read an ``AmrGraph``, so a test can
+    ask them about parts that no graph may hold."""
+
+    root: str
+    nodes: dict[str, str]
+    edges: tuple[AmrEdge, ...]
+
+
+def validate(graph: AmrGraph | GraphParts) -> list[Diagnostic]:
     """Return one diagnostic per invariant violation; empty list iff valid."""
     diags: list[Diagnostic] = []
     if graph.root not in graph.nodes:
@@ -157,7 +168,7 @@ def validate(graph: AmrGraph) -> list[Diagnostic]:
     return diags
 
 
-def _children(graph: AmrGraph) -> dict[str, list[tuple[str, str, bool]]]:
+def _children(graph: AmrGraph | GraphParts) -> dict[str, list[tuple[str, str, bool]]]:
     """Each node's outgoing edges in stored order as (role, target, declares),
     where ``declares`` marks the first stored edge into a node other than the
     root: the node's tree edge."""
@@ -171,12 +182,13 @@ def _children(graph: AmrGraph) -> dict[str, list[tuple[str, str, bool]]]:
     return index
 
 
-def reference_penman_pieces(graph: AmrGraph) -> tuple[list[str], list[str]]:
+def reference_penman_pieces(graph: AmrGraph | GraphParts) -> tuple[list[str], list[str]]:
     """Reference DFS walk for ``amr.penman_pieces``: recursive, over each
     node's edges in stored order, declaring a node at the first stored edge
-    into it. Meant for graphs in textual order, on which the implementation
-    does not raise. Builds texts and tokens apart, each by its own
-    f-string, so it checks ``LinearizedSequence.tokens`` as well."""
+    into it. It also writes text for parts that the constructor refuses,
+    which ``parse_penman`` then refuses or reads as other parts. Builds
+    texts and tokens apart, each by its own f-string, so it checks
+    ``LinearizedSequence.tokens`` as well."""
     index = _children(graph)
     texts: list[str] = []
     tokens: list[str] = []
@@ -204,8 +216,7 @@ def reference_walk_pieces(graph: AmrGraph, strategy: str) -> tuple[list[str], li
     """Reference BFS (``strategy`` "bfs") or in-order ("inorder") walk: texts
     and tokens built apart, a node as ``(var / concept)`` and ``(var/concept)``,
     any other target as ``(target)`` in both. Each node's tree edge is the
-    first stored edge into it. Meant for graphs in textual order, on which
-    the implementation does not raise."""
+    first stored edge into it."""
     index = _children(graph)
     texts: list[str] = []
     tokens: list[str] = []

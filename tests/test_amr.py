@@ -3,10 +3,12 @@ import copy
 import gc
 import importlib
 import io
+import json
 import pickle
 import random
 import re
 import tracemalloc
+from collections import Counter
 from functools import partial
 from pathlib import Path
 
@@ -31,10 +33,13 @@ from amrsg.amr import (
     serialize_penman,
     unquote,
 )
+from amrsg.convert import convert_rules
 from amrsg.linearize import Strategy, linearize, linearize_dfs
+from amrsg.scenegraph import parse_sg_text, serialize_sg, sg_from_json, sg_to_json
 from helpers import (
     FIG1_PENMAN,
     WANT_PENMAN,
+    GraphParts,
     is_variable_token,
     mutate_text,
     random_graph,
@@ -235,7 +240,8 @@ def _dfs_first_visits(g: AmrGraph) -> set[AmrEdge]:
 def test_declaring_edges_span_each_parsed_graph_as_its_dfs_tree(seed):
     for variant, g in _parsed_variants(random.Random(seed)):
         assert validate(g) == [], variant
-        index = children_index(g)  # does not raise: every node is reached in textual order
+        assert AmrGraph(g.root, g.nodes, g.edges) == g, variant  # the constructor accepts every parsed graph
+        index = children_index(g)
         declaring = [
             (source, role, target)
             for source, children in index.items()
@@ -326,9 +332,11 @@ def test_parser_totality_on_fuzzed_input():
 @given(st.text(alphabet=st.sampled_from(list('()/:" \\\t\r\nz0a-')) | st.characters()))
 def test_arbitrary_text_raises_only_penman_error(text):
     try:
-        parse_penman(text)
+        g = parse_penman(text)
     except PenmanError as err:
         assert 0 <= err.offset <= len(text)
+    else:
+        assert AmrGraph(g.root, g.nodes, g.edges) == g
 
 
 def test_chain_at_max_depth_round_trips_and_linearizes():
@@ -360,25 +368,26 @@ def test_validate_valid_graph():
 
 def test_validate_undeclared_reference():
     g = parse_penman(FIG1_PENMAN)
-    bad = AmrGraph(
+    bad = GraphParts(
         root=g.root,
         nodes=g.nodes,
         edges=g.edges + (AmrEdge("z0", ":mod", "z9"),),
     )
     kinds = [(d.kind, d.subject) for d in validate(bad)]
     assert ("UndeclaredVariableReference", "z9") in kinds
+    with pytest.raises(ValueError, match="^edge z0 :mod z9: its target is a variable that is not a node$"):
+        AmrGraph(*bad)
 
 
-def test_walks_refuse_a_target_shaped_like_a_variable_that_is_not_a_node():
+def test_the_constructor_refuses_a_target_shaped_like_a_variable_that_is_not_a_node():
     # parse_penman reads "z9" as a reference to an undeclared variable, so no
     # PENMAN text gives this graph, and serializing it would not round-trip
-    graph = AmrGraph("z0", {"z0": "dog"}, (AmrEdge("z0", ":mod", "z9"),))
+    parts = GraphParts("z0", {"z0": "dog"}, (AmrEdge("z0", ":mod", "z9"),))
     with pytest.raises(UndeclaredVariableReference):
         parse_penman("(z0 / dog :mod z9)")
-    assert [(d.kind, d.subject) for d in validate(graph)] == [("UndeclaredVariableReference", "z9")]
-    for walk in _WALKS:
-        with pytest.raises(ValueError, match="^edge z0 :mod z9: its target is a variable that is not a node$"):
-            walk(graph)
+    assert [(d.kind, d.subject) for d in validate(parts)] == [("UndeclaredVariableReference", "z9")]
+    with pytest.raises(ValueError, match="^edge z0 :mod z9: its target is a variable that is not a node$"):
+        AmrGraph(*parts)
 
 
 @pytest.mark.parametrize("constant", ["-", "3", "-0.5", '"z9"', "Z9", '"(z0 / dog)"'])
@@ -394,18 +403,17 @@ def test_validate_unreachable_node():
     g = parse_penman(FIG1_PENMAN)
     # drop the tree edge z1 -:mod-> z2 entirely
     edges = tuple(e for e in g.edges if e != AmrEdge("z1", ":mod", "z2"))
-    bad = AmrGraph(root=g.root, nodes=g.nodes, edges=edges)
+    bad = GraphParts(root=g.root, nodes=g.nodes, edges=edges)
     kinds = [(d.kind, d.subject) for d in validate(bad)]
     assert ("UnreachableNode", "z2") in kinds
-    for walk in _WALKS:
-        with pytest.raises(ValueError, match="^nodes never reached from the root: z2$"):
-            walk(bad)
+    with pytest.raises(ValueError, match="^nodes never reached from the root: z2$"):
+        AmrGraph(*bad)
 
 
 def test_validate_edges_out_of_attachment_order():
     # Every node is reachable, but z1 and z2 are first reached from each
     # other, not from the root, so the PENMAN text would never declare them.
-    bad = AmrGraph(
+    bad = GraphParts(
         root="z0",
         nodes={"z0": "dog", "z1": "cat", "z2": "tree"},
         edges=(
@@ -416,15 +424,14 @@ def test_validate_edges_out_of_attachment_order():
     )
     kinds = [(d.kind, d.subject) for d in validate(bad)]
     assert kinds == [("EdgeOutOfTextualOrder", "z1 :mod z2")]
-    for walk in _WALKS:
-        with pytest.raises(ValueError, match="^edge z1 :mod z2: its source is not an open node$"):
-            walk(bad)
+    with pytest.raises(ValueError, match="^edge z1 :mod z2: its source is not an open node$"):
+        AmrGraph(*bad)
 
 
-def test_serialize_refuses_edges_in_attachment_but_not_textual_order():
+def test_the_constructor_refuses_edges_in_attachment_but_not_textual_order():
     # Each edge leaves a node an earlier edge reached, but z1's subtree was
     # closed by z0's second edge, so no PENMAN text gives this edge order.
-    bad = AmrGraph(
+    bad = GraphParts(
         root="z0",
         nodes={"z0": "dog", "z1": "cat", "z2": "tree", "z3": "snow"},
         edges=(
@@ -435,9 +442,114 @@ def test_serialize_refuses_edges_in_attachment_but_not_textual_order():
     )
     kinds = [(d.kind, d.subject) for d in validate(bad)]
     assert kinds == [("EdgeOutOfTextualOrder", "z0 :ARG1 z3")]
-    for walk in _WALKS:
-        with pytest.raises(ValueError, match="^edge z1 :mod z2: its source is not an open node$"):
-            walk(bad)
+    with pytest.raises(ValueError, match="^edge z1 :mod z2: its source is not an open node$"):
+        AmrGraph(*bad)
+
+
+def test_the_constructor_refuses_a_root_that_is_not_a_node():
+    # every walk used to raise KeyError: 'z9' on this graph
+    with pytest.raises(ValueError, match="^root 'z9' is not a node$"):
+        AmrGraph("z9", {"z0": "dog"}, ())
+    assert [(d.kind, d.subject) for d in validate(GraphParts("z9", {"z0": "dog"}, ()))] == [
+        ("MissingRoot", "z9"),
+        ("UnreachableNode", "z0"),
+    ]
+
+
+def _one_edge(role: str, target: str) -> GraphParts:
+    return GraphParts("z0", {"z0": "dog"}, (AmrEdge("z0", role, target),))
+
+
+def _round_trips(parts: GraphParts) -> bool:
+    """True when ``parse_penman`` reads the reference DFS text of ``parts``
+    back as ``parts``."""
+    try:
+        parsed = parse_penman(" ".join(reference_penman_pieces(parts)[0]))
+    except PenmanError:
+        return False
+    return (parsed.root, parsed.nodes, parsed.edges) == parts
+
+
+@pytest.mark.parametrize(
+    "parts, refusal",
+    [
+        (GraphParts("Z0", {"Z0": "dog"}, ()), "node 'Z0': not a variable"),
+        (GraphParts("z0", {"z0": "big dog"}, ()), "concept 'big dog': not one atom or string literal"),
+        (GraphParts("z0", {"z0": ""}, ()), "concept '': not one atom or string literal"),
+        (GraphParts("z0", {"z0": "a)"}, ()), "concept 'a)': not one atom or string literal"),
+        (_one_edge("ARG0", "-"), "role 'ARG0': not one role"),
+        (_one_edge(":mod", "very big"), "constant 'very big': not one atom or string literal"),
+        (GraphParts("z0", {"z0": "dog\n"}, ()), "concept 'dog\\n': not one atom or string literal"),
+        (GraphParts("z0\n", {"z0\n": "dog"}, ()), "node 'z0\\n': not a variable"),
+        (_one_edge(":", "-"), "role ':': not one role"),
+        (_one_edge(":mod", '"'), "constant '\"': not one atom or string literal"),
+        (_one_edge(":mod", ":x"), "constant ':x': not one atom or string literal"),
+        (_one_edge("::", "-"), None),
+        (_one_edge(":mod", "Z0"), None),
+        (_one_edge(":mod", '"very big"'), None),
+        (GraphParts("z0", {"z0": '"big dog"'}, ()), None),
+        (GraphParts("z0", {"z0": 'a"b'}, ()), None),
+        (GraphParts("z0", {"z0": '"a\nb"'}, ()), None),
+    ],
+    ids=[
+        "node_Z0", "concept_with_space", "empty_concept", "concept_a_paren", "role_ARG0",
+        "constant_with_space", "concept_newline", "node_newline", "empty_role", "lone_quote",
+        "constant_role_shaped", "role_double_colon", "constant_Z0", "quoted_constant",
+        "quoted_concept", "quote_inside_atom", "newline_inside_literal",
+    ],
+)
+def test_the_constructor_refuses_a_symbol_the_lexer_would_not_read_back(parts, refusal):
+    if refusal is None:
+        assert AmrGraph(*parts) == parse_penman(" ".join(reference_penman_pieces(parts)[0]))
+    else:
+        with pytest.raises(ValueError) as info:
+            AmrGraph(*parts)
+        assert str(info.value) == refusal
+    assert _round_trips(parts) == (refusal is None)
+
+
+def _mutated_parts(rng: random.Random) -> tuple[str, GraphParts]:
+    """A ``random_graph``'s parts with one symbol (a node key, renamed
+    everywhere, a concept, a role or a constant) edited once by
+    ``mutate_text``, and which kind of symbol it was."""
+    g = random_graph(rng)
+    root, nodes, edges = g.root, dict(g.nodes), list(g.edges)
+    constants = [k for k, e in enumerate(edges) if e.target not in nodes]
+    kind = rng.choice(["node", "concept"] + ["role"] * bool(edges) + ["constant"] * bool(constants))
+    if kind == "node":
+        old = rng.choice(list(nodes))
+        new = mutate_text(rng, old)
+        rename = {old: new}.get
+        root = rename(root, root)
+        nodes = {rename(v, v): c for v, c in nodes.items()}
+        edges = [AmrEdge(rename(s, s), r, rename(t, t)) for s, r, t in edges]
+    elif kind == "concept":
+        var = rng.choice(list(nodes))
+        nodes[var] = mutate_text(rng, nodes[var])
+    elif kind == "role":
+        k = rng.randrange(len(edges))
+        edges[k] = edges[k]._replace(role=mutate_text(rng, edges[k].role))
+    else:
+        k = rng.choice(constants)
+        edges[k] = edges[k]._replace(target=mutate_text(rng, edges[k].target))
+    return kind, GraphParts(root, nodes, tuple(edges))
+
+
+def test_the_constructor_accepts_exactly_the_symbols_that_round_trip():
+    rng = random.Random(41)
+    outcomes = Counter()
+    for _ in range(3000):
+        kind, parts = _mutated_parts(rng)
+        try:
+            AmrGraph(*parts)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == _round_trips(parts), parts
+        outcomes[kind, accepted] += 1
+    # each kind of symbol is both accepted and refused many times
+    for kind in ("node", "concept", "role", "constant"):
+        assert outcomes[kind, True] > 30 and outcomes[kind, False] > 30, outcomes
 
 
 def test_penman_blocks_with_metadata(tmp_path):
@@ -496,6 +608,35 @@ def test_loading_a_penman_file_holds_little_more_than_its_graphs(tmp_path, monke
     assert len(graphs) == 300
     assert peak - retained < 64 * 1024, (retained, peak)
 
+
+
+def test_reading_graphs_that_are_dropped_at_once_never_resizes_a_symbol_table(monkeypatch):
+    # As a stream converter does, each graph and scene graph is dropped right
+    # after it is read. Were their strings freed with them, as plain
+    # ``sys.intern`` does, the next read would add them back, and about one
+    # read in 400 would pay some 400 KB to resize the interpreter's table of
+    # interned strings.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    texts = list(importlib.import_module("gen").corpus_input(1, 500).canonical.values())
+
+    def read(text):
+        parsed = parse_sg_text(serialize_sg(convert_rules(parse_penman(text))))
+        sg_from_json(json.loads(json.dumps(sg_to_json(parsed))))
+
+    for text in texts:  # the tables grow to hold the corpus's symbols
+        read(text)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for _ in range(6):
+            for text in texts:
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                read(text)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) < 100 * 1024, sorted(peaks)[-5:]
 
 @pytest.mark.parametrize(
     "offset, before",

@@ -1,6 +1,5 @@
 import random
 from collections import Counter, deque
-from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +17,7 @@ from amrsg.linearize import (
 from helpers import (
     FIG1_PENMAN,
     WANT_PENMAN,
+    GraphParts,
     random_graph,
     reference_penman_pieces,
     reference_walk_pieces,
@@ -231,53 +231,57 @@ def test_texts_and_tokens_match_the_references(seed):
 
 # Edges out of attachment order: z1 and z2 are first reached from each other,
 # not from the root.
-_OUT_OF_ORDER = AmrGraph(
+_OUT_OF_ORDER = GraphParts(
     root="z0",
     nodes={"z0": "dog", "z1": "cat", "z2": "tree"},
     edges=(AmrEdge("z1", ":mod", "z2"), AmrEdge("z0", ":ARG0", "z2"), AmrEdge("z2", ":ARG1", "z1")),
 )
-_ISOLATED = AmrGraph(root="z0", nodes={"z0": "dog", "z1": "cat"}, edges=())
+_ISOLATED = GraphParts(root="z0", nodes={"z0": "dog", "z1": "cat"}, edges=())
 # Edges in attachment order only: z1's subtree was closed by z0's second edge,
 # so no PENMAN text gives this order.
-_ATTACHMENT_ONLY = AmrGraph(
+_ATTACHMENT_ONLY = GraphParts(
     root="z0",
     nodes={"z0": "dog", "z1": "cat", "z2": "tree", "z3": "snow"},
     edges=(AmrEdge("z0", ":ARG0", "z1"), AmrEdge("z0", ":ARG1", "z2"), AmrEdge("z1", ":mod", "z3")),
 )
 
 
-@pytest.mark.parametrize("strategy", [Strategy.BFS, Strategy.IN_ORDER])
 @pytest.mark.parametrize(
-    "graph,message",
+    "parts,message,kind",
     [
-        (_OUT_OF_ORDER, "edge z1 :mod z2: its source is not an open node"),
-        (_ISOLATED, "nodes never reached from the root: z1"),
-        (_ATTACHMENT_ONLY, "edge z1 :mod z3: its source is not an open node"),
+        (_OUT_OF_ORDER, "edge z1 :mod z2: its source is not an open node", "EdgeOutOfTextualOrder"),
+        (_ISOLATED, "nodes never reached from the root: z1", "UnreachableNode"),
+        (_ATTACHMENT_ONLY, "edge z1 :mod z3: its source is not an open node", "EdgeOutOfTextualOrder"),
     ],
     ids=["out-of-order", "isolated-node", "attachment-only"],
 )
-def test_bfs_and_inorder_refuse_a_graph_they_cannot_walk_whole(graph, message, strategy):
+def test_the_constructor_refuses_parts_no_walk_could_read_whole(parts, message, kind):
+    # no graph can hold these parts, so no walk is ever given them
     with pytest.raises(ValueError, match=f"^{message}$"):
-        linearize(graph, strategy)
+        AmrGraph(*parts)
+    assert kind in [d.kind for d in validate(parts)]
 
 
-def test_children_index_reports_the_nodes_no_edge_reaches():
-    with pytest.raises(ValueError, match="^nodes never reached from the root: z1$"):
-        children_index(_ISOLATED)
-    with pytest.raises(ValueError, match="^edge z1 :mod z2: its source is not an open node$"):
-        children_index(_OUT_OF_ORDER)
-
-
-def _refusal(walk, graph) -> str | None:
+def _refusal(parts: GraphParts) -> str | None:
+    """The constructor's message for ``parts``, or None when it accepts them."""
     try:
-        walk(graph)
+        AmrGraph(*parts)
     except ValueError as err:
         return str(err)
     return None
 
 
-def _hand_built(rng: random.Random) -> AmrGraph:
-    """A ``random_graph`` with its edges permuted, some dropped, or both."""
+def _walks_accept(parts: GraphParts) -> None:
+    """Every walk reads the graph of accepted ``parts``, and DFS round-trips."""
+    graph = AmrGraph(*parts)
+    children_index(graph)
+    for strategy in Strategy:
+        linearize(graph, strategy)
+    assert parse_penman(serialize_penman(graph)) == graph
+
+
+def _hand_built(rng: random.Random) -> GraphParts:
+    """A ``random_graph``'s parts with its edges permuted, some dropped, or both."""
     g = random_graph(rng)
     edges = list(g.edges)
     edit = rng.randrange(3)
@@ -285,19 +289,26 @@ def _hand_built(rng: random.Random) -> AmrGraph:
         rng.shuffle(edges)
     if edit != 0:
         edges = [e for e in edges if rng.random() < 0.8]
-    return AmrGraph(g.root, g.nodes, tuple(edges))
+    return GraphParts(g.root, g.nodes, tuple(edges))
 
 
-def test_every_walk_refuses_exactly_the_graphs_serialize_penman_refuses():
+def test_the_constructor_refuses_exactly_the_edge_lists_validate_flags():
     rng = random.Random(31)
     outcomes = Counter()
     for _ in range(600):
-        g = _hand_built(rng)
-        refusal = _refusal(serialize_penman, g)
-        assert _refusal(children_index, g) == refusal, g
-        for strategy in Strategy:
-            assert _refusal(partial(linearize, strategy=strategy), g) == refusal, (strategy, g)
-        assert (validate(g) == []) == (refusal is None), (validate(g), refusal, g)
+        parts = _hand_built(rng)
+        refusal = _refusal(parts)
+        diagnostics = validate(parts)
+        kinds = {d.kind for d in diagnostics}
+        if refusal is None:
+            assert diagnostics == [], parts
+            _walks_accept(parts)
+        elif refusal.endswith(": its source is not an open node"):
+            assert "EdgeOutOfTextualOrder" in kinds, (diagnostics, refusal, parts)
+        else:
+            unreached = sorted(d.subject for d in diagnostics)
+            assert kinds == {"UnreachableNode"}, (diagnostics, refusal, parts)
+            assert refusal == f"nodes never reached from the root: {', '.join(unreached)}", parts
         outcomes[refusal.partition(":")[0] if refusal else "accepted"] += 1
     # many graphs of each outcome: accepted, an edge out of textual order, a node no edge reaches
     assert outcomes.pop("accepted") > 100, outcomes
@@ -305,7 +316,7 @@ def test_every_walk_refuses_exactly_the_graphs_serialize_penman_refuses():
     assert sum(outcomes.values()) > 100, outcomes
 
 
-def test_every_walk_refuses_an_edge_retargeted_to_a_variable_that_is_not_a_node():
+def test_the_constructor_refuses_an_edge_retargeted_to_a_variable_that_is_not_a_node():
     rng = random.Random(37)
     refused = 0
     for _ in range(300):
@@ -315,13 +326,10 @@ def test_every_walk_refuses_an_edge_retargeted_to_a_variable_that_is_not_a_node(
         edges = list(g.edges)
         k = rng.randrange(len(edges))
         edges[k] = edges[k]._replace(target="z99")
-        bad = AmrGraph(g.root, g.nodes, tuple(edges))
-        # the edges before it are as parsed, so the walks fail at this edge
+        bad = GraphParts(g.root, g.nodes, tuple(edges))
+        # the edges before it are as parsed, so the check fails at this edge
         message = "edge {} {} z99: its target is a variable that is not a node".format(*edges[k][:2])
-        assert _refusal(serialize_penman, bad) == message, bad
-        assert _refusal(children_index, bad) == message, bad
-        for strategy in Strategy:
-            assert _refusal(partial(linearize, strategy=strategy), bad) == message, (strategy, bad)
+        assert _refusal(bad) == message, bad
         assert ("UndeclaredVariableReference", "z99") in [(d.kind, d.subject) for d in validate(bad)]
         refused += 1
     assert refused > 150
@@ -335,23 +343,20 @@ TOO_DEEP = f"node z{MAX_DEPTH}: nesting deeper than {MAX_DEPTH} levels"
     [(MAX_DEPTH, None), (MAX_DEPTH + 1, TOO_DEEP), (1000, TOO_DEEP)],
     ids=["max_depth", "max_depth_plus_1", "1000"],
 )
-def test_every_walk_refuses_a_chain_deeper_than_max_depth(length, refusal):
+def test_the_constructor_refuses_a_chain_deeper_than_max_depth(length, refusal):
     """A hand-built chain ``z0 :mod z1 :mod ...`` of ``length`` nested nodes:
-    every walk accepts exactly the chains that round-trip through
-    ``parse_penman``, and refuses a deeper one with one ValueError, never a
-    RecursionError."""
-    chain = AmrGraph(
+    the constructor accepts exactly the chains that round-trip through
+    ``parse_penman``, whose graph every walk reads without a RecursionError,
+    and refuses a deeper one with one ValueError."""
+    chain = GraphParts(
         "z0",
         {f"z{i}": "n" for i in range(length)},
         tuple(AmrEdge(f"z{i}", ":mod", f"z{i + 1}") for i in range(length - 1)),
     )
-    assert _refusal(serialize_penman, chain) == refusal
-    assert _refusal(children_index, chain) == refusal
-    for strategy in Strategy:
-        assert _refusal(partial(linearize, strategy=strategy), chain) == refusal, strategy
+    assert _refusal(chain) == refusal
     if refusal is None:
         assert validate(chain) == []
-        assert parse_penman(serialize_penman(chain)) == chain
+        _walks_accept(chain)
     else:
         assert [(d.kind, d.subject) for d in validate(chain)] == [("NestingTooDeep", f"z{MAX_DEPTH}")]
 

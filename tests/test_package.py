@@ -75,3 +75,26 @@ def test_only_amr_names_the_private_members_of_amr_graph():
             if name in private:
                 named.append(f"{path.relative_to(root)}:{n.lineno}: {name}")
     assert named == []
+
+
+# A fragment of each message the AmrGraph constructor raises for an edge order
+# that no PENMAN text gives; parse_penman's own depth error lacks the ": ".
+EDGE_ORDER_MESSAGES = [
+    ": its source is not an open node",
+    ": nesting deeper than ",
+    ": its target is a variable that is not a node",
+    "nodes never reached from the root: ",
+]
+
+
+def test_each_edge_order_message_is_written_once():
+    # one checker of the edge order: a second copy of a message would mean a
+    # second place that checks it
+    literals = [
+        (path.name, n.value)
+        for path in sorted(Path(amrsg.__file__).parent.glob("*.py"))
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(n, ast.Constant) and isinstance(n.value, str)
+    ]
+    for message in EDGE_ORDER_MESSAGES:
+        assert [name for name, value in literals if message in value] == ["amr.py"], message
