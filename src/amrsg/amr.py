@@ -15,7 +15,6 @@ numbers, or ``-``, kept as their text.
 from __future__ import annotations
 
 import re
-from functools import partial
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -75,15 +74,16 @@ class AmrGraph:
     tree edge; the root has none. The tree edges form a spanning tree rooted at
     ``root``, and re-entrancies are the remaining variable-targeted edges.
 
-    ``parse_penman`` builds graphs in this order, and the constructor checks a
-    graph built by hand against the same rule, in one pass over the edges, so
-    every graph round-trips through ``serialize_penman`` and the walks trust it
-    and never raise. Its ValueError names the first fault: a root that is not
-    a node, a symbol the lexer would not read back as one token of its kind,
-    an edge that is not three strings or whose source is no longer open, a
-    node deeper than ``MAX_DEPTH``, a target shaped like a variable that is
-    not a node, or unreached nodes. ``edges`` may be any iterable of
-    ``AmrEdge``s, plain tuples or lists.
+    ``parse_penman`` builds graphs in this order. The constructor's ``__new__``
+    checks a graph built by hand against the same rule, in one pass over the
+    edges, then hands it to ``_from_edge_fields``, the trusted constructor that
+    ``parse_penman`` takes; so every graph round-trips through
+    ``serialize_penman``, and the walks trust it and never raise. Its ValueError
+    names the first fault: a root that is not a node, a symbol the lexer would
+    not read back as one token of its kind, an edge that is not three strings
+    or whose source is no longer open, a node deeper than ``MAX_DEPTH``, a
+    target shaped like a variable that is not a node, or unreached nodes.
+    ``edges`` may be any iterable of ``AmrEdge``s, plain tuples or lists.
 
     The edges are kept as one flat tuple of their fields, ``(source, role,
     target, source, role, target, ...)``, so a loaded graph holds no object
@@ -94,8 +94,8 @@ class AmrGraph:
 
     __slots__ = ("root", "nodes", "_edge_fields", "metadata")
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         root: str,
         nodes: dict[str, str],
         edges: Iterable[tuple[str, str, str]],
@@ -137,33 +137,27 @@ class AmrGraph:
             fields += edge
         if undeclared:
             raise ValueError(f"nodes never reached from the root: {', '.join(sorted(undeclared))}")
-        self._init_slots(root, nodes, tuple(fields), {} if metadata is None else metadata)
+        return cls._from_edge_fields(root, nodes, tuple(fields), {} if metadata is None else metadata)
 
     @classmethod
     def _from_edge_fields(
         cls, root: str, nodes: dict[str, str], fields: tuple[str, ...], metadata: dict[str, str]
     ) -> AmrGraph:
-        """A graph whose caller built its parts to the PENMAN grammar, which
-        enforces what the constructor checks, so they are not checked again."""
-        graph = cls.__new__(cls)
-        graph._init_slots(root, nodes, fields, metadata)
-        return graph
-
-    def _init_slots(
-        self, root: str, nodes: dict[str, str], fields: tuple[str, ...], metadata: dict[str, str]
-    ) -> None:
+        """The one writer of a graph's slots. Its caller built the parts to the
+        PENMAN grammar, which enforces what ``__new__`` checks."""
+        graph = object.__new__(cls)
         setattr_ = object.__setattr__
-        setattr_(self, "root", root)
-        setattr_(self, "nodes", nodes)
-        setattr_(self, "_edge_fields", fields)
-        setattr_(self, "metadata", metadata)
+        setattr_(graph, "root", root)
+        setattr_(graph, "nodes", nodes)
+        setattr_(graph, "_edge_fields", fields)
+        setattr_(graph, "metadata", metadata)
+        return graph
 
     @property
     def edges(self) -> tuple[AmrEdge, ...]:
-        """The edges as ``AmrEdge``s in stored order. The tuple and its edges
-        are built anew on each access, one object per edge; a walk reads
-        ``iter_edges`` instead."""
-        return tuple(map(_new_edge, iter_edges(self)))
+        """The edges as ``AmrEdge``s in stored order, built anew on each access
+        for ``repr``, pickle and copy; a walk reads ``iter_edges`` instead."""
+        return tuple(map(AmrEdge._make, iter_edges(self)))
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to {name!r}: an AmrGraph is immutable")
@@ -185,9 +179,6 @@ class AmrGraph:
     def __reduce__(self):
         # pickle and copy rebuild through the constructor, since assignment raises
         return self.__class__, (self.root, self.nodes, self.edges, self.metadata)
-
-
-_new_edge = partial(tuple.__new__, AmrEdge)  # an AmrEdge without NamedTuple's Python-level __new__
 
 
 def iter_edges(graph: AmrGraph) -> Iterator[tuple[str, str, str]]:

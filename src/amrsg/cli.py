@@ -46,8 +46,6 @@ from .scenegraph import GRAMMAR_VERSION, serialize_sg, sg_to_json
 
 ADAPTER_ENV_VAR = "AMRSG_ADAPTER"
 
-_STRATEGIES = {s.value: s for s in Strategy}
-
 T = TypeVar("T")
 
 
@@ -135,14 +133,14 @@ def cli():
 
 @cli.command("linearize")
 @click.argument("input_path")
-@click.option("--strategy", type=click.Choice(sorted(_STRATEGIES)), default="dfs")
+@click.option("--strategy", type=click.Choice(sorted(s.value for s in Strategy)), default="dfs")
 @click.option("--emit", type=click.Choice(["text", "tokens"]), default="text")
 @click.option("--out", default="-", help="Output path ('-' for stdout).")
 def cmd_linearize(input_path, strategy, emit, out):
     """Write one linearization per graph in a PENMAN file."""
 
     def render(graph: AmrGraph, i: int) -> str:
-        seq = linearize(graph, _STRATEGIES[strategy])
+        seq = linearize(graph, Strategy(strategy))
         if emit == "text":
             return seq.text
         tokens = seq.tokens
@@ -158,7 +156,7 @@ def cmd_linearize(input_path, strategy, emit, out):
 @click.option("--engine", type=click.Choice(["rules", "external"]), default="rules")
 @click.option("--adapter", default=None, help=f"Adapter command (or ${ADAPTER_ENV_VAR}).")
 @click.option("--timeout", type=float, default=30.0, help="Adapter timeout in seconds.")
-@click.option("--strategy", type=click.Choice(sorted(_STRATEGIES)), default="dfs")
+@click.option("--strategy", type=click.Choice(sorted(s.value for s in Strategy)), default="dfs")
 @click.option("--emit", type=click.Choice(["text", "jsonl"]), default="text")
 @click.option("--out", default="-", help="Output path ('-' for stdout).")
 def cmd_convert(input_path, engine, adapter, timeout, strategy, emit, out):
@@ -185,7 +183,7 @@ def cmd_convert(input_path, engine, adapter, timeout, strategy, emit, out):
         if adapter_proc is None:
             sg = convert_rules(graph)
         else:
-            sg = convert_external(linearize(graph, _STRATEGIES[strategy]), adapter_proc)
+            sg = convert_external(linearize(graph, Strategy(strategy)), adapter_proc)
         if emit == "text":
             return serialize_sg(sg)
         region_id = graph.metadata.get("id") or str(i)
@@ -277,14 +275,14 @@ def cmd_retrieve(index_path, queries_path, gold_path, ks, out):
 
 @cli.command("export")
 @click.argument("corpus_path")
-@click.option("--strategy", type=click.Choice(sorted(_STRATEGIES)), default="dfs")
+@click.option("--strategy", type=click.Choice(sorted(s.value for s in Strategy)), default="dfs")
 @click.option("--no-filter", is_flag=True, help="Skip the ungrounded-tuple filter.")
 @click.option("--out", default="-", help="Output path ('-' for stdout).")
 def cmd_export(corpus_path, strategy, no_filter, out):
     """Export training pairs (linearized AMR -> target string) as JSONL."""
     records, skipped = _read_lines(corpus_path, record_from_json)
     pairs, no_pair = export_training_pairs(
-        records, _STRATEGIES[strategy], apply_filter=not no_filter
+        records, Strategy(strategy), apply_filter=not no_filter
     )
     with _open_out(out) as fh:
         for pair in pairs:

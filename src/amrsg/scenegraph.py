@@ -85,6 +85,14 @@ class RelationTuple(NamedTuple):
 
 
 SgTuple = Union[ObjectTuple, AttributeTuple, RelationTuple]
+_SECTIONS = {"objects": ObjectTuple, "attributes": AttributeTuple, "relations": RelationTuple}
+
+
+def _is_field(f: object) -> bool:
+    """The field rule; plain ``in`` tests cost less than a set or regex call."""
+    return (
+        isinstance(f, str) and f != "" and f == f.strip() and "(" not in f and ")" not in f and "," not in f
+    )
 
 
 class SceneGraph:
@@ -92,56 +100,54 @@ class SceneGraph:
 
     Objects referenced by attributes or relations but absent from the object
     multiset are auto-inserted once at construction. Equality is multiset
-    equality per section; insertion order is otherwise irrelevant. Raises
-    SgError for a field that breaks the wire grammar's field rule.
+    equality per section; insertion order is otherwise irrelevant. ``__new__``
+    takes objects as strings or ``ObjectTuple``s and attributes and relations
+    as tuples or lists of their arity, raises SgError for any other item or for
+    a field off the field rule, then hands them to ``_unchecked``, the trusted
+    constructor that the readers and ``convert_rules`` take.
     """
 
     __slots__ = ("objects", "attributes", "relations")
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         objects: Iterable[str | ObjectTuple] = (),
         attributes: Iterable[Sequence[str] | AttributeTuple] = (),
         relations: Iterable[Sequence[str] | RelationTuple] = (),
     ):
-        objs = [o if isinstance(o, ObjectTuple) else ObjectTuple(o) for o in objects]
-        attrs = [a if isinstance(a, AttributeTuple) else AttributeTuple(*a) for a in attributes]
-        rels = [r if isinstance(r, RelationTuple) else RelationTuple(*r) for r in relations]
-        for t in objs + attrs + rels:
-            for f in t:
-                # plain `in` tests: cheaper than a set or regex call per field
-                bad = not isinstance(f, str) or not f or f != f.strip()
-                if bad or "(" in f or ")" in f or "," in f:
-                    raise SgError(
-                        f"field {f!r} of {tuple(t)}: a field is a non-empty string with no"
-                        " surrounding whitespace and no '(', ')' or ','"
-                    )
-        self._store(objs, attrs, rels)
+        sections = [o if isinstance(o, ObjectTuple) else (o,) for o in objects], [*attributes], [*relations]
+        for kind, items in zip(_SECTIONS.values(), sections):
+            arity = len(kind._fields)
+            for i, t in enumerate(items):
+                if not (isinstance(t, (tuple, list)) and len(t) == arity):
+                    raise SgError(f"{kind.__name__} {t!r}: not a tuple or list of {arity} fields")
+                for f in t:
+                    if not _is_field(f):
+                        raise SgError(
+                            f"field {f!r} of {tuple(t)}: a field is a non-empty string with no"
+                            " surrounding whitespace and no '(', ')' or ','"
+                        )
+                items[i] = tuple.__new__(kind, t)
+        return cls._unchecked(*sections)
 
     @classmethod
     def _unchecked(
         cls, objs: list[ObjectTuple], attrs: list[AttributeTuple], rels: list[RelationTuple]
     ) -> SceneGraph:
-        """A scene graph of tuples that its caller built to the field rule
-        itself, so they are not checked again. Takes ownership of ``objs``."""
-        sg = cls.__new__(cls)
-        sg._store(objs, attrs, rels)
-        return sg
-
-    def _store(
-        self, objs: list[ObjectTuple], attrs: list[AttributeTuple], rels: list[RelationTuple]
-    ) -> None:
-        # auto-insert, in order of first mention, each object an attribute or
-        # relation names that ``objs`` lacks
+        """The one writer of a scene graph's sections, from tuples that its
+        caller built to the field rule. Takes ownership of ``objs``, and adds to
+        it, in order of first mention, each object the other tuples name."""
         if attrs or rels:
             named = dict.fromkeys([obj for obj, _ in attrs])
             for subj, _, obj in rels:
                 named[subj] = named[obj] = None
             present = {name for name, in objs}
             objs += [tuple.__new__(ObjectTuple, (n,)) for n in named if n not in present]
-        self.objects: tuple[ObjectTuple, ...] = tuple(objs)
-        self.attributes: tuple[AttributeTuple, ...] = tuple(attrs)
-        self.relations: tuple[RelationTuple, ...] = tuple(rels)
+        sg = object.__new__(cls)
+        sg.objects: tuple[ObjectTuple, ...] = tuple(objs)
+        sg.attributes: tuple[AttributeTuple, ...] = tuple(attrs)
+        sg.relations: tuple[RelationTuple, ...] = tuple(rels)
+        return sg
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SceneGraph):
@@ -253,12 +259,9 @@ def json_typed(value, types: type | tuple[type, ...], what: str, error: type = V
     raise error(f"{what} is a JSON {_JSON_NAMES.get(name, name)}, not {expected}")
 
 
-_SECTIONS = {"objects": ObjectTuple, "attributes": AttributeTuple, "relations": RelationTuple}
-
-
 def sg_from_json(data: dict) -> SceneGraph:
     """Inverse of sg_to_json; SgError for any other JSON value. Stores each
-    field interned, as ``parse_sg_text`` does."""
+    field interned, as ``parse_sg_text`` does, and checks each distinct one once."""
     json_typed(data, dict, "scene graph", SgError)
     sections = []
     for key, kind in _SECTIONS.items():
@@ -278,9 +281,8 @@ def sg_from_json(data: dict) -> SceneGraph:
         pass
     else:  # the field rule, once per distinct field
         fields = set().union(*objs, *attrs, *rels)
-        if all(f and f == f.strip() and "(" not in f and ")" not in f and "," not in f for f in fields):
+        if all(map(_is_field, fields)):
             _INTERNED.update(fields)
             return SceneGraph._unchecked(objs, attrs, rels)
-    # the checked constructor gives the error of the first bad field, or keeps
-    # a str subclass as given
-    return SceneGraph(*([new(kind, t) for t in items] for kind, items in zip(_SECTIONS.values(), sections)))
+    # the checking constructor gives the first bad field's error, or keeps a str subclass
+    return SceneGraph([new(ObjectTuple, t) for t in objects], attributes, relations)

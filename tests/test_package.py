@@ -87,14 +87,63 @@ EDGE_ORDER_MESSAGES = [
 ]
 
 
+def _modules_writing(message: str) -> list[str]:
+    """The module of each string literal in the package that holds ``message``."""
+    return [
+        path.name
+        for path in sorted(Path(amrsg.__file__).parent.glob("*.py"))
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(n, ast.Constant) and isinstance(n.value, str) and message in n.value
+    ]
+
+
 def test_each_edge_order_message_is_written_once():
     # one checker of the edge order: a second copy of a message would mean a
     # second place that checks it
-    literals = [
-        (path.name, n.value)
-        for path in sorted(Path(amrsg.__file__).parent.glob("*.py"))
-        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(n, ast.Constant) and isinstance(n.value, str)
-    ]
     for message in EDGE_ORDER_MESSAGES:
-        assert [name for name, value in literals if message in value] == ["amr.py"], message
+        assert _modules_writing(message) == ["amr.py"], message
+
+
+def test_the_field_rule_message_is_written_once():
+    # one checker of the field rule's message: the scene-graph constructor,
+    # which sg_from_json falls back to for it
+    assert _modules_writing("a field is a non-empty string with no surrounding whitespace") == ["scenegraph.py"]
+
+
+def _package_nodes(predicate) -> list[str]:
+    """``<module>:<enclosing class and function>`` of each node of the
+    package's modules that ``predicate`` accepts."""
+    found = []
+
+    def visit(node: ast.AST, module: str, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if predicate(child):
+                found.append(f"{module}:{inner}")
+            visit(child, module, inner)
+
+    for path in sorted(Path(amrsg.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.name, "")
+    return found
+
+
+def _is_setattr_call(node: ast.AST) -> bool:
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "setattr"
+
+
+def test_each_model_type_has_one_writer_of_its_slots():
+    # the checking constructors hand off to the trusted ones, so what a later
+    # slot needs is written in one place per type. AmrGraph.__setattr__ raises,
+    # so a graph is written through object.__setattr__; every setattr call counts.
+    writes_a_graph = _package_nodes(
+        lambda n: isinstance(n, ast.Attribute) and n.attr == "__setattr__" or _is_setattr_call(n)
+    )
+    assert writes_a_graph == ["amr.py:AmrGraph._from_edge_fields"]
+    sections = {"objects", "attributes", "relations"}
+    writes_a_section = _package_nodes(
+        lambda n: isinstance(n, ast.Attribute) and n.attr in sections and not isinstance(n.ctx, ast.Load)
+        or _is_setattr_call(n) and any(isinstance(a, ast.Constant) and a.value in sections for a in n.args)
+    )
+    assert writes_a_section == ["scenegraph.py:SceneGraph._unchecked"] * 3

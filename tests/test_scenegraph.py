@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from itertools import cycle
 from pathlib import Path
@@ -274,6 +276,60 @@ def test_field_outside_the_wire_grammar_is_an_error(field):
         SceneGraph(relations=[(field, "on", "mat")])
 
 
+_RULE = "a field is a non-empty string with no surrounding whitespace and no '(', ')' or ','"
+_SHAPE = "not a tuple or list of"
+
+
+@pytest.mark.parametrize(
+    "sections, message",
+    [
+        # a bare string is one item, not a sequence of fields
+        ({"attributes": ["ab"]}, f"AttributeTuple 'ab': {_SHAPE} 2 fields"),
+        ({"relations": ["abc"]}, f"RelationTuple 'abc': {_SHAPE} 3 fields"),
+        ({"attributes": [("dog",)]}, f"AttributeTuple ('dog',): {_SHAPE} 2 fields"),
+        ({"attributes": [["dog", "red", "x"]]}, f"AttributeTuple ['dog', 'red', 'x']: {_SHAPE} 2 fields"),
+        ({"attributes": [None]}, f"AttributeTuple None: {_SHAPE} 2 fields"),
+        (
+            {"attributes": [("dog", "red"), ObjectTuple("dog")]},
+            f"AttributeTuple ObjectTuple(name='dog'): {_SHAPE} 2 fields",
+        ),
+        (
+            {"relations": [AttributeTuple("dog", "red")]},
+            f"RelationTuple AttributeTuple(object='dog', attribute='red'): {_SHAPE} 3 fields",
+        ),
+        ({"relations": [("dog", "on")]}, f"RelationTuple ('dog', 'on'): {_SHAPE} 3 fields"),
+        # an iterable of three fields that is not a tuple or list
+        ({"relations": [range(3)]}, f"RelationTuple range(0, 3): {_SHAPE} 3 fields"),
+        # items in order of section, and an item's shape before its fields
+        ({"objects": [" dog"], "attributes": ["ab"]}, f"field ' dog' of (' dog',): {_RULE}"),
+        ({"attributes": [("dog", " red"), "ab"]}, f"field ' red' of ('dog', ' red'): {_RULE}"),
+        ({"relations": [("dog", "on", "mat", " x")]}, f"RelationTuple ('dog', 'on', 'mat', ' x'): {_SHAPE} 3 fields"),
+        # an object is a string, so a tuple is a bad field, not an object
+        ({"objects": [("dog",)]}, f"field ('dog',) of (('dog',),): {_RULE}"),
+    ],
+)
+def test_scene_graph_item_errors(sections, message):
+    with pytest.raises(SgError) as info:
+        SceneGraph(**sections)
+    assert str(info.value) == message
+
+
+def test_scene_graph_takes_tuples_and_lists_of_each_arity():
+    sg = SceneGraph(["dog", ObjectTuple("cat")], [["dog", "red"], AttributeTuple("cat", "big")], [("dog", "on", "mat")])
+    assert sg.objects == (("dog",), ("cat",), ("mat",))
+    assert sg.attributes == (("dog", "red"), ("cat", "big"))
+    assert [type(t) for t in to_tuples(sg)] == [ObjectTuple] * 3 + [AttributeTuple] * 2 + [RelationTuple]
+
+
+def test_a_scene_graph_survives_pickle_and_copy():
+    sg = SceneGraph(["dog", "dog"], [("dog", "red")], [("dog", "on", "mat")])
+    for again in (pickle.loads(pickle.dumps(sg)), copy.copy(sg), copy.deepcopy(sg)):
+        assert type(again) is SceneGraph and again is not sg
+        assert (again.objects, again.attributes, again.relations) == (sg.objects, sg.attributes, sg.relations)
+        assert [type(t) for t in to_tuples(again)] == [type(t) for t in to_tuples(sg)]
+    assert pickle.loads(pickle.dumps(SceneGraph())) == SceneGraph()
+
+
 def _in_field_rule(field) -> bool:
     return isinstance(field, str) and bool(field) and field == field.strip() and not set(field) & set("(),")
 
@@ -347,9 +403,6 @@ def test_arbitrary_json_gives_a_scene_graph_or_sg_error(data):
     except SgError:
         return
     assert sg_from_json(sg_to_json(sg)) == sg
-
-
-_RULE = "a field is a non-empty string with no surrounding whitespace and no '(', ')' or ','"
 
 
 @pytest.mark.parametrize(
