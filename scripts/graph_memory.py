@@ -22,14 +22,17 @@ Then the graphs of the ``adapter_convert`` workload's input
 ``load_penman_file``. For them it also prints the bytes retained per edge
 and the source lines whose allocations are retained, largest first, each
 with the line that called it; the ``stored strings:`` line counts node keys,
-concepts, edge sources, roles and targets. ``parse_penman`` keeps its own
-table of symbols, so a string equal to a record's field is allocated again.
+concepts, edge sources, roles and targets. ``parse_penman`` stores them
+through the symbol table that ``sg_from_json`` filled, so a string equal to a
+record's field is that field's object, not a new one.
 
-At seed 1 (Python 3.11.7) the 500 records retain 0.73 MB and peak at 0.75 MB,
+At seed 1 (Python 3.11.7) the 500 records retain 0.72 MB and peak at 0.75 MB,
 and their 6,451 fields are 376 objects, one per distinct value, since
-``sg_from_json`` interns them; with one string per field they retained
-1.04 MB. The 2,000 graphs retain 2.06 MB and peak at 2.08 MB, 1,080 bytes per
-graph and 82 per edge (26,375 edges): each graph keeps its edges as one flat
+``sg_from_json`` stores them through the symbol table; with one string per
+field they retained 1.04 MB. The 2,000 graphs retain 2.03 MB and peak at
+2.05 MB, 1,066 bytes per graph and 81 per edge (26,375 edges), and their
+128,949 strings are 514 objects; with a symbol table of their own they
+retained 2.06 MB, 1,080 and 82 bytes. Each graph keeps its edges as one flat
 tuple of their fields. With one ``AmrEdge`` per edge and an instance dict per
 graph they retained 3.62 MB, 1,897 bytes per graph and 144 per edge. The file
 is read one block at a time, so the peak exceeds the retained memory only by

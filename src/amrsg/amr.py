@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import re
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, TextIO
+
+from .scenegraph import SYMBOLS
 
 _VAR_RE = re.compile(r"[a-z][a-zA-Z0-9]*$")
 _FRAME_RE = re.compile(r".+-[0-9][0-9]$")
@@ -220,7 +222,6 @@ def is_frame(concept: str) -> bool:
 # a role, anything else an atom. Offsets are found again only for an error.
 _TOKEN_RE = re.compile(r'[()/]|"[^"\\]*(?:\\[\s\S][^"\\]*)*"|"|:[^()/ \t\r\n]*|[^()/ \t\r\n]+')
 _PUNCTUATION = "()/:"  # first characters of the tokens that are neither atom nor literal
-_SYMBOLS: dict[str, str] = {}  # each string a parsed graph stores, by value
 
 
 def _is_one_token(symbol: object) -> bool:
@@ -258,11 +259,9 @@ def parse_penman(text: str, metadata: dict[str, str] | None = None) -> AmrGraph:
     with a byte offset on any malformed input, and a PenmanError for nesting
     deeper than ``MAX_DEPTH``.
 
-    Every string the graph keeps is the one object per value that ``_SYMBOLS``
-    holds for the life of the process, so graphs share their symbols and a
-    re-entrant edge's target is the very key in ``nodes``. With ``sys.intern``
-    a symbol freed with its last graph is added back at the next parse, and
-    that churn resizes the interpreter's interned table.
+    Every string the graph keeps is the one object per value that
+    ``scenegraph.SYMBOLS`` holds for the life of the process, so graphs share
+    their symbols and a re-entrant edge's target is the very key in ``nodes``.
     """
     tokens = _TOKEN_RE.findall(text)
     if '"' in tokens:
@@ -277,7 +276,7 @@ def parse_penman(text: str, metadata: dict[str, str] | None = None) -> AmrGraph:
     fields: list[str] = []  # the edges' flat fields, three per edge
     stack: list[str] = []  # variables of the open nodes, root first
     role: str | None = ""  # while tokens[i] opens a node: its tree edge's role
-    symbol = _SYMBOLS.setdefault
+    symbol = SYMBOLS.setdefault
     is_variable = _VAR_RE.match
     i = 0
     while True:
@@ -394,7 +393,7 @@ def _parse_metadata_line(line: str, meta: dict[str, str]) -> None:
     # "# ::id 42 ::snt Golden retriever" splits to ["", "id", " 42 ", "snt", " Golden retriever"]
     parts = _META_KEY_RE.split(line.lstrip("#").strip())
     for key, value in zip(parts[1::2], parts[2::2]):
-        meta[_SYMBOLS.setdefault(key, key)] = value.strip()  # the graphs of a file share each key
+        meta[SYMBOLS.setdefault(key, key)] = value.strip()  # the graphs of a file share each key
 
 
 def iter_penman_blocks(lines: Iterable[str]) -> Iterator[tuple[dict[str, str], str]]:
@@ -424,6 +423,14 @@ def iter_penman_blocks(lines: Iterable[str]) -> Iterator[tuple[dict[str, str], s
         yield meta, "\n".join(body)
 
 
+def not_utf8(text_file: TextIO, err: UnicodeDecodeError) -> ValueError:
+    """``not UTF-8 (<reason>) at byte <n>`` for ``err``, raised while reading
+    ``text_file``, with ``n`` the offset in the file of the byte it names."""
+    # the decoder counts from the start of the chunk it was given, the last one read
+    offset = text_file.buffer.tell() - len(err.object) + err.start
+    return ValueError(f"not UTF-8 ({err.reason}) at byte {offset}")
+
+
 def load_penman_file(path: str | Path) -> list[AmrGraph]:
     """Parse every graph in a UTF-8 PENMAN file, metadata attached. A byte that
     is not UTF-8 is a ValueError naming the path and its offset in the file."""
@@ -431,6 +438,4 @@ def load_penman_file(path: str | Path) -> list[AmrGraph]:
         try:
             return [parse_penman(block, metadata=meta) for meta, block in iter_penman_blocks(lines)]
         except UnicodeDecodeError as err:
-            # the decoder counts from the start of the chunk it was given, the last one read
-            offset = lines.buffer.tell() - len(err.object) + err.start
-            raise ValueError(f"{path}: not UTF-8 ({err.reason}) at byte {offset}") from None
+            raise ValueError(f"{path}: {not_utf8(lines, err)}") from None

@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
+from .amr import not_utf8
 from .scenegraph import (
     SceneGraph,
     json_typed,
@@ -99,19 +100,23 @@ def read_jsonl(
 ) -> tuple[list[T], list[tuple[int, str]]]:
     """``parse`` of each non-blank line's JSON object; a line that is not one, or
     that ``parse`` rejects, is skipped and returned as (line number, message).
-    A KeyError from ``parse`` reads ``missing key '<key>'``."""
+    A KeyError from ``parse`` reads ``missing key '<key>'``. A byte that is not
+    UTF-8 is a ValueError naming its offset in the file (``amr.not_utf8``)."""
     items: list[T] = []
     errors: list[tuple[int, str]] = []
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                items.append(parse_json(line, dict, "line", parse))
-            except KeyError as err:
-                errors.append((lineno, f"missing key {err.args[0]!r}"))
-            except (TypeError, ValueError) as err:  # SgError is a ValueError
-                errors.append((lineno, str(err)))
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    items.append(parse_json(line, dict, "line", parse))
+                except KeyError as err:
+                    errors.append((lineno, f"missing key {err.args[0]!r}"))
+                except (TypeError, ValueError) as err:  # SgError is a ValueError
+                    errors.append((lineno, str(err)))
+        except UnicodeDecodeError as err:
+            raise not_utf8(fh, err) from None
     return items, errors
 
 

@@ -200,7 +200,8 @@ def _image_from_json(data: dict) -> tuple[str, list[SceneGraph]]:
 
 
 def load_index(path: str | Path) -> RetrievalIndex:
-    """Inverse of save_index; ValueError naming the line of the first bad line."""
+    """Inverse of save_index; ValueError naming the line of the first bad line,
+    or the offset of a byte that is not UTF-8."""
     images, errors = read_jsonl(path, _image_from_json)
     if errors:
         lineno, message = errors[0]

@@ -16,7 +16,6 @@ so every scene graph survives ``parse_sg_text(serialize_sg(sg))``.
 from __future__ import annotations
 
 import re
-import sys
 from collections import Counter
 from typing import Iterable, NamedTuple, Sequence, Union
 
@@ -183,7 +182,10 @@ _FIELD = r"([^\s(),]+(?:\s+[^\s(),]+)*)"
 _GROUP_RE = re.compile(
     rf"\(\s*{_FIELD}\s*(?:,\s*{_FIELD}\s*(?:,\s*{_FIELD}\s*)?)?\)|(\S)"
 )
-_INTERNED: set[str] = set()  # every field the two readers interned; see parse_sg_text
+# Each string that parse_penman, iter_penman_blocks, parse_sg_text and
+# sg_from_json store, by value: one object per value for the life of the
+# process, so equal strings across the graphs of both models are one object.
+SYMBOLS: dict[str, str] = {}
 
 
 def _group_error(text: str, i: int) -> SgError:
@@ -209,23 +211,21 @@ def parse_sg_text(text: str) -> SceneGraph:
     Raises UnbalancedParentheses for a stray character, an unclosed or a
     nested group, and BadArity for an empty field or more than three, each
     naming the offset of the first such character or group. Each field is
-    stored interned (``sys.intern``) and kept in ``_INTERNED``, so equal
-    fields across graphs are one object that is never freed and interned again.
+    stored as the one object per value that ``SYMBOLS`` holds.
     """
     objects: list[ObjectTuple] = []
     attributes: list[AttributeTuple] = []
     relations: list[RelationTuple] = []
-    new, intern = tuple.__new__, sys.intern
+    new, symbol = tuple.__new__, SYMBOLS.setdefault
     for a, b, c, _ in _GROUP_RE.findall(text):
         if c:
-            relations.append(new(RelationTuple, (intern(a), intern(b), intern(c))))
+            relations.append(new(RelationTuple, (symbol(a, a), symbol(b, b), symbol(c, c))))
         elif b:
-            attributes.append(new(AttributeTuple, (intern(a), intern(b))))
+            attributes.append(new(AttributeTuple, (symbol(a, a), symbol(b, b))))
         elif a:
-            objects.append(new(ObjectTuple, (intern(a),)))
+            objects.append(new(ObjectTuple, (symbol(a, a),)))
         else:
             raise next(_group_error(text, m.start()) for m in _GROUP_RE.finditer(text) if m[4])
-    _INTERNED.update(*objects, *attributes, *relations)
     # each field is non-empty, has no whitespace around it and no '(', ')' or
     # ',', by the pattern: the field rule
     return SceneGraph._unchecked(objects, attributes, relations)
@@ -261,7 +261,7 @@ def json_typed(value, types: type | tuple[type, ...], what: str, error: type = V
 
 def sg_from_json(data: dict) -> SceneGraph:
     """Inverse of sg_to_json; SgError for any other JSON value. Stores each
-    field interned, as ``parse_sg_text`` does, and checks each distinct one once."""
+    field as ``parse_sg_text`` does, and checks each distinct one once."""
     json_typed(data, dict, "scene graph", SgError)
     sections = []
     for key, kind in _SECTIONS.items():
@@ -272,17 +272,16 @@ def sg_from_json(data: dict) -> SceneGraph:
             raise SgError(f"{key} is not a list of {arity}-field arrays")
         sections.append(items)
     objects, attributes, relations = sections
-    new, intern = tuple.__new__, sys.intern
-    try:  # intern takes only an exact str
-        objs = [new(ObjectTuple, (intern(a),)) for a, in objects]
-        attrs = [new(AttributeTuple, (intern(a), intern(b))) for a, b in attributes]
-        rels = [new(RelationTuple, (intern(a), intern(b), intern(c))) for a, b, c in relations]
-    except TypeError:
-        pass
-    else:  # the field rule, once per distinct field
-        fields = set().union(*objs, *attrs, *rels)
-        if all(map(_is_field, fields)):
-            _INTERNED.update(fields)
-            return SceneGraph._unchecked(objs, attrs, rels)
+    new, symbol = tuple.__new__, SYMBOLS.setdefault
+    # a tuple with a field that is not exactly a str is left out, so its list comes out short
+    objs = [new(ObjectTuple, (symbol(a, a),)) for a, in objects if type(a) is str]
+    attrs = [new(AttributeTuple, (symbol(a, a), symbol(b, b)))
+             for a, b in attributes if type(a) is type(b) is str]
+    rels = [new(RelationTuple, (symbol(a, a), symbol(b, b), symbol(c, c)))
+            for a, b, c in relations if type(a) is type(b) is type(c) is str]
+    kept = len(objs) + len(attrs) + len(rels) == len(objects) + len(attributes) + len(relations)
+    # the field rule, once per distinct field
+    if kept and all(map(_is_field, set().union(*objs, *attrs, *rels))):
+        return SceneGraph._unchecked(objs, attrs, rels)
     # the checking constructor gives the first bad field's error, or keeps a str subclass
     return SceneGraph([new(ObjectTuple, t) for t in objects], attributes, relations)

@@ -751,6 +751,30 @@ def test_json_nested_too_deep_is_one_reason(runner, tmp_path, args, message, exi
     assert message.replace("BAD", str(bad)) in result.stderr.splitlines()
 
 
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["stats", "BAD"], "error: cannot read BAD: "),
+        (["export", "BAD"], "error: cannot read BAD: "),
+        (["eval", "BAD", "QUERIES"], "error: cannot read BAD: "),
+        (["eval", "QUERIES", "BAD"], "error: cannot read BAD: "),
+        (["retrieve", "--index", "INDEX", "--queries", "BAD"], "error: cannot read BAD: "),
+        (_BAD_INDEX, "error: cannot load index BAD: "),
+    ],
+    ids=["stats", "export", "eval-gold", "eval-predictions", "retrieve-queries", "retrieve-index"],
+)
+def test_a_jsonl_byte_that_is_not_utf8_is_named_by_its_offset_in_the_file(runner, tmp_path, args, message):
+    # one line that every JSONL slot reads, repeated past the first 8,192-byte
+    # read chunk; the decoder alone counts from the start of the chunk
+    line = '{"image_id": "img1", "region_id": "r1", "description": "a dog", "scene_graph": {}, "regions": []}\n'
+    content = line.encode() * 300 + line.encode().replace(b"a dog", b"a \xff dog")
+    offset = content.index(b"\xff")
+    assert offset > 3 * 8192
+    result, bad = _run_on_bad_file(runner, tmp_path, content, args)
+    assert result.exit_code == 1
+    assert result.stderr == f"{message.replace('BAD', str(bad))}not UTF-8 (invalid start byte) at byte {offset}\n"
+
+
 def _nested(depth: int) -> list:
     value: list = []
     for _ in range(depth):

@@ -147,3 +147,34 @@ def test_each_model_type_has_one_writer_of_its_slots():
         or _is_setattr_call(n) and any(isinstance(a, ast.Constant) and a.value in sections for a in n.args)
     )
     assert writes_a_section == ["scenegraph.py:SceneGraph._unchecked"] * 3
+
+
+def _is_empty_table(value: ast.expr | None) -> bool:
+    """An empty dict display, or a ``dict()``, ``set()`` or ``list()`` call with no arguments."""
+    if isinstance(value, ast.Dict):
+        return not value.keys
+    return (
+        isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+        and value.func.id in ("dict", "set", "list") and not value.args and not value.keywords
+    )
+
+
+def test_one_symbol_table_and_no_sys_intern():
+    # every reader stores its strings through scenegraph.SYMBOLS, the one table
+    # a process keeps them in; sys.intern, or a second table, would keep a
+    # second object per value. A module-level name bound to an empty container
+    # is a table that grows for the life of the process.
+    interns = _package_nodes(
+        lambda n: isinstance(n, ast.Attribute) and n.attr == "intern"
+        or isinstance(n, ast.ImportFrom) and n.module == "sys" and any(a.name == "intern" for a in n.names)
+    )
+    assert interns == []
+    tables = [
+        f"{path.name}:{target.id}"
+        for path in sorted(Path(amrsg.__file__).parent.glob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and _is_empty_table(node.value)
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name)
+    ]
+    assert tables == ["scenegraph.py:SYMBOLS"]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amrsg.amr import parse_penman
 from amrsg.convert import convert_rules
 from amrsg.corpus import RegionRecord, filter_ungrounded, load_records
 from amrsg.retrieval import load_index
@@ -460,6 +461,27 @@ def test_sg_from_json_keeps_a_str_subclass_field_as_given():
     assert type(sg.objects[0].name) is Name and type(sg.attributes[0].object) is str
     with pytest.raises(SgError, match="field 'dog ' of"):
         sg_from_json({"objects": [[Name("dog ")]]})
+
+
+@pytest.mark.parametrize("plain_first", [True, False], ids=["plain-then-subclass", "subclass-then-plain"])
+def test_sg_from_json_keeps_a_str_subclass_field_in_any_section_and_order(plain_first):
+    class Name(str):
+        pass
+
+    # "dog" as an attribute's object and as a relation's subject, one of them a Name
+    first, second = ("dog", Name("dog")) if plain_first else (Name("dog"), "dog")
+    sg = sg_from_json({"attributes": [[first, "red"]], "relations": [[second, "on", "mat"]]})
+    assert sg == SceneGraph(attributes=[("dog", "red")], relations=[("dog", "on", "mat")])
+    assert type(sg.attributes[0].object) is type(first) and type(sg.relations[0].subject) is type(second)
+    # no Name became the stored object of its value
+    assert type(parse_sg_text("( dog )").objects[0].name) is str
+    assert type(sg_from_json({"objects": [["dog"]]}).objects[0].name) is str
+
+
+def test_both_models_share_one_object_per_value():
+    [concept] = parse_penman("(z0 / dog)").nodes.values()
+    assert parse_sg_text("( dog )").objects[0].name is concept
+    assert sg_from_json({"objects": [["dog"]]}).objects[0].name is concept
 
 
 def test_readers_store_each_distinct_field_once():
