@@ -14,8 +14,9 @@ many distinct objects and how many distinct values.
 
 First the records of the ``corpus_pipeline`` workload's input
 (``bench/gen.corpus_input``, 500 by default) are read with ``load_records``;
-the ``stored scene-graph fields:`` line counts the fields of their scene
-graphs. The records stay loaded from then on.
+the ``stored scene-graph tuples:`` and ``stored scene-graph fields:`` lines
+count the tuples of their scene graphs and the fields of those tuples. The
+records stay loaded from then on.
 
 Then the graphs of the ``adapter_convert`` workload's input
 (``bench/gen.adapter_input``, 2,000 by default) are read with
@@ -26,10 +27,11 @@ concepts, edge sources, roles and targets. ``parse_penman`` stores them
 through the symbol table that ``sg_from_json`` filled, so a string equal to a
 record's field is that field's object, not a new one.
 
-At seed 1 (Python 3.11.7) the 500 records retain 0.72 MB and peak at 0.75 MB,
-and their 6,451 fields are 376 objects, one per distinct value, since
-``sg_from_json`` stores them through the symbol table; with one string per
-field they retained 1.04 MB. The 2,000 graphs retain 2.03 MB and peak at
+At seed 1 (Python 3.11.7) the 500 records retain 0.58 MB and peak at 0.61 MB,
+1,226 bytes per record. Their 4,938 tuples are 1,267 objects and their 6,451
+fields 376, one per distinct value, since ``sg_from_json`` stores both
+through the symbol table; with one object per tuple they retained 0.72 MB
+(1,520 bytes per record), and with one string per field as well 1.04 MB. The 2,000 graphs retain 2.03 MB and peak at
 2.05 MB, 1,066 bytes per graph and 81 per edge (26,375 edges), and their
 128,949 strings are 514 objects; with a symbol table of their own they
 retained 2.06 MB, 1,080 and 82 bytes. Each graph keeps its edges as one flat
@@ -88,10 +90,10 @@ def _report(n: int, what: str, retained: int, peak: int) -> None:
     print(f"retained {retained / MB:.2f} MB, peak {peak / MB:.2f} MB, {retained / n:,.0f} bytes per {what}")
 
 
-def _counts(strings: list[str]) -> str:
+def _counts(stored: list) -> str:
     return (
-        f"{len(strings):,} references, {len({id(s) for s in strings}):,} objects, "
-        f"{len(set(strings)):,} distinct values"
+        f"{len(stored):,} references, {len({id(s) for s in stored}):,} objects, "
+        f"{len(set(stored)):,} distinct values"
     )
 
 
@@ -111,14 +113,14 @@ def main() -> int:
         path.write_text("\n".join(gen.corpus_input(args.seed, args.records).lines) + "\n", encoding="utf-8")
         loaded, retained, peak, _ = _traced_load(load_records, path)
         _report(len(loaded.records), "record", retained, peak)
-        fields = [
-            f
+        tuples = [
+            t
             for r in loaded.records
             for section in (r.scene_graph.objects, r.scene_graph.attributes, r.scene_graph.relations)
             for t in section
-            for f in t
         ]
-        print(f"stored scene-graph fields: {_counts(fields)}")
+        print(f"stored scene-graph tuples: {_counts(tuples)}")
+        print(f"stored scene-graph fields: {_counts([f for t in tuples for f in t])}")
 
         path = Path(tmp) / "graphs.amr"
         path.write_text(gen.adapter_input(args.seed, args.graphs).penman, encoding="utf-8")

@@ -238,8 +238,8 @@ def _is_atom_or_literal(symbol: object) -> bool:  # a concept or a constant
 
 MAX_DEPTH = 200
 """Deepest node nesting ``parse_penman`` and the ``AmrGraph`` constructor
-accept; the root is level 1. It keeps the recursive walk
-(``linearize_inorder``) well inside Python's default recursion limit."""
+accept; the root is level 1. No walk recurses, so it guards no recursion
+limit: it is a limit on the input."""
 
 
 def _offset(text: str, i: int) -> int:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
 
-from .amr import AmrGraph, children_index, penman_pieces
+from .amr import AmrGraph, children_index, iter_edges, penman_pieces
 
 
 class Strategy(str, Enum):
@@ -95,31 +95,44 @@ def linearize_inorder(graph: AmrGraph) -> LinearizedSequence:
     current node, then the node itself, then each remaining child as role +
     subtree. Re-entrant and constant children are leaves rendered as
     ``(var)`` / ``(literal)``.
-    """
-    index = children_index(graph)
-    nodes = graph.nodes
-    pieces: list[str] = []
 
-    def emit_child(target: str, declares: bool) -> None:
-        if declares:
-            emit(target)
+    One pass over the stored edges, in their order, with a stack of open
+    nodes as ``penman_pieces`` keeps: a node's piece, and then the role of its
+    first edge, wait on the stack until its first subtree closes.
+    """
+    nodes = graph.nodes
+    root = graph.root
+    pieces: list[str] = []
+    # the innermost open node: its variable, its piece while it has no child
+    # yet, and the pieces of its parent that wait for its subtree to close;
+    # the open nodes around it wait in ``outer`` as the same triples
+    var, piece, waiting = root, f"({root} / {nodes[root]})", ()
+    outer: list[tuple] = []
+    undeclared = nodes.keys() - {root}
+    for source, role, target in iter_edges(graph):
+        while var != source:  # close the innermost node
+            if piece:
+                pieces.append(piece)
+            pieces += waiting
+            var, piece, waiting = outer.pop()
+        if piece:  # the first edge of ``var``: its role and piece wait for this subtree
+            held = (role, piece)
+            piece = None
+        else:
+            pieces.append(role)
+            held = ()
+        if target in undeclared:
+            undeclared.remove(target)
+            outer.append((var, piece, waiting))
+            var, piece, waiting = target, f"({target} / {nodes[target]})", held
         else:
             pieces.append(f"({target})")
-
-    def emit(var: str) -> None:
-        children = index.get(var)
-        if not children:
-            pieces.append(f"({var} / {nodes[var]})")
-            return
-        first_role, first_target, first_declares = children[0]
-        emit_child(first_target, first_declares)
-        pieces.append(first_role)
-        pieces.append(f"({var} / {nodes[var]})")
-        for role, target, declares in children[1:]:
-            pieces.append(role)
-            emit_child(target, declares)
-
-    emit(graph.root)
+            pieces += held
+    outer.append((var, piece, waiting))
+    for _, piece, waiting in reversed(outer):  # close every open node, the innermost first
+        if piece:
+            pieces.append(piece)
+        pieces += waiting
     return _sequence(Strategy.IN_ORDER, pieces)
 
 

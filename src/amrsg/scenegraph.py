@@ -103,10 +103,14 @@ class SceneGraph:
     takes objects as strings or ``ObjectTuple``s and attributes and relations
     as tuples or lists of their arity, raises SgError for any other item or for
     a field off the field rule, then hands them to ``_unchecked``, the trusted
-    constructor that the readers and ``convert_rules`` take.
+    constructor that the readers and ``convert_rules`` take. Assigning to or
+    deleting an attribute raises AttributeError.
     """
 
     __slots__ = ("objects", "attributes", "relations")
+    objects: tuple[ObjectTuple, ...]
+    attributes: tuple[AttributeTuple, ...]
+    relations: tuple[RelationTuple, ...]
 
     def __new__(
         cls,
@@ -143,10 +147,17 @@ class SceneGraph:
             present = {name for name, in objs}
             objs += [tuple.__new__(ObjectTuple, (n,)) for n in named if n not in present]
         sg = object.__new__(cls)
-        sg.objects: tuple[ObjectTuple, ...] = tuple(objs)
-        sg.attributes: tuple[AttributeTuple, ...] = tuple(attrs)
-        sg.relations: tuple[RelationTuple, ...] = tuple(rels)
+        setattr_ = object.__setattr__
+        setattr_(sg, "objects", tuple(objs))
+        setattr_(sg, "attributes", tuple(attrs))
+        setattr_(sg, "relations", tuple(rels))
         return sg
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: a SceneGraph is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: a SceneGraph is immutable")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SceneGraph):
@@ -160,6 +171,10 @@ class SceneGraph:
             f"attributes={[tuple(a) for a in self.attributes]}, "
             f"relations={[tuple(r) for r in self.relations]})"
         )
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, since assignment raises
+        return self.__class__, (self.objects, self.attributes, self.relations)
 
 
 def to_tuples(sg: SceneGraph) -> list[SgTuple]:
@@ -183,9 +198,18 @@ _GROUP_RE = re.compile(
     rf"\(\s*{_FIELD}\s*(?:,\s*{_FIELD}\s*(?:,\s*{_FIELD}\s*)?)?\)|(\S)"
 )
 # Each string that parse_penman, iter_penman_blocks, parse_sg_text and
-# sg_from_json store, by value: one object per value for the life of the
-# process, so equal strings across the graphs of both models are one object.
-SYMBOLS: dict[str, str] = {}
+# sg_from_json store, and each tuple the last two store, mapped to itself: one
+# object per value for the life of the process, shared by the graphs of both
+# models. A tuple is stored only as its arity's kind; the plain tuple of its
+# fields finds it, since the two hash and compare alike.
+SYMBOLS: dict[str | SgTuple, str | SgTuple] = {}
+
+
+def _store(kind: type[SgTuple], *fields: str) -> SgTuple:
+    """The ``kind`` tuple of ``fields``, each exactly a str, that ``SYMBOLS``
+    holds, built from stored fields and stored under itself where it has none."""
+    t = tuple.__new__(kind, [SYMBOLS.setdefault(f, f) for f in fields])
+    return SYMBOLS.setdefault(t, t)
 
 
 def _group_error(text: str, i: int) -> SgError:
@@ -210,20 +234,20 @@ def parse_sg_text(text: str) -> SceneGraph:
 
     Raises UnbalancedParentheses for a stray character, an unclosed or a
     nested group, and BadArity for an empty field or more than three, each
-    naming the offset of the first such character or group. Each field is
-    stored as the one object per value that ``SYMBOLS`` holds.
+    naming the offset of the first such character or group. Each tuple, and
+    each of its fields, is the one object per value that ``SYMBOLS`` holds.
     """
     objects: list[ObjectTuple] = []
     attributes: list[AttributeTuple] = []
     relations: list[RelationTuple] = []
-    new, symbol = tuple.__new__, SYMBOLS.setdefault
+    stored = SYMBOLS.get
     for a, b, c, _ in _GROUP_RE.findall(text):
         if c:
-            relations.append(new(RelationTuple, (symbol(a, a), symbol(b, b), symbol(c, c))))
+            relations.append(stored((a, b, c)) or _store(RelationTuple, a, b, c))
         elif b:
-            attributes.append(new(AttributeTuple, (symbol(a, a), symbol(b, b))))
+            attributes.append(stored((a, b)) or _store(AttributeTuple, a, b))
         elif a:
-            objects.append(new(ObjectTuple, (symbol(a, a),)))
+            objects.append(stored((a,)) or _store(ObjectTuple, a))
         else:
             raise next(_group_error(text, m.start()) for m in _GROUP_RE.finditer(text) if m[4])
     # each field is non-empty, has no whitespace around it and no '(', ')' or
@@ -261,7 +285,8 @@ def json_typed(value, types: type | tuple[type, ...], what: str, error: type = V
 
 def sg_from_json(data: dict) -> SceneGraph:
     """Inverse of sg_to_json; SgError for any other JSON value. Stores each
-    field as ``parse_sg_text`` does, and checks each distinct one once."""
+    tuple and field as ``parse_sg_text`` does, and checks each distinct field
+    once."""
     json_typed(data, dict, "scene graph", SgError)
     sections = []
     for key, kind in _SECTIONS.items():
@@ -272,16 +297,17 @@ def sg_from_json(data: dict) -> SceneGraph:
             raise SgError(f"{key} is not a list of {arity}-field arrays")
         sections.append(items)
     objects, attributes, relations = sections
-    new, symbol = tuple.__new__, SYMBOLS.setdefault
-    # a tuple with a field that is not exactly a str is left out, so its list comes out short
-    objs = [new(ObjectTuple, (symbol(a, a),)) for a, in objects if type(a) is str]
-    attrs = [new(AttributeTuple, (symbol(a, a), symbol(b, b)))
+    stored = SYMBOLS.get
+    # a tuple with a field that is not exactly a str is left out, so its list
+    # comes out short, before a str subclass could find a stored tuple
+    objs = [stored((a,)) or _store(ObjectTuple, a) for a, in objects if type(a) is str]
+    attrs = [stored((a, b)) or _store(AttributeTuple, a, b)
              for a, b in attributes if type(a) is type(b) is str]
-    rels = [new(RelationTuple, (symbol(a, a), symbol(b, b), symbol(c, c)))
+    rels = [stored((a, b, c)) or _store(RelationTuple, a, b, c)
             for a, b, c in relations if type(a) is type(b) is type(c) is str]
     kept = len(objs) + len(attrs) + len(rels) == len(objects) + len(attributes) + len(relations)
     # the field rule, once per distinct field
     if kept and all(map(_is_field, set().union(*objs, *attrs, *rels))):
         return SceneGraph._unchecked(objs, attrs, rels)
     # the checking constructor gives the first bad field's error, or keeps a str subclass
-    return SceneGraph([new(ObjectTuple, t) for t in objects], attributes, relations)
+    return SceneGraph([tuple.__new__(ObjectTuple, t) for t in objects], attributes, relations)

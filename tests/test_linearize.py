@@ -1,3 +1,4 @@
+import gc
 import random
 from collections import Counter, deque
 
@@ -359,6 +360,23 @@ def test_the_constructor_refuses_a_chain_deeper_than_max_depth(length, refusal):
         _walks_accept(chain)
     else:
         assert [(d.kind, d.subject) for d in validate(chain)] == [("NestingTooDeep", f"z{MAX_DEPTH}")]
+
+
+def test_no_linearization_leaves_a_reference_cycle():
+    # with the cyclic collector off, reference counting alone must free what a
+    # walk builds, as soon as the walk returns
+    rng = random.Random(3)
+    graphs = [parse_penman(FIG1_PENMAN), parse_penman(WANT_PENMAN)]
+    graphs += [random_graph(rng, max_nodes=30, max_reentrancies=4, p_constant=0.2) for _ in range(200)]
+    gc.collect()
+    gc.disable()
+    try:
+        for strategy in Strategy:
+            for g in graphs:
+                linearize(g, strategy).tokens
+            assert gc.collect() == 0, strategy
+    finally:
+        gc.enable()
 
 
 def test_constants_wrapped_in_bfs_and_inorder():

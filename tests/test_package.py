@@ -129,22 +129,24 @@ def _package_nodes(predicate) -> list[str]:
     return found
 
 
-def _is_setattr_call(node: ast.AST) -> bool:
-    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "setattr"
+def _is_setattr_call(node: ast.AST, *aliases: str) -> bool:
+    """A call of ``setattr``, or of a name in ``aliases``."""
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("setattr", *aliases)
 
 
 def test_each_model_type_has_one_writer_of_its_slots():
     # the checking constructors hand off to the trusted ones, so what a later
-    # slot needs is written in one place per type. AmrGraph.__setattr__ raises,
-    # so a graph is written through object.__setattr__; every setattr call counts.
-    writes_a_graph = _package_nodes(
+    # slot needs is written in one place per type. Both types' __setattr__
+    # raise, so each is written through object.__setattr__, bound once in its
+    # writer to ``setattr_``; every setattr call counts.
+    writes_a_model = _package_nodes(
         lambda n: isinstance(n, ast.Attribute) and n.attr == "__setattr__" or _is_setattr_call(n)
     )
-    assert writes_a_graph == ["amr.py:AmrGraph._from_edge_fields"]
+    assert writes_a_model == ["amr.py:AmrGraph._from_edge_fields", "scenegraph.py:SceneGraph._unchecked"]
     sections = {"objects", "attributes", "relations"}
     writes_a_section = _package_nodes(
         lambda n: isinstance(n, ast.Attribute) and n.attr in sections and not isinstance(n.ctx, ast.Load)
-        or _is_setattr_call(n) and any(isinstance(a, ast.Constant) and a.value in sections for a in n.args)
+        or _is_setattr_call(n, "setattr_") and any(isinstance(a, ast.Constant) and a.value in sections for a in n.args)
     )
     assert writes_a_section == ["scenegraph.py:SceneGraph._unchecked"] * 3
 

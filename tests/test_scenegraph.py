@@ -13,6 +13,7 @@ from amrsg.convert import convert_rules
 from amrsg.corpus import RegionRecord, filter_ungrounded, load_records
 from amrsg.retrieval import load_index
 from amrsg.scenegraph import (
+    SYMBOLS,
     AttributeTuple,
     BadArity,
     EmptyAfterNormalization,
@@ -492,6 +493,80 @@ def test_readers_store_each_distinct_field_once():
     fields = [f for sg in graphs for t in to_tuples(sg) for f in t]
     assert len(fields) > 2 * len(set(fields))
     assert len({id(f) for f in fields}) == len(set(fields))
+
+
+def test_readers_share_one_tuple_per_value():
+    # every object is listed, so none is added by the constructor
+    text = "( dog ) ( mat ) ( dog , red ) ( dog , on , mat )"
+    data = {"objects": [["mat"], ["dog"]], "attributes": [["dog", "red"]], "relations": [["dog", "on", "mat"]]}
+    first, again, from_json = parse_sg_text(text), parse_sg_text(text), sg_from_json(data)
+    assert first == from_json
+    by_value = {t: t for t in to_tuples(first)}
+    for t in [*to_tuples(again), *to_tuples(from_json)]:
+        assert t is by_value[t]
+    [relation] = from_json.relations
+    assert relation.subject is first.objects[0].name and relation.object is first.objects[1].name
+
+
+class _Name(str):
+    pass
+
+
+def test_the_symbol_table_stores_each_tuple_as_its_arity_kind():
+    parse_sg_text("( dog ) ( dog , red ) ( dog , on , mat )")
+    load_records(GOLDEN / "corpus.jsonl")
+    sg_from_json({"objects": [[_Name("cat")]], "attributes": [[_Name("cat"), "black"]]})
+    kinds = {1: ObjectTuple, 2: AttributeTuple, 3: RelationTuple}
+    stored = [(key, value) for key, value in SYMBOLS.items() if isinstance(key, tuple)]
+    assert len(stored) > 20
+    for key, value in stored:
+        assert value is key and type(key) is kinds[len(key)], key
+        assert all(type(f) is str and SYMBOLS[f] is f for f in key), key
+
+
+def test_a_str_subclass_field_finds_no_stored_tuple():
+    plain = parse_sg_text("( dog ) ( dog , red ) ( dog , on , mat )")
+    sg = sg_from_json({
+        "objects": [[_Name("dog")]], "attributes": [["dog", _Name("red")]], "relations": [["dog", "on", _Name("mat")]]
+    })
+    assert sg == plain
+    # the objects dog and mat (added for the relation), the attribute and the relation
+    assert [type(f) for t in to_tuples(sg) for f in t] == [_Name, _Name, str, _Name, str, str, _Name]
+    assert not any(t is p for t, p in zip(to_tuples(sg), to_tuples(plain)))
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"objects": [["dog,"]]}, "field 'dog,' of ('dog,',)"),
+        ({"attributes": [["dog", " red"]]}, "field ' red' of ('dog', ' red')"),
+        ({"relations": [["dog", "on (", "mat"]]}, "field 'on (' of ('dog', 'on (', 'mat')"),
+    ],
+    ids=["object", "attribute", "relation"],
+)
+def test_a_bad_field_raises_the_same_error_every_time_it_is_read(data, message):
+    # the first read stores the tuple, so later reads find it
+    for _ in range(3):
+        with pytest.raises(SgError) as info:
+            sg_from_json(data)
+        assert str(info.value).startswith(f"{message}: a field is a non-empty string")
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda sg: setattr(sg, "objects", ("x",)),
+        lambda sg: setattr(sg, "relations", ()),
+        lambda sg: delattr(sg, "attributes"),
+        lambda sg: setattr(sg, "extra", 1),
+    ],
+    ids=["assign-objects", "assign-relations", "delete-attributes", "assign-new-name"],
+)
+def test_a_scene_graph_refuses_assignment_and_deletion(change):
+    sg = SceneGraph(["dog"], [("dog", "red")])
+    with pytest.raises(AttributeError, match="a SceneGraph is immutable$"):
+        change(sg)
+    assert repr(sg) == "SceneGraph(objects=['dog'], attributes=[('dog', 'red')], relations=[])"
 
 
 def test_scene_graph_has_no_instance_dict():

@@ -41,12 +41,13 @@ def test_graph_memory_runs_and_prints_retained_and_peak():
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert sum(line.startswith("retained ") and " peak " in line for line in lines) == 2, done.stdout
-    # the fields of 50 records' scene graphs, one object per distinct value
-    [fields] = [line for line in lines if line.startswith("stored scene-graph fields: ")]
-    references, objects, values = re.fullmatch(
-        r"stored scene-graph fields: ([\d,]+) references, ([\d,]+) objects, ([\d,]+) distinct values", fields
-    ).groups()
-    assert int(references.replace(",", "")) > int(objects.replace(",", "")) == int(values.replace(",", ""))
+    # the tuples and fields of 50 records' scene graphs, one object per distinct value
+    for what in ("tuples", "fields"):
+        [stored] = [line for line in lines if line.startswith(f"stored scene-graph {what}: ")]
+        references, objects, values = re.fullmatch(
+            rf"stored scene-graph {what}: ([\d,]+) references, ([\d,]+) objects, ([\d,]+) distinct values", stored
+        ).groups()
+        assert int(references.replace(",", "")) > int(objects.replace(",", "")) == int(values.replace(",", ""))
     # the bytes the 50 graphs retain per edge
     [per_edge] = [line for line in lines if line.endswith(" bytes retained per edge")]
     edges, per_edge_bytes = re.fullmatch(r"([\d,]+) edges, ([\d,]+) bytes retained per edge", per_edge).groups()
