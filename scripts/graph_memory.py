@@ -20,10 +20,12 @@ records stay loaded from then on.
 
 Then the graphs of the ``adapter_convert`` workload's input
 (``bench/gen.adapter_input``, 2,000 by default) are read with
-``load_penman_file``. For them it also prints the bytes retained per edge
-and the source lines whose allocations are retained, largest first, each
-with the line that called it; the ``stored strings:`` line counts node keys,
-concepts, edge sources, roles and targets. ``parse_penman`` stores them
+``load_penman_file``. For them it also prints the bytes retained per edge,
+the bytes a graph holds in each part (its node fields, edge fields and
+metadata, each one flat tuple, and the graph object itself, strings left
+out), and the source lines whose allocations are retained, largest first,
+each with the line that called it; the ``stored strings:`` line counts node
+keys, concepts, edge sources, roles and targets. ``parse_penman`` stores them
 through the symbol table that ``sg_from_json`` filled, so a string equal to a
 record's field is that field's object, not a new one.
 
@@ -31,16 +33,20 @@ At seed 1 (Python 3.11.7) the 500 records retain 0.58 MB and peak at 0.61 MB,
 1,226 bytes per record. Their 4,938 tuples are 1,267 objects and their 6,451
 fields 376, one per distinct value, since ``sg_from_json`` stores both
 through the symbol table; with one object per tuple they retained 0.72 MB
-(1,520 bytes per record), and with one string per field as well 1.04 MB. The 2,000 graphs retain 2.03 MB and peak at
-2.05 MB, 1,066 bytes per graph and 81 per edge (26,375 edges), and their
-128,949 strings are 514 objects; with a symbol table of their own they
-retained 2.06 MB, 1,080 and 82 bytes. Each graph keeps its edges as one flat
-tuple of their fields. With one ``AmrEdge`` per edge and an instance dict per
-graph they retained 3.62 MB, 1,897 bytes per graph and 144 per edge. The file
-is read one block at a time, so the peak exceeds the retained memory only by
-one block and the file's read buffer (reading the whole file first gave a
-peak of 4.95 MB). It is a measurement, not a test; ``tests/test_scripts.py``
-only checks that it runs, on 50 records and 50 graphs.
+(1,520 bytes per record), and with one string per field as well 1.04 MB. The
+2,000 graphs retain 1.48 MB and peak at 1.50 MB, 775 bytes per graph and 59
+per edge (26,375 edges), and their 128,949 strings are 514 objects. A graph
+holds 239 bytes of node fields, 356 of edge fields, 56 of metadata (its one
+``id``) and 56 of graph object, each part one flat tuple. With a ``nodes``
+dict (394 bytes), a ``metadata`` dict (184) and a graph object of four slots
+(64) they retained 2.03 MB, 1,066 bytes per graph and 81 per edge; with a
+symbol table of their own as well 2.06 MB, 1,080 and 82 bytes; and with one
+``AmrEdge`` per edge and an instance dict per graph 3.62 MB, 1,897 and 144.
+The file is read one block at a time, so the peak exceeds the retained
+memory only by one block and the file's read buffer (reading the whole file
+first gave a peak of 4.95 MB). It is a measurement, not a test; ``tests/test_scripts.py``
+only checks that it runs and the form of its lines, on 50 records and 50
+graphs.
 """
 
 from __future__ import annotations
@@ -51,6 +57,8 @@ import os
 import sys
 import tempfile
 import tracemalloc
+from collections import Counter
+from itertools import chain
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -58,7 +66,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import gen  # noqa: E402
 
-from amrsg.amr import load_penman_file  # noqa: E402
+from amrsg.amr import iter_edges, iter_nodes, load_penman_file  # noqa: E402
 from amrsg.corpus import load_records  # noqa: E402
 
 MB = 2**20
@@ -97,6 +105,30 @@ def _counts(stored: list) -> str:
     )
 
 
+def _part_bytes(graphs: list) -> Counter:
+    """The bytes that the graphs hold in each part's object and in the graph
+    objects themselves, strings left out. Each part is found among a graph's
+    referents by its content, (var, concept, ...) for the node fields and so
+    on, so its layout stays inside ``amr.py``; an object that graphs share,
+    such as the empty tuple of every graph without metadata, counts once."""
+    sizes: Counter = Counter()
+    counted: set[int] = set()
+    for g in graphs:
+        held = [h for h in gc.get_referents(g) if type(h) is tuple]
+        for part, fields in (
+            ("node fields", chain.from_iterable(iter_nodes(g))),
+            ("edge fields", chain.from_iterable(iter_edges(g))),
+            ("metadata", chain.from_iterable(g.metadata.items())),
+        ):
+            fields = tuple(fields)
+            obj = next(h for h in held if h == fields)
+            if id(obj) not in counted:
+                counted.add(id(obj))
+                sizes[part] += sys.getsizeof(obj)
+        sizes["graph object"] += sys.getsizeof(g)
+    return sizes
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1, help="generator seed (default 1)")
@@ -130,6 +162,9 @@ def main() -> int:
     edges = sum(len(g.edges) for g in graphs)
     if edges:
         print(f"{edges:,} edges, {retained / edges:,.0f} bytes retained per edge")
+    parts = _part_bytes(graphs)
+    shares = [f"{part} {size / len(graphs):,.0f}" for part, size in parts.items()]
+    print(f"bytes held per graph: {', '.join(shares)}")
     own = tracemalloc.Filter(False, tracemalloc.__file__)
     stats = snapshot.filter_traces([own]).statistics("traceback")
     print(f"{'retained MB':>11} {'blocks':>8}  site < caller")

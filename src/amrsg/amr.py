@@ -15,8 +15,10 @@ numbers, or ``-``, kept as their text.
 from __future__ import annotations
 
 import re
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, TextIO
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, NamedTuple, TextIO
 
 from .scenegraph import SYMBOLS
 
@@ -78,30 +80,36 @@ class AmrGraph:
 
     ``parse_penman`` builds graphs in this order. The constructor's ``__new__``
     checks a graph built by hand against the same rule, in one pass over the
-    edges, then hands it to ``_from_edge_fields``, the trusted constructor that
+    edges, then hands it to ``_from_fields``, the trusted constructor that
     ``parse_penman`` takes; so every graph round-trips through
     ``serialize_penman``, and the walks trust it and never raise. Its ValueError
     names the first fault: a root that is not a node, a symbol the lexer would
     not read back as one token of its kind, an edge that is not three strings
     or whose source is no longer open, a node deeper than ``MAX_DEPTH``, a
     target shaped like a variable that is not a node, or unreached nodes.
-    ``edges`` may be any iterable of ``AmrEdge``s, plain tuples or lists.
+    ``edges`` may be any iterable of ``AmrEdge``s, plain tuples or lists, and
+    ``nodes`` and ``metadata`` any mappings, which the graph copies.
 
-    The edges are kept as one flat tuple of their fields, ``(source, role,
-    target, source, role, target, ...)``, so a loaded graph holds no object
-    per edge; ``iter_edges`` reads them, and only this module knows the
-    format. Equality ignores ``metadata``; assigning to an attribute raises
-    AttributeError.
+    Each part is kept as one flat tuple of strings, so a loaded graph holds no
+    object per node, edge or metadata entry: the edges as ``(source, role,
+    target, source, role, target, ...)``, the nodes as ``(var, concept, var,
+    concept, ...)`` in declaration order (the root first, then each node at
+    its tree edge, whatever the order of the ``nodes`` given), and the
+    metadata as ``(key, value, ...)``; a graph without metadata holds the
+    empty tuple. ``iter_nodes`` and ``iter_edges`` read them, and only this
+    module knows the format. ``nodes`` and ``metadata`` are read-only
+    mappings built anew on each access, so a caller binds them once. Equality
+    ignores ``metadata``; assigning to an attribute raises AttributeError.
     """
 
-    __slots__ = ("root", "nodes", "_edge_fields", "metadata")
+    __slots__ = ("_node_fields", "_edge_fields", "_meta_fields")
 
     def __new__(
         cls,
         root: str,
-        nodes: dict[str, str],
+        nodes: Mapping[str, str],
         edges: Iterable[tuple[str, str, str]],
-        metadata: dict[str, str] | None = None,
+        metadata: Mapping[str, str] | None = None,
     ):
         if root not in nodes:
             raise ValueError(f"root {root!r} is not a node")
@@ -110,6 +118,7 @@ class AmrGraph:
                 raise ValueError(f"node {var!r}: not a variable")
             if not _is_atom_or_literal(concept):
                 raise ValueError(f"concept {concept!r}: not one atom or string literal")
+        node_fields = [root, nodes[root]]  # in declaration order
         fields: list[str] = []
         open_nodes = [root]  # the innermost last
         undeclared = nodes.keys() - {root}
@@ -132,6 +141,7 @@ class AmrGraph:
                 open_nodes.append(target)
                 if len(open_nodes) > MAX_DEPTH:
                     raise ValueError(f"node {target}: nesting deeper than {MAX_DEPTH} levels")
+                node_fields += (target, nodes[target])
             elif target not in nodes and not _is_atom_or_literal(target):
                 raise ValueError(f"constant {target!r}: not one atom or string literal")
             elif target not in nodes and _VAR_RE.match(target):  # parse_penman: an undeclared reference
@@ -139,27 +149,44 @@ class AmrGraph:
             fields += edge
         if undeclared:
             raise ValueError(f"nodes never reached from the root: {', '.join(sorted(undeclared))}")
-        return cls._from_edge_fields(root, nodes, tuple(fields), {} if metadata is None else metadata)
+        return cls._from_fields(tuple(node_fields), tuple(fields), _flat(metadata))
 
     @classmethod
-    def _from_edge_fields(
-        cls, root: str, nodes: dict[str, str], fields: tuple[str, ...], metadata: dict[str, str]
+    def _from_fields(
+        cls, node_fields: tuple[str, ...], edge_fields: tuple[str, ...], meta_fields: tuple[str, ...]
     ) -> AmrGraph:
-        """The one writer of a graph's slots. Its caller built the parts to the
-        PENMAN grammar, which enforces what ``__new__`` checks."""
+        """The one writer of a graph's slots. Its caller built the flat parts to
+        the PENMAN grammar, which enforces what ``__new__`` checks, with the
+        nodes in declaration order."""
         graph = object.__new__(cls)
         setattr_ = object.__setattr__
-        setattr_(graph, "root", root)
-        setattr_(graph, "nodes", nodes)
-        setattr_(graph, "_edge_fields", fields)
-        setattr_(graph, "metadata", metadata)
+        setattr_(graph, "_node_fields", node_fields)
+        setattr_(graph, "_edge_fields", edge_fields)
+        setattr_(graph, "_meta_fields", meta_fields)
         return graph
+
+    @property
+    def root(self) -> str:
+        """The first node in declaration order."""
+        return self._node_fields[0]
+
+    @property
+    def nodes(self) -> Mapping[str, str]:
+        """Each variable's concept, in declaration order, as a read-only
+        mapping built anew on each access; a walk reads ``iter_nodes`` instead."""
+        return MappingProxyType(dict(iter_nodes(self)))
 
     @property
     def edges(self) -> tuple[AmrEdge, ...]:
         """The edges as ``AmrEdge``s in stored order, built anew on each access
         for ``repr``, pickle and copy; a walk reads ``iter_edges`` instead."""
         return tuple(map(AmrEdge._make, iter_edges(self)))
+
+    @property
+    def metadata(self) -> Mapping[str, str]:
+        """The metadata as a read-only mapping, built anew on each access."""
+        it = iter(self._meta_fields)
+        return MappingProxyType(dict(zip(it, it)))
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to {name!r}: an AmrGraph is immutable")
@@ -170,17 +197,34 @@ class AmrGraph:
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.root, self.nodes, self._edge_fields) == (other.root, other.nodes, other._edge_fields)
+        # equal nodes and edges give the same declaration order, and so equal node fields
+        return (self._node_fields, self._edge_fields) == (other._node_fields, other._edge_fields)
 
     def __repr__(self) -> str:
         return (
-            f"AmrGraph(root={self.root!r}, nodes={self.nodes!r}, edges={self.edges!r}, "
-            f"metadata={self.metadata!r})"
+            f"AmrGraph(root={self.root!r}, nodes={dict(self.nodes)!r}, edges={self.edges!r}, "
+            f"metadata={dict(self.metadata)!r})"
         )
 
     def __reduce__(self):
-        # pickle and copy rebuild through the constructor, since assignment raises
-        return self.__class__, (self.root, self.nodes, self.edges, self.metadata)
+        # pickle and copy rebuild through the constructor, since assignment
+        # raises, from plain dicts, since a mappingproxy does not pickle
+        return self.__class__, (self.root, dict(self.nodes), self.edges, dict(self.metadata))
+
+
+def _flat(mapping: Mapping[str, str] | None) -> tuple[str, ...]:
+    """``(key, value, key, value, ...)`` of ``mapping``: the shared empty tuple
+    for None or an empty one."""
+    return tuple(chain.from_iterable(mapping.items())) if mapping else ()
+
+
+def iter_nodes(graph: AmrGraph) -> Iterator[tuple[str, str]]:
+    """The graph's nodes in declaration order, the root first, each as a plain
+    (var, concept) tuple read from the flat fields. A walk over the stored
+    edges finds a node's tree edge as the first edge whose target is the next
+    node here, with no set of undeclared nodes and no lookup by variable."""
+    it = iter(graph._node_fields)
+    return zip(it, it)
 
 
 def iter_edges(graph: AmrGraph) -> Iterator[tuple[str, str, str]]:
@@ -190,18 +234,22 @@ def iter_edges(graph: AmrGraph) -> Iterator[tuple[str, str, str]]:
     return zip(it, it, it)
 
 
-def children_index(graph: AmrGraph) -> dict[str, list[tuple[str, str, bool]]]:
+def children_index(graph: AmrGraph) -> dict[str, list[tuple[str, str, str | None]]]:
     """Map each source variable to its outgoing edges in stored order, each as
-    a plain (role, target, declares) tuple. ``declares`` marks the tree edge:
-    the target is a node other than the root, and no earlier edge targets it.
-    Callers build it once per walk; it is not kept on the graph, so a loaded
-    corpus does not hold one per graph."""
-    index: dict[str, list[tuple[str, str, bool]]] = {}
-    undeclared = graph.nodes.keys() - {graph.root}
+    a plain (role, target, concept) tuple. ``concept`` is the target's concept
+    on its tree edge (the first edge into a node other than the root), and
+    None on any other edge. Callers build it once per walk; it is not kept on
+    the graph, so a loaded corpus does not hold one per graph."""
+    index: dict[str, list[tuple[str, str, str | None]]] = {}
+    nodes = iter_nodes(graph)
+    next(nodes)  # the root, which no edge declares
+    declared, concept = next(nodes, (None, None))
     for source, role, target in iter_edges(graph):
-        declares = target in undeclared
-        undeclared.discard(target)
-        index.setdefault(source, []).append((role, target, declares))
+        if target == declared:
+            index.setdefault(source, []).append((role, target, concept))
+            declared, concept = next(nodes, (None, None))
+        else:
+            index.setdefault(source, []).append((role, target, None))
     return index
 
 
@@ -262,6 +310,9 @@ def parse_penman(text: str, metadata: dict[str, str] | None = None) -> AmrGraph:
     Every string the graph keeps is the one object per value that
     ``scenegraph.SYMBOLS`` holds for the life of the process, so graphs share
     their symbols and a re-entrant edge's target is the very key in ``nodes``.
+    The nodes are kept flat in the order the text declares them, which is the
+    graph's declaration order, and ``metadata`` is copied flat, as the
+    constructor copies it.
     """
     tokens = _TOKEN_RE.findall(text)
     if '"' in tokens:
@@ -272,7 +323,7 @@ def parse_penman(text: str, metadata: dict[str, str] | None = None) -> AmrGraph:
         raise UnbalancedParentheses(f"expected '(' at start, got {tokens[0]!r}", _offset(text, 0))
     end = len(text)
     tokens.append("")  # end of input
-    nodes: dict[str, str] = {}
+    nodes: dict[str, str] = {}  # in declaration order
     fields: list[str] = []  # the edges' flat fields, three per edge
     stack: list[str] = []  # variables of the open nodes, root first
     role: str | None = ""  # while tokens[i] opens a node: its tree edge's role
@@ -343,7 +394,7 @@ def parse_penman(text: str, metadata: dict[str, str] | None = None) -> AmrGraph:
             i += 2
     if tokens[i]:
         raise UnbalancedParentheses(f"trailing content {tokens[i]!r}", _offset(text, i))
-    return AmrGraph._from_edge_fields(next(iter(nodes)), nodes, tuple(fields), dict(metadata or {}))
+    return AmrGraph._from_fields(_flat(nodes), tuple(fields), _flat(metadata))
 
 
 def penman_pieces(graph: AmrGraph) -> list[str]:
@@ -354,24 +405,24 @@ def penman_pieces(graph: AmrGraph) -> list[str]:
     re-entrancy or a constant; closing parentheses attach to the piece
     before them. One pass over the stored edges, in their order, which is the
     text's order: an edge whose source is not the innermost open node closes
-    the nodes above its source, and a target is declared where it is first
-    reached.
+    the nodes above its source, and an edge whose target is the next node in
+    declaration order declares it.
     """
-    nodes = graph.nodes
-    root = graph.root
-    pieces = [f"({root} / {nodes[root]}"]
+    nodes = iter_nodes(graph)
+    root, concept = next(nodes)
+    pieces = [f"({root} / {concept}"]
     open_nodes = [root]  # the innermost last
-    undeclared = nodes.keys() - {root}
+    declared, concept = next(nodes, (None, None))
     for source, role, target in iter_edges(graph):
         if source != open_nodes[-1]:
             k = open_nodes.index(source) + 1
             pieces[-1] += ")" * (len(open_nodes) - k)
             del open_nodes[k:]
         pieces.append(role)
-        if target in undeclared:
-            undeclared.remove(target)
+        if target == declared:
             open_nodes.append(target)
-            pieces.append(f"({target} / {nodes[target]}")
+            pieces.append(f"({target} / {concept}")
+            declared, concept = next(nodes, (None, None))
         else:
             pieces.append(target)
     pieces[-1] += ")" * len(open_nodes)

@@ -23,6 +23,7 @@ from .amr import (
     PenmanError,
     is_frame,
     iter_edges,
+    iter_nodes,
     parse_penman,
     unquote,
 )
@@ -76,8 +77,8 @@ def convert_rules(graph: AmrGraph) -> SceneGraph:
     # nothing), and for a frame, the same form as its lemma. An edge target
     # that is not a key here is a constant.
     surface: dict[str, str | None] = {}
-    lemmas: dict[str, str | None] = {}  # frame variables, in node order
-    for var, concept in graph.nodes.items():
+    lemmas: dict[str, str | None] = {}  # frame variables, in declaration order
+    for var, concept in iter_nodes(graph):
         if is_frame(concept):
             surface[var] = lemmas[var] = normalize_or_none(concept[:-3])
         else:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
 
-from .amr import AmrGraph, children_index, iter_edges, penman_pieces
+from .amr import AmrGraph, children_index, iter_edges, iter_nodes, penman_pieces
 
 
 class Strategy(str, Enum):
@@ -73,15 +73,14 @@ def linearize_bfs(graph: AmrGraph) -> LinearizedSequence:
     emit ``(var)`` without re-declaring the concept.
     """
     index = children_index(graph)
-    nodes = graph.nodes
-    root = graph.root
-    pieces = [f"({root} / {nodes[root]})"]
+    root, concept = next(iter_nodes(graph))
+    pieces = [f"({root} / {concept})"]
     queue = deque([root])
     while queue:
-        for role, target, declares in index.get(queue.popleft(), ()):
+        for role, target, concept in index.get(queue.popleft(), ()):
             pieces.append(role)
-            if declares:
-                pieces.append(f"({target} / {nodes[target]})")
+            if concept:  # the tree edge
+                pieces.append(f"({target} / {concept})")
                 queue.append(target)
             else:
                 pieces.append(f"({target})")
@@ -100,15 +99,15 @@ def linearize_inorder(graph: AmrGraph) -> LinearizedSequence:
     nodes as ``penman_pieces`` keeps: a node's piece, and then the role of its
     first edge, wait on the stack until its first subtree closes.
     """
-    nodes = graph.nodes
-    root = graph.root
+    nodes = iter_nodes(graph)
+    root, concept = next(nodes)
     pieces: list[str] = []
     # the innermost open node: its variable, its piece while it has no child
     # yet, and the pieces of its parent that wait for its subtree to close;
     # the open nodes around it wait in ``outer`` as the same triples
-    var, piece, waiting = root, f"({root} / {nodes[root]})", ()
+    var, piece, waiting = root, f"({root} / {concept})", ()
     outer: list[tuple] = []
-    undeclared = nodes.keys() - {root}
+    declared, concept = next(nodes, (None, None))
     for source, role, target in iter_edges(graph):
         while var != source:  # close the innermost node
             if piece:
@@ -121,10 +120,10 @@ def linearize_inorder(graph: AmrGraph) -> LinearizedSequence:
         else:
             pieces.append(role)
             held = ()
-        if target in undeclared:
-            undeclared.remove(target)
+        if target == declared:  # the next node in declaration order: its tree edge
             outer.append((var, piece, waiting))
-            var, piece, waiting = target, f"({target} / {nodes[target]})", held
+            var, piece, waiting = target, f"({target} / {concept})", held
+            declared, concept = next(nodes, (None, None))
         else:
             pieces.append(f"({target})")
             pieces += held

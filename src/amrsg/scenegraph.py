@@ -139,13 +139,18 @@ class SceneGraph:
     ) -> SceneGraph:
         """The one writer of a scene graph's sections, from tuples that its
         caller built to the field rule. Takes ownership of ``objs``, and adds to
-        it, in order of first mention, each object the other tuples name."""
+        it, in order of first mention, each object the other tuples name: the
+        ``ObjectTuple`` that ``SYMBOLS`` holds, which a reader stored with the
+        attribute or relation, or a new one for a name no reader stored or one
+        that is not exactly a str."""
         if attrs or rels:
             named = dict.fromkeys([obj for obj, _ in attrs])
             for subj, _, obj in rels:
                 named[subj] = named[obj] = None
             present = {name for name, in objs}
-            objs += [tuple.__new__(ObjectTuple, (n,)) for n in named if n not in present]
+            stored = SYMBOLS.get
+            new = ObjectTuple._make
+            objs += [type(n) is str and stored((n,)) or new((n,)) for n in named if n not in present]
         sg = object.__new__(cls)
         setattr_ = object.__setattr__
         setattr_(sg, "objects", tuple(objs))
@@ -207,8 +212,13 @@ SYMBOLS: dict[str | SgTuple, str | SgTuple] = {}
 
 def _store(kind: type[SgTuple], *fields: str) -> SgTuple:
     """The ``kind`` tuple of ``fields``, each exactly a str, that ``SYMBOLS``
-    holds, built from stored fields and stored under itself where it has none."""
+    holds, built from stored fields and stored under itself where it has none.
+    An attribute or relation that is stored stores the ``ObjectTuple`` of each
+    object it names as well, for ``SceneGraph._unchecked`` to add."""
     t = tuple.__new__(kind, [SYMBOLS.setdefault(f, f) for f in fields])
+    if kind is not ObjectTuple:  # an attribute's object, a relation's subject and object
+        for name in t[::2] if kind is RelationTuple else t[:1]:
+            SYMBOLS.get((name,)) or _store(ObjectTuple, name)
     return SYMBOLS.setdefault(t, t)
 
 

@@ -275,6 +275,24 @@ def with_quoted_slashes(rng: random.Random, graph: AmrGraph) -> AmrGraph:
     return AmrGraph(graph.root, nodes, edges)
 
 
+def with_shuffled_nodes(rng: random.Random, graph: AmrGraph) -> AmrGraph:
+    """``graph`` built again from a ``nodes`` dict that lists its nodes in a
+    random order, not in declaration order."""
+    nodes = list(graph.nodes.items())
+    rng.shuffle(nodes)
+    return AmrGraph(graph.root, dict(nodes), graph.edges)
+
+
+def declaration_order(graph: AmrGraph | GraphParts) -> list[str]:
+    """The root, then the target of each edge that is the first edge into a
+    node other than the root, in stored order."""
+    order = [graph.root]
+    for e in graph.edges:
+        if e.target in graph.nodes and e.target not in order:
+            order.append(e.target)
+    return order
+
+
 def reference_parse_sg_text(text: str) -> SceneGraph:
     """Reference reader of the scene-graph wire grammar: a character loop
     that finds each group's ')' and splits its inside at ','."""

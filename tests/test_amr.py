@@ -4,6 +4,7 @@ import gc
 import importlib
 import io
 import json
+import operator
 import pickle
 import random
 import re
@@ -40,11 +41,13 @@ from helpers import (
     FIG1_PENMAN,
     WANT_PENMAN,
     GraphParts,
+    declaration_order,
     is_variable_token,
     mutate_text,
     random_graph,
     reference_penman_pieces,
     validate,
+    with_shuffled_nodes,
 )
 
 
@@ -242,13 +245,17 @@ def test_declaring_edges_span_each_parsed_graph_as_its_dfs_tree(seed):
         assert validate(g) == [], variant
         assert AmrGraph(g.root, g.nodes, g.edges) == g, variant  # the constructor accepts every parsed graph
         index = children_index(g)
+        nodes = g.nodes
         declaring = [
             (source, role, target)
             for source, children in index.items()
-            for role, target, declares in children
-            if declares
+            for role, target, concept in children
+            if concept
         ]
-        assert len(declaring) == len(g.nodes) - 1, variant
+        concepts = [(target, concept) for children in index.values() for _, target, concept in children]
+        assert all(concept is None or concept == nodes[target] for target, concept in concepts), variant
+        assert len(declaring) == len(nodes) - 1, variant
+        assert list(nodes) == declaration_order(g), variant
         reached = {g.root}
         stack = [g.root]
         while stack:
@@ -669,11 +676,13 @@ def test_a_parsed_graph_holds_no_object_per_edge():
     g = parse_penman(FIG1_PENMAN)
     assert len(g.edges) == 3
     assert not hasattr(g, "__dict__")
-    # what the graph refers to, and what that refers to in turn: strings, the
-    # two dicts, one flat tuple of the edges' nine fields, and no edge object
+    # what the graph refers to, and what that refers to in turn: strings and
+    # three flat tuples (the nodes' eight fields, the edges' nine and the empty
+    # metadata), with no dict and no edge object
     held = gc.get_referents(g)
     held += [x for h in held if isinstance(h, tuple) for x in gc.get_referents(h)]
-    assert not [h for h in held if isinstance(h, AmrEdge) or (isinstance(h, tuple) and len(h) == 3)], held
+    assert not [h for h in held if isinstance(h, (AmrEdge, dict)) or (isinstance(h, tuple) and len(h) == 3)], held
+    assert sorted(len(h) for h in held if type(h) is tuple) == [0, 8, 9]
 
 
 def test_a_graph_rebuilt_from_its_public_fields_equals_it():
@@ -687,7 +696,7 @@ def test_a_graph_rebuilt_from_its_public_fields_equals_it():
         assert all(type(e) is AmrEdge for e in plain.edges)
         assert type(g.edges) is tuple
         assert AmrGraph(g.root, g.nodes, g.edges, metadata={"id": "other"}) == g  # metadata is not compared
-        assert repr(g) == f"AmrGraph(root={g.root!r}, nodes={g.nodes!r}, edges={g.edges!r}, metadata={{}})"
+        assert repr(g) == f"AmrGraph(root={g.root!r}, nodes={dict(g.nodes)!r}, edges={g.edges!r}, metadata={{}})"
         if g.edges:
             assert "edges=(AmrEdge(source=" in repr(g)
             edges = list(g.edges)
@@ -708,6 +717,97 @@ def test_a_graph_is_immutable_and_survives_pickle_and_copy():
         assert again == g
         assert again.edges == g.edges
         assert again.metadata == {"id": "r1"}
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda g: operator.setitem(g.nodes, "z9", "cat"),
+        lambda g: operator.delitem(g.nodes, "z0"),
+        lambda g: operator.setitem(g.metadata, "id", "x"),
+    ],
+    ids=["add_node", "delete_root", "set_metadata"],
+)
+def test_a_graph_s_mappings_refuse_a_change(change):
+    # each used to go through: serialize_penman then dropped an added node
+    # without an error, and the text read back != the graph
+    g = parse_penman("(z0 / dog :mod (z1 / big))", metadata={"id": "r1"})
+    shown = repr(g)
+    with pytest.raises(TypeError, match="does not support item"):
+        change(g)
+    assert repr(g) == shown
+    assert g.nodes == {"z0": "dog", "z1": "big"} and g.metadata == {"id": "r1"}
+    assert parse_penman(serialize_penman(g)) == g
+
+
+def _attempted_changes(g: AmrGraph) -> list:
+    """Every way to change ``g`` in place that a caller might try."""
+    nodes, metadata = g.nodes, g.metadata
+    var = next(iter(nodes))
+    return [
+        partial(operator.setitem, nodes, "z99", "cat"),
+        partial(operator.setitem, nodes, var, "cat"),
+        partial(operator.delitem, nodes, var),
+        partial(operator.setitem, metadata, "id", "x"),
+        partial(operator.delitem, metadata, "id"),
+        *(
+            partial(getattr, mapping, method)  # a mappingproxy has none of them
+            for mapping in (nodes, metadata)
+            for method in ("clear", "pop", "popitem", "setdefault", "update")
+        ),
+        *(partial(setattr, g, name, None) for name in ("root", "nodes", "edges", "metadata")),
+        *(partial(delattr, g, name) for name in ("root", "nodes", "edges", "metadata")),
+        *([partial(operator.setitem, g.edges, 0, AmrEdge(var, ":mod", "-"))] if g.edges else []),
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0))
+def test_no_change_to_a_graph_goes_through(seed):
+    g = random_graph(random.Random(seed))
+    g = AmrGraph(g.root, g.nodes, g.edges, metadata={"id": f"r{seed}", "snt": "A dog"})
+    shown = repr(g)
+    for change in _attempted_changes(g):
+        with pytest.raises((TypeError, AttributeError)):
+            change()
+    assert repr(g) == shown
+    assert parse_penman(serialize_penman(g)) == g
+    for again in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
+        assert again == g
+        assert repr(again) == shown
+
+
+def test_a_graph_keeps_its_nodes_in_declaration_order_and_copies_its_mappings():
+    parsed = parse_penman("(z0 / want-01 :ARG1 (z2 / eat-01 :ARG0 (z1 / dog)) :ARG0 z1)", metadata={"id": "r1"})
+    nodes = {"z1": "dog", "z2": "eat-01", "z0": "want-01"}
+    metadata = {"id": "r1"}
+    built = AmrGraph("z0", nodes, parsed.edges, metadata)
+    assert built == parsed
+    assert list(built.nodes) == list(parsed.nodes) == ["z0", "z2", "z1"]
+    assert repr(built) == repr(parsed)
+    # changing the caller's dicts afterwards leaves the graph as it was
+    nodes["z1"] = "cat"
+    nodes["z3"] = "tree"
+    del nodes["z2"]
+    metadata["id"] = "x"
+    assert built == parsed
+    assert repr(built) == repr(parsed)
+    assert serialize_penman(built) == serialize_penman(parsed)
+    given_to_parse = {"id": "r2"}
+    g = parse_penman("(z0 / dog)", metadata=given_to_parse)
+    given_to_parse["id"] = "x"
+    assert g.metadata == {"id": "r2"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0))
+def test_a_graph_built_from_nodes_in_any_order_equals_its_parsed_twin(seed):
+    rng = random.Random(seed)
+    g = random_graph(rng)
+    shuffled = with_shuffled_nodes(rng, g)
+    assert shuffled == g == parse_penman(serialize_penman(shuffled))
+    assert list(shuffled.nodes) == declaration_order(g)
+    assert repr(shuffled) == repr(g)
 
 
 @pytest.mark.parametrize(

@@ -27,7 +27,7 @@ from amrsg.convert import (
 from amrsg.corpus import RegionRecord
 from amrsg.linearize import Strategy, linearize_dfs
 from amrsg.scenegraph import SceneGraph
-from helpers import FIG1_PENMAN, random_graph
+from helpers import FIG1_PENMAN, random_graph, with_shuffled_nodes
 
 
 # --- independent rule interpreter (oracle) ----------------------------------
@@ -169,6 +169,15 @@ def test_rules_oracle_equivalence():
     for _ in range(200):
         g = random_graph(rng, max_nodes=8)
         assert convert_rules(g) == brute_force_rules(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0))
+def test_rules_on_nodes_given_in_any_order_match_the_oracle(seed):
+    rng = random.Random(seed)
+    g = random_graph(rng, max_nodes=8)
+    shuffled = with_shuffled_nodes(rng, g)
+    assert convert_rules(shuffled) == brute_force_rules(shuffled) == convert_rules(g)
 
 
 def test_rules_no_invented_objects():

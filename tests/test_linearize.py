@@ -24,6 +24,7 @@ from helpers import (
     reference_walk_pieces,
     validate,
     with_quoted_slashes,
+    with_shuffled_nodes,
 )
 
 BFS_TEXT = "(z0 / stand-01) :ARG1 (z1 / retriever) :ARG2 (z3 / snow) :mod (z2 / gold)"
@@ -228,6 +229,18 @@ def test_texts_and_tokens_match_the_references(seed):
             assert seq.pieces == tuple(texts)
             assert seq.text == " ".join(texts)
             assert seq.tokens == tuple(tokens)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0))
+def test_a_graph_built_from_nodes_in_any_order_walks_as_the_references(seed):
+    rng = random.Random(seed)
+    g = with_shuffled_nodes(rng, with_quoted_slashes(rng, random_graph(rng)))
+    for strategy in Strategy:
+        seq = linearize(g, strategy)
+        texts, tokens = _reference(g, strategy)
+        assert seq.pieces == tuple(texts)
+        assert seq.tokens == tuple(tokens)
 
 
 # Edges out of attachment order: z1 and z2 are first reached from each other,

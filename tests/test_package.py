@@ -142,7 +142,7 @@ def test_each_model_type_has_one_writer_of_its_slots():
     writes_a_model = _package_nodes(
         lambda n: isinstance(n, ast.Attribute) and n.attr == "__setattr__" or _is_setattr_call(n)
     )
-    assert writes_a_model == ["amr.py:AmrGraph._from_edge_fields", "scenegraph.py:SceneGraph._unchecked"]
+    assert writes_a_model == ["amr.py:AmrGraph._from_fields", "scenegraph.py:SceneGraph._unchecked"]
     sections = {"objects", "attributes", "relations"}
     writes_a_section = _package_nodes(
         lambda n: isinstance(n, ast.Attribute) and n.attr in sections and not isinstance(n.ctx, ast.Load)

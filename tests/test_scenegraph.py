@@ -508,6 +508,27 @@ def test_readers_share_one_tuple_per_value():
     assert relation.subject is first.objects[0].name and relation.object is first.objects[1].name
 
 
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda: sg_from_json(
+            {"objects": [["dog"]], "attributes": [["rug", "red"]], "relations": [["dog", "on", "mat"]]}
+        ),
+        lambda: parse_sg_text("( dog ) ( rug , red ) ( dog , on , mat )"),
+    ],
+    ids=["sg_from_json", "parse_sg_text"],
+)
+def test_an_object_named_only_by_an_attribute_or_relation_is_the_stored_tuple(read):
+    # no ["mat"] or ["rug"] object: the constructor adds them, as the tuples
+    # the reader stored with the attribute and the relation
+    sg = read()
+    assert [o.name for o in sg.objects] == ["dog", "rug", "mat"]
+    for obj in sg.objects:
+        assert type(obj) is ObjectTuple and obj is SYMBOLS[obj], obj
+    assert sg.objects[2] is SYMBOLS[("mat",)]
+    assert all(t is u for t, u in zip(to_tuples(sg), to_tuples(read()), strict=True))
+
+
 class _Name(str):
     pass
 

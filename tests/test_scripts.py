@@ -52,6 +52,13 @@ def test_graph_memory_runs_and_prints_retained_and_peak():
     [per_edge] = [line for line in lines if line.endswith(" bytes retained per edge")]
     edges, per_edge_bytes = re.fullmatch(r"([\d,]+) edges, ([\d,]+) bytes retained per edge", per_edge).groups()
     assert int(edges.replace(",", "")) > 50 and int(per_edge_bytes.replace(",", "")) > 0
+    # the bytes a graph holds in each part, strings left out; every graph has an id
+    [parts] = [line for line in lines if line.startswith("bytes held per graph: ")]
+    sizes = re.fullmatch(
+        r"bytes held per graph: node fields ([\d,]+), edge fields ([\d,]+), metadata ([\d,]+), graph object ([\d,]+)",
+        parts,
+    ).groups()
+    assert all(int(size.replace(",", "")) > 0 for size in sizes), parts
 
 
 def test_graph_memory_exits_quietly_when_its_reader_leaves_early():
